@@ -8,32 +8,11 @@
      dune exec bench/main.exe e3              # one experiment
      dune exec bench/main.exe time            # timing suites only
      dune exec bench/main.exe -- -j 4 e1 e2   # shard trial cells over 4 domains
-     dune exec bench/main.exe -- --workers 2 e2   # shard batches over 2 processes
-     dune exec bench/main.exe -- --cache-dir .rme-cache e1   # persist results
-     dune exec bench/main.exe -- --resume --cache-dir D e1   # continue after ^C
-     dune exec bench/main.exe -- --cell-timeout 5 e2         # per-cell budgets
      dune exec bench/main.exe -- --progress e2               # live ETA on stderr
-
-   SIGINT/SIGTERM stop cell hand-out, drain in-flight cells, flush the
-   store and the run manifest, and exit 75 — re-run with --resume to
-   continue. --autosave-cells/--autosave-secs bound what a hard kill
-   can lose.
      dune exec bench/main.exe -- time --json BENCH.json      # machine-readable probes
      dune exec bench/main.exe -- compare OLD.json NEW.json --tolerance 3.0
                                               # CI regression gate (exit 1 on
                                               # any probe slower than 3x old)
-
-   --workers N (or RME_WORKERS) forks N worker subprocesses of this
-   binary (the hidden --worker serve mode) and streams cell batches to
-   them over pipes, behind a code-fingerprint handshake; worker
-   failures of any kind degrade to in-process compute, so tables stay
-   bit-identical to --workers 0.
-
-   A cache directory (--cache-dir, or the RME_CACHE_DIR environment
-   variable; --no-cache overrides both) persists trial-cell results
-   across runs, versioned by a code fingerprint: a rerun of identical
-   code serves every cell from memory or disk ("0 computed") with
-   byte-identical tables.
 
    Tables are bit-identical at any -j: experiments decompose into
    independent trial cells, the engine runs them across domains, and the
@@ -49,7 +28,7 @@ let print_outcome tables = List.iter Table.print tables
 (* Accumulated measurements for --json: probe name -> ns/run, and
    per-experiment wall clock / cell counters, in execution order. *)
 let probe_results : (string * float) list ref = ref []
-let experiment_results : (string * (float * int * int * int)) list ref = ref []
+let experiment_results : (string * (float * int * int)) list ref = ref []
 
 let run_experiment (id, descr, f) =
   Printf.printf "---- %s: %s ----\n%!" (String.uppercase_ascii id) descr;
@@ -61,13 +40,9 @@ let run_experiment (id, descr, f) =
   let c1 = Engine.counters eng in
   let computed = c1.Engine.computed - c0.Engine.computed in
   let cached = c1.Engine.cached - c0.Engine.cached in
-  let disk = c1.Engine.disk - c0.Engine.disk in
-  experiment_results := (id, (dt, computed, cached, disk)) :: !experiment_results;
-  Printf.printf
-    "(%s completed in %.1fs; j=%d; cells: %d computed (%d remote), %d cached, %d disk)\n\n%!"
-    id dt (Engine.jobs eng) computed
-    (c1.Engine.remote - c0.Engine.remote)
-    cached disk
+  experiment_results := (id, (dt, computed, cached)) :: !experiment_results;
+  Printf.printf "(%s completed in %.1fs; j=%d; cells: %d computed, %d cached)\n\n%!" id dt
+    (Engine.jobs eng) computed cached
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing: one probe per moving part, so the harness doubles
@@ -167,14 +142,13 @@ let write_json file =
   in
   let experiments =
     List.rev_map
-      (fun (id, (wall, computed, cached, disk)) ->
+      (fun (id, (wall, computed, cached)) ->
         ( id,
           Json.Obj
             [
               ("wall_s", Json.Num wall);
               ("cells_computed", Json.num_int computed);
               ("cells_cached", Json.num_int cached);
-              ("cells_disk", Json.num_int disk);
             ] ))
       !experiment_results
   in
@@ -289,43 +263,23 @@ let run_compare ~tolerance ~out old_file new_file =
         (String.concat ", " (List.rev l));
       exit 1
 
-(* Accepts [-j N], [--jobs N], [-jN], [--workers N], [--worker],
-   [--cache-dir DIR], [--no-cache], [--progress]/[-v], [--resume],
-   the budget flags ([--cell-timeout S], [--step-budget N],
-   [--batch-deadline S]) and the autosave cadence ([--autosave-cells N],
-   [--autosave-secs S]); returns the options and the remaining args. *)
+(* Accepts [-j N], [--jobs N], [-jN], [--progress]/[-v], [--json FILE],
+   [--tolerance X] and [--out FILE]; returns the options and the
+   remaining args. *)
 type opts = {
   jobs : int;
-  workers : int option;
-  worker : bool;  (* serve mode: this process IS a worker *)
-  cache_dir : string option;
-  no_cache : bool;
   progress : bool;
-  resume : bool;  (* continue an interrupted sweep from the cache *)
-  cell_timeout : float option;  (* wall-clock budget per cell *)
-  step_budget : int option;  (* scheduler-turn budget per cell *)
-  batch_deadline : float option;  (* coordinator batch deadline *)
-  autosave_cells : int option;
-  autosave_secs : float option;
   json : string option;  (* write probe/experiment measurements here *)
   tolerance : float;  (* compare: max allowed new/old slowdown *)
   out : string option;  (* compare: write the comparison JSON here *)
 }
 
 let parse_opts args =
-  let int_value flag v =
+  let jobs_value v =
     match int_of_string_opt v with
     | Some j -> j
     | None ->
-        Printf.eprintf "invalid %s value %S\n" flag v;
-        exit 1
-  in
-  let jobs_value = int_value "-j" in
-  let float_value flag v =
-    match float_of_string_opt v with
-    | Some f -> f
-    | None ->
-        Printf.eprintf "invalid %s value %S\n" flag v;
+        Printf.eprintf "invalid -j value %S\n" v;
         exit 1
   in
   let rec go o acc = function
@@ -334,34 +288,7 @@ let parse_opts args =
     | ("-j" | "--jobs") :: [] ->
         prerr_endline "missing value after -j";
         exit 1
-    | "--workers" :: v :: rest ->
-        go { o with workers = Some (int_value "--workers" v) } acc rest
-    | "--workers" :: [] ->
-        prerr_endline "missing value after --workers";
-        exit 1
-    | "--worker" :: rest -> go { o with worker = true } acc rest
-    | "--cache-dir" :: d :: rest -> go { o with cache_dir = Some d } acc rest
-    | "--cache-dir" :: [] ->
-        prerr_endline "missing value after --cache-dir";
-        exit 1
-    | "--no-cache" :: rest -> go { o with no_cache = true } acc rest
     | ("--progress" | "-v") :: rest -> go { o with progress = true } acc rest
-    | "--resume" :: rest -> go { o with resume = true } acc rest
-    | "--cell-timeout" :: v :: rest ->
-        go { o with cell_timeout = Some (float_value "--cell-timeout" v) } acc rest
-    | "--step-budget" :: v :: rest ->
-        go { o with step_budget = Some (int_value "--step-budget" v) } acc rest
-    | "--batch-deadline" :: v :: rest ->
-        go { o with batch_deadline = Some (float_value "--batch-deadline" v) } acc rest
-    | "--autosave-cells" :: v :: rest ->
-        go { o with autosave_cells = Some (int_value "--autosave-cells" v) } acc rest
-    | "--autosave-secs" :: v :: rest ->
-        go { o with autosave_secs = Some (float_value "--autosave-secs" v) } acc rest
-    | ("--cell-timeout" | "--step-budget" | "--batch-deadline"
-      | "--autosave-cells" | "--autosave-secs") :: ([] as rest) ->
-        ignore rest;
-        prerr_endline "missing value after budget/autosave flag";
-        exit 1
     | "--json" :: f :: rest -> go { o with json = Some f } acc rest
     | "--json" :: [] ->
         prerr_endline "missing value after --json";
@@ -383,88 +310,13 @@ let parse_opts args =
         go { o with jobs = jobs_value (String.sub a 2 (String.length a - 2)) } acc rest
     | a :: rest -> go o (a :: acc) rest
   in
-  go
-    {
-      jobs = 1;
-      workers = None;
-      worker = false;
-      cache_dir = None;
-      no_cache = false;
-      progress = false;
-      resume = false;
-      cell_timeout = None;
-      step_budget = None;
-      batch_deadline = None;
-      autosave_cells = None;
-      autosave_secs = None;
-      json = None;
-      tolerance = 1.5;
-      out = None;
-    }
-    [] args
-
-(* The worker command line the coordinator spawns: this binary in
-   --worker serve mode, with the same cache directory and the same
-   cell budgets (workers must time cells out like the coordinator). *)
-let worker_argv cache (b : Engine.budgets) =
-  Array.of_list
-    ((Sys.executable_name :: [ "--worker" ])
-    @ (match cache with Some d -> [ "--cache-dir"; d ] | None -> [])
-    @ (match b.Engine.cell_timeout with
-      | Some s -> [ "--cell-timeout"; string_of_float s ]
-      | None -> [])
-    @ (match b.Engine.step_budget with
-      | Some n -> [ "--step-budget"; string_of_int n ]
-      | None -> [])
-    @
-    if b.Engine.retry_timed_out then
-      [ "--resume" ] (* parsed back into retry semantics below *)
-    else [])
+  go { jobs = 1; progress = false; json = None; tolerance = 1.5; out = None } [] args
 
 let () =
   let o, args = parse_opts (Array.to_list Sys.argv |> List.tl) in
-  let cache = Engine.resolve_cache_dir ?cli:o.cache_dir ~no_cache:o.no_cache () in
-  let cell_timeout = Engine.resolve_cell_timeout ?cli:o.cell_timeout () in
-  let step_budget = Engine.resolve_step_budget ?cli:o.step_budget () in
-  let budgets =
-    {
-      Engine.cell_timeout;
-      step_budget;
-      retry_timed_out = o.resume;
-      escalation = (if o.resume then 4.0 else 1.0);
-    }
-  in
-  if o.worker then begin
-    Engine.serve_worker ?cache_dir:cache ~budgets stdin stdout;
-    exit 0
-  end;
-  if o.resume && cache = None then begin
-    prerr_endline
-      "bench: --resume needs a cache directory (--cache-dir or RME_CACHE_DIR)";
-    exit 2
-  end;
-  Engine.install_interrupt_handlers ();
   Engine.set_jobs o.jobs;
-  Engine.set_cache_dir cache;
-  Engine.configure ?cell_timeout ?step_budget ~label:"bench" ();
-  if o.resume then begin
-    (match cache with
-    | Some dir -> Printf.eprintf "%s\n%!" (Engine.resume_banner ~dir)
-    | None -> ());
-    Engine.configure ~retry_timed_out:true ~escalation:4.0 ()
-  end;
-  let env_cells, env_secs = Engine.resolve_autosave () in
-  Engine.configure
-    ?autosave_cells:(match o.autosave_cells with Some _ as c -> c | None -> env_cells)
-    ?autosave_secs:(match o.autosave_secs with Some _ as s -> s | None -> env_secs)
-    ();
-  Engine.set_workers
-    ~argv:(worker_argv cache budgets)
-    ?deadline:(Engine.resolve_batch_deadline ?cli:o.batch_deadline ())
-    (Engine.resolve_workers ?cli:o.workers ());
-  Engine.set_progress (Engine.resolve_progress ~cli:o.progress ());
-  try
-    (match args with
+  Engine.set_progress o.progress;
+  (match args with
   | "compare" :: rest -> (
       match rest with
       | [ old_file; new_file ] ->
@@ -483,22 +335,8 @@ let () =
           match List.find_opt (fun (i, _, _) -> i = id) E.all with
           | Some e -> run_experiment e
           | None ->
-              Printf.eprintf
-                "unknown experiment %S (available: %s, time, compare)\n" id
+              Printf.eprintf "unknown experiment %S (available: %s, time, compare)\n" id
                 (String.concat ", " (List.map (fun (i, _, _) -> i) E.all));
               exit 1)
         ids);
-    (match o.json with Some file -> write_json file | None -> ());
-    (* Stop worker subprocesses politely (EOF + reap) before exit. *)
-    Engine.set_workers 0
-  with Engine.Interrupted ->
-    (match cache with
-    | Some _ ->
-        prerr_endline
-          "bench: interrupted — committed cells are saved; re-run with \
-           --resume to continue"
-    | None ->
-        prerr_endline
-          "bench: interrupted — no cache directory, computed cells are lost");
-    Engine.set_workers 0;
-    exit Engine.exit_interrupted
+  match o.json with Some file -> write_json file | None -> ()

@@ -6,22 +6,8 @@
      rme adversary --lock rcas ...     run the lower-bound construction
      rme lemma ...                     solve a Process-Hiding instance
      rme experiment e1 .. f1 | all     regenerate the paper's tables
-                    [-j N]             ... sharding trial cells over N domains
-                    [--workers N]      ... sharding cell batches over N processes
-                    [--cache-dir DIR]  ... reusing results across runs
-                    [--resume]         ... continuing an interrupted sweep
-                    [--cell-timeout S] [--step-budget N] [--batch-deadline S]
-                    [--autosave-cells N] [--autosave-secs S]
-                    [--no-cache] [--progress|-v]
-     rme store verify|repair|compact|stats [DIR]
-                                       inspect / heal a result store
-     rme worker                        internal: serve cell batches over
-                                       stdin/stdout (spawned by --workers)
-
-   SIGINT/SIGTERM during an experiment sweep stop cell hand-out,
-   drain what is in flight, flush the store and manifest, and exit
-   75 (EX_TEMPFAIL) — re-run with --resume to pick up where it
-   stopped. A second signal hard-exits.
+                    [-j N]             ... sharding cells over N domains
+                    [--progress|-v]    ... with a live cells-done line
 *)
 
 open Cmdliner
@@ -259,166 +245,32 @@ let lemma_cmd =
     (Cmd.info "lemma" ~doc:"Solve and verify a Process-Hiding Lemma instance.")
     Term.(const lemma $ ell $ delta $ m $ family $ seed_arg $ trials)
 
-(* ---------------- rme worker ---------------- *)
-
-(* The hidden counterpart of --workers: the coordinator spawns [rme
-   worker [--cache-dir DIR]] subprocesses and streams cell batches to
-   them over stdin/stdout. Not meant for human invocation (it will sit
-   silently waiting for frames), but harmless if invoked. *)
-
-let cell_timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "cell-timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Wall-clock budget per trial cell (also via $(b,RME_CELL_TIMEOUT)). \
-           A cell exceeding it records an explicit timed-out result instead \
-           of hanging the sweep; $(b,--resume) retries such cells with an \
-           escalated budget.")
-
-let step_budget_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "step-budget" ] ~docv:"STEPS"
-        ~doc:
-          "Scheduler-turn budget per trial cell (also via \
-           $(b,RME_STEP_BUDGET)); default is the harness's n-squared formula.")
-
-let worker_cmd =
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:"Let the worker consult and feed this result store itself.")
-  in
-  let retry =
-    Arg.(
-      value & flag
-      & info [ "retry-timed-out" ]
-          ~doc:"Treat stored timed-out results as misses (resume mode).")
-  in
-  let escalation =
-    Arg.(
-      value & opt float 1.0
-      & info [ "escalation" ] ~docv:"FACTOR"
-          ~doc:"Budget scale factor applied when recomputing cells.")
-  in
-  let run cache_dir cell_timeout step_budget retry_timed_out escalation =
-    let budgets =
-      { Engine.cell_timeout; step_budget; retry_timed_out; escalation }
-    in
-    Rme_experiments.Engine.serve_worker ?cache_dir ~budgets stdin stdout
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Internal: serve experiment cell batches over stdin/stdout. Spawned \
-          by $(b,--workers); speaks a length-prefixed framing of the result \
-          store's line format, gated by a code-fingerprint handshake.")
-    Term.(
-      const run $ cache_dir $ cell_timeout_arg $ step_budget_arg $ retry
-      $ escalation)
-
 (* ---------------- rme experiment ---------------- *)
 
-(* The worker command line matching this front-end: this very binary's
-   hidden [worker] subcommand, handed the same cache directory (so
-   worker-computed results persist on their own) and the same cell
-   budgets (so workers time cells out exactly like the coordinator). *)
-let worker_argv cache (b : Engine.budgets) =
-  Array.of_list
-    ((Sys.executable_name :: [ "worker" ])
-    @ (match cache with Some d -> [ "--cache-dir"; d ] | None -> [])
-    @ (match b.Engine.cell_timeout with
-      | Some s -> [ "--cell-timeout"; string_of_float s ]
-      | None -> [])
-    @ (match b.Engine.step_budget with
-      | Some n -> [ "--step-budget"; string_of_int n ]
-      | None -> [])
-    @ (if b.Engine.retry_timed_out then [ "--retry-timed-out" ] else [])
-    @
-    if b.Engine.escalation <> 1.0 then
-      [ "--escalation"; string_of_float b.Engine.escalation ]
-    else [])
-
-let experiment jobs workers cache_dir no_cache progress resume cell_timeout
-    step_budget batch_deadline autosave_cells autosave_secs ids =
+let experiment jobs progress ids =
   let module E = Rme_experiments.Experiments in
-  Engine.install_interrupt_handlers ();
   Engine.set_jobs jobs;
-  let cache = Engine.resolve_cache_dir ?cli:cache_dir ~no_cache () in
-  if resume && cache = None then begin
-    Printf.eprintf
-      "rme: --resume needs a cache directory (--cache-dir or RME_CACHE_DIR)\n";
-    exit 2
-  end;
-  Engine.set_cache_dir cache;
-  let cell_timeout = Engine.resolve_cell_timeout ?cli:cell_timeout () in
-  let step_budget = Engine.resolve_step_budget ?cli:step_budget () in
-  Engine.configure ?cell_timeout ?step_budget ~label:"rme experiment" ();
-  if resume then begin
-    (match cache with
-    | Some dir -> Printf.eprintf "%s\n%!" (Engine.resume_banner ~dir)
-    | None -> ());
-    (* Timed-out cells get one more chance with 4x both budgets. *)
-    Engine.configure ~retry_timed_out:true ~escalation:4.0 ()
-  end;
-  let env_cells, env_secs = Engine.resolve_autosave () in
-  let autosave_cells = match autosave_cells with Some _ as c -> c | None -> env_cells in
-  let autosave_secs = match autosave_secs with Some _ as s -> s | None -> env_secs in
-  Engine.configure ?autosave_cells ?autosave_secs ();
-  let budgets = { Engine.cell_timeout; step_budget; retry_timed_out = resume;
-                  escalation = (if resume then 4.0 else 1.0) } in
-  Engine.set_workers
-    ~argv:(worker_argv cache budgets)
-    ?deadline:(Engine.resolve_batch_deadline ?cli:batch_deadline ())
-    (Engine.resolve_workers ?cli:workers ());
-  Engine.set_progress (Engine.resolve_progress ~cli:progress ());
+  Engine.set_progress progress;
   let eng = Engine.default () in
   let ids = if ids = [ "all" ] then List.map (fun (i, _, _) -> i) E.all else ids in
-  let finish () = Engine.set_workers 0 in
-  try
-    List.iter
-      (fun id ->
-        let c0 = Engine.counters eng in
-        let t0 = Unix.gettimeofday () in
-        match E.run_one id with
-        | Some tables ->
-            List.iter Rme_util.Table.print tables;
-            let c1 = Engine.counters eng in
-            Printf.printf
-              "(%s completed in %.1fs; j=%d; cells: %d computed (%d remote), \
-               %d cached, %d disk)\n\n\
-               %!"
-              id
-              (Unix.gettimeofday () -. t0)
-              (Engine.jobs eng)
-              (c1.Engine.computed - c0.Engine.computed)
-              (c1.Engine.remote - c0.Engine.remote)
-              (c1.Engine.cached - c0.Engine.cached)
-              (c1.Engine.disk - c0.Engine.disk)
-        | None ->
-            Printf.eprintf "unknown experiment %S\n" id;
-            finish ();
-            exit 1)
-      ids;
-    (* Politely stop the worker subprocesses (EOF, then reap) rather
-       than letting process exit tear the pipes down under them. *)
-    finish ()
-  with Engine.Interrupted ->
-    (match cache with
-    | Some _ ->
-        Printf.eprintf
-          "rme: interrupted — committed cells are saved; re-run with --resume \
-           to continue\n"
-    | None ->
-        Printf.eprintf
-          "rme: interrupted — no cache directory, computed cells are lost\n");
-    finish ();
-    exit Engine.exit_interrupted
+  List.iter
+    (fun id ->
+      let c0 = Engine.counters eng in
+      let t0 = Unix.gettimeofday () in
+      match E.run_one id with
+      | Some tables ->
+          List.iter Rme_util.Table.print tables;
+          let c1 = Engine.counters eng in
+          Printf.printf "(%s completed in %.1fs; j=%d; cells: %d computed, %d cached)\n\n%!"
+            id
+            (Unix.gettimeofday () -. t0)
+            (Engine.jobs eng)
+            (c1.Engine.computed - c0.Engine.computed)
+            (c1.Engine.cached - c0.Engine.cached)
+      | None ->
+          Printf.eprintf "unknown experiment %S\n" id;
+          exit 1)
+    ids
 
 let experiment_cmd =
   let ids =
@@ -434,192 +286,14 @@ let experiment_cmd =
             "Shard trial cells over $(docv) domains (0 = auto-detect). Tables \
              are bit-identical at any value.")
   in
-  let workers =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Shard cell batches over $(docv) worker subprocesses (also via \
-             $(b,RME_WORKERS)). A fingerprint handshake gates every worker; \
-             lost, hung or corrupt workers have their batches requeued, \
-             falling back to in-process compute, so tables stay bit-identical \
-             to $(b,--workers) 0 at any value.")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Persist trial-cell results under $(docv) and reuse them across \
-             runs (also via $(b,RME_CACHE_DIR)). Entries are versioned by a \
-             code fingerprint; a mismatched or corrupt store is recomputed, \
-             never served.")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:"Ignore $(b,--cache-dir) and $(b,RME_CACHE_DIR); compute everything.")
-  in
   let progress =
     Arg.(
       value & flag
-      & info [ "progress"; "v" ]
-          ~doc:
-            "Force the live cells-done/ETA stderr line on. Without the flag \
-             it is on exactly when stderr is a terminal.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Continue an interrupted sweep from the cache directory: cells \
-             already in the store are served from disk, timed-out cells are \
-             recomputed with 4x budgets, and everything else picks up where \
-             the previous run stopped.")
-  in
-  let batch_deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "batch-deadline" ] ~docv:"SECONDS"
-          ~doc:
-            "Seconds a worker subprocess may hold one batch before it is \
-             declared hung (also via $(b,RME_BATCH_DEADLINE)); default is \
-             derived from $(b,--cell-timeout) when one is set.")
-  in
-  let autosave_cells =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "autosave-cells" ] ~docv:"N"
-          ~doc:
-            "Flush the store and manifest every $(docv) committed cells \
-             (also via $(b,RME_AUTOSAVE_CELLS); default 64).")
-  in
-  let autosave_secs =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "autosave-secs" ] ~docv:"SECONDS"
-          ~doc:
-            "Flush the store and manifest at least every $(docv) seconds \
-             while committing (also via $(b,RME_AUTOSAVE_SECS); default 10).")
+      & info [ "progress"; "v" ] ~doc:"Print a live cells-done/ETA line on stderr.")
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate the paper-shaped experiment tables.")
-    Term.(
-      const experiment $ jobs $ workers $ cache_dir $ no_cache $ progress
-      $ resume $ cell_timeout_arg $ step_budget_arg $ batch_deadline
-      $ autosave_cells $ autosave_secs $ ids)
-
-(* ---------------- rme store ---------------- *)
-
-(* Offline inspection and repair of a result-store directory. All four
-   verbs resolve the directory the same way the experiment runner
-   does: positional DIR beats RME_CACHE_DIR; with neither, exit 2. *)
-
-module Fsck = Rme_store.Fsck
-
-let store_dir_of dir =
-  match dir with
-  | Some d -> d
-  | None -> (
-      match Sys.getenv_opt "RME_CACHE_DIR" with
-      | Some d when d <> "" -> d
-      | _ ->
-          Printf.eprintf "rme store: no directory (pass DIR or set RME_CACHE_DIR)\n";
-          exit 2)
-
-let pp_shard_class = function
-  | Fsck.Clean n -> Printf.sprintf "clean (%d entries)" n
-  | Fsck.Stale -> "stale (other fingerprint or future version)"
-  | Fsck.Torn { good; dropped } ->
-      Printf.sprintf "torn tail (%d entries kept, %d lines dropped)" good dropped
-  | Fsck.Corrupt { good; bad } ->
-      Printf.sprintf "CORRUPT (%d lines bad, %d salvageable)" bad good
-  | Fsck.Unreadable -> "UNREADABLE (bad header or IO error)"
-
-let print_report ~verbose (r : Fsck.report) =
-  Printf.printf "shards: %d scanned, %d clean, %d stale, %d torn, %d corrupt, %d unreadable\n"
-    r.Fsck.scanned r.Fsck.clean r.Fsck.stale r.Fsck.torn r.Fsck.corrupt
-    r.Fsck.unreadable;
-  Printf.printf "entries: %d intact" r.Fsck.entries;
-  List.iter (fun (s, n) -> Printf.printf ", %s=%d" s n) r.Fsck.sections;
-  Printf.printf "; %d lines lost\n" r.Fsck.lost_lines;
-  if r.Fsck.healed + r.Fsck.quarantined + r.Fsck.salvaged > 0 then
-    Printf.printf "repair: %d healed in place, %d quarantined, %d entries salvaged\n"
-      r.Fsck.healed r.Fsck.quarantined r.Fsck.salvaged;
-  if verbose then
-    List.iter
-      (fun (name, c) -> Printf.printf "  %-40s %s\n" name (pp_shard_class c))
-      r.Fsck.files
-
-let store_cmd =
-  let dir_arg =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"DIR"
-          ~doc:"Store directory (default: $(b,RME_CACHE_DIR)).")
-  in
-  let files_flag =
-    Arg.(value & flag & info [ "files" ] ~doc:"List every shard with its class.")
-  in
-  let fingerprint () = Engine.code_fingerprint () in
-  let verify dir files =
-    let dir = store_dir_of dir in
-    let r = Fsck.scan ~dir ~fingerprint:(fingerprint ()) in
-    print_report ~verbose:files r;
-    if r.Fsck.torn + r.Fsck.corrupt + r.Fsck.unreadable > 0 then exit 1
-  in
-  let repair dir files =
-    let dir = store_dir_of dir in
-    let r = Fsck.repair ~dir ~fingerprint:(fingerprint ()) in
-    print_report ~verbose:files r
-  in
-  let compact dir =
-    let dir = store_dir_of dir in
-    let merged, entries = Fsck.compact ~dir ~fingerprint:(fingerprint ()) in
-    if merged = 0 then print_endline "nothing to compact (fewer than two clean shards)"
-    else Printf.printf "compacted %d shards into one (%d entries)\n" merged entries
-  in
-  let stats dir =
-    let dir = store_dir_of dir in
-    let r = Fsck.scan ~dir ~fingerprint:(fingerprint ()) in
-    print_report ~verbose:true r;
-    match Engine.load_manifest ~dir with
-    | None -> ()
-    | Some m ->
-        Printf.printf
-          "manifest: %s %s — %d/%d cells done (%d timed out), %.1fs elapsed\n"
-          m.Engine.m_label
-          (if m.Engine.m_interrupted then "[interrupted]" else "[checkpoint]")
-          m.Engine.m_done m.Engine.m_total m.Engine.m_timed_out m.Engine.m_elapsed
-  in
-  let sub name doc term = Cmd.v (Cmd.info name ~doc) term in
-  Cmd.group
-    (Cmd.info "store"
-       ~doc:"Inspect, verify and repair a persistent result store.")
-    [
-      sub "verify"
-        "Classify every shard (read-only); exit 1 if any is torn, corrupt or \
-         unreadable."
-        Term.(const verify $ dir_arg $ files_flag);
-      sub "repair"
-        "Heal torn shards in place; quarantine corrupt ones, salvaging their \
-         checksum-valid lines."
-        Term.(const repair $ dir_arg $ files_flag);
-      sub "compact"
-        "Merge all clean shards into one (repairs first; crash-safe: the \
-         merged shard is published before sources are deleted)."
-        Term.(const compact $ dir_arg);
-      sub "stats" "Shard classes, entry counts and the run manifest, if any."
-        Term.(const stats $ dir_arg);
-    ]
+    Term.(const experiment $ jobs $ progress $ ids)
 
 (* ---------------- main ---------------- *)
 
@@ -638,6 +312,4 @@ let eval ?argv () =
          adversary_cmd;
          lemma_cmd;
          experiment_cmd;
-         store_cmd;
-         worker_cmd;
        ])

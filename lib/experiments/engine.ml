@@ -3,14 +3,7 @@ module Lock_intf = Rme_sim.Lock_intf
 module Rmr = Rme_memory.Rmr
 module Pool = Rme_util.Pool
 module Intset = Rme_util.Intset
-module Fingerprint = Rme_util.Fingerprint
 module A = Rme_core.Adversary
-module Store = Rme_store.Store
-module Codec = Rme_store.Codec
-module Registry = Rme_locks.Registry
-module Dist = Rme_dist.Coordinator
-module Fault = Rme_util.Fault
-module Json = Rme_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Harness trial cells. *)
@@ -42,23 +35,6 @@ type cell_result = {
   max_bypass : int;
 }
 
-(* Per-cell budgets. [cell_timeout] is wall-clock seconds per cell,
-   [step_budget] overrides the harness's n^2 formula; either [None]
-   keeps the harness default. A cell exceeding its budget records an
-   explicit timed-out result — the sweep completes instead of hanging.
-   [retry_timed_out] (set by --resume) treats a stored timed-out
-   result as a miss, recomputing it with both budgets scaled by
-   [escalation]. *)
-type budgets = {
-  cell_timeout : float option;
-  step_budget : int option;
-  retry_timed_out : bool;
-  escalation : float;
-}
-
-let no_budgets =
-  { cell_timeout = None; step_budget = None; retry_timed_out = false; escalation = 1.0 }
-
 (* The memo key is the cell with the factory replaced by its name
    (factories are closures; names are unique, including the
    [katzan-morrison-b<arity>] variants). Everything else is ints,
@@ -88,23 +64,9 @@ let key_of_cell c =
     k_max_crashes = c.max_crashes;
   }
 
-let compute_cell ?(budgets = no_budgets) c =
-  (* Fault injection: an artificially slow cell, for exercising
-     timeouts and mid-sweep interruption deterministically. The
-     argument is the delay in milliseconds (default 50). *)
-  if Fault.armed "slow-cell" then
-    Unix.sleepf (float_of_int (max 0 (Option.value ~default:50 (Fault.param "slow-cell"))) /. 1000.0);
-  let scale x =
-    max 1 (int_of_float (Float.round (float_of_int x *. budgets.escalation)))
-  in
-  let step_budget =
-    scale (Option.value ~default:(H.default_step_budget ~n:c.n) budgets.step_budget)
-  in
-  let deadline =
-    Option.map
-      (fun s -> Unix.gettimeofday () +. (s *. budgets.escalation))
-      budgets.cell_timeout
-  in
+(* The harness's default step budget bounds every cell, so a stuck lock
+   ends as a deterministic [timed_out] result instead of hanging. *)
+let compute_cell c =
   let cfg =
     {
       (H.default_config ~n:c.n ~width:c.width c.model) with
@@ -113,8 +75,6 @@ let compute_cell ?(budgets = no_budgets) c =
       crashes = c.crashes;
       allow_cs_crash = c.allow_cs_crash;
       max_crashes_per_process = c.max_crashes;
-      step_budget;
-      deadline;
     }
   in
   let r = H.run cfg c.lock in
@@ -180,571 +140,56 @@ let compute_adv c =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Persistent serialisation: canonical strings for keys and results
-   (the store's on-disk line format; also the wire format a future
-   multi-process shard would speak). Keys never need decoding — disk
-   lookup works by encoding the query key — but results round-trip
-   exactly (floats in hex notation), keeping warm-store tables
-   byte-identical to computed ones. *)
-
-let cell_section = "cell"
-let adv_section = "adv"
-
-let cell_key_string_of_key (k : key) =
-  Codec.fields
-    [
-      ("lock", Codec.escape k.k_lock);
-      ("n", string_of_int k.k_n);
-      ("w", string_of_int k.k_width);
-      ("model", Codec.model_enc k.k_model);
-      ("seed", string_of_int k.k_seed);
-      ("sp", string_of_int k.k_sp);
-      ("crashes", Codec.crash_policy_enc k.k_crashes);
-      ("cs_crash", string_of_bool k.k_cs_crash);
-      ("max_crashes", string_of_int k.k_max_crashes);
-    ]
-
-let cell_key_string c = cell_key_string_of_key (key_of_cell c)
-
-let cell_result_encode (r : cell_result) =
-  Codec.fields
-    [
-      ("ok", string_of_bool r.ok);
-      ("max", string_of_int r.max_passage_rmr);
-      ("mean", Codec.float_enc r.mean_passage_rmr);
-      ("crashes", string_of_int r.total_crashes);
-      ("rmrs", string_of_int r.total_rmrs);
-      ("cs", string_of_int r.cs_entries);
-      ("bypass", string_of_int r.max_bypass);
-      ("to", string_of_bool r.timed_out);
-    ]
-
-let ( let* ) = Option.bind
-
-let cell_result_decode s =
-  let* fs = Codec.parse_fields s in
-  let get f k = Option.bind (Codec.lookup fs k) f in
-  let* ok = get Codec.bool_dec "ok" in
-  let* max_passage_rmr = get Codec.int_dec "max" in
-  let* mean_passage_rmr = get Codec.float_dec "mean" in
-  let* total_crashes = get Codec.int_dec "crashes" in
-  let* total_rmrs = get Codec.int_dec "rmrs" in
-  let* cs_entries = get Codec.int_dec "cs" in
-  let* max_bypass = get Codec.int_dec "bypass" in
-  (* Optional: absent in entries written before the field existed —
-     those were computed without budgets, hence never timed out. *)
-  let timed_out = Option.value ~default:false (get Codec.bool_dec "to") in
-  Some
-    {
-      ok;
-      timed_out;
-      max_passage_rmr;
-      mean_passage_rmr;
-      total_crashes;
-      total_rmrs;
-      cs_entries;
-      max_bypass;
-    }
-
-let adv_key_string_of_key (k : adv_key) =
-  Codec.fields
-    [
-      ("lock", Codec.escape k.ak_lock);
-      ("n", string_of_int k.ak_n);
-      ("w", string_of_int k.ak_width);
-      ("model", Codec.model_enc k.ak_model);
-      ("k", string_of_int k.ak_k);
-    ]
-
-let adv_key_string c = adv_key_string_of_key (adv_key_of c)
-
-let adv_result_encode (r : adv_result) =
-  Codec.fields
-    [
-      ("rounds", string_of_int r.rounds);
-      ("bound", Codec.float_enc r.bound);
-      ("survivors", string_of_int r.survivors);
-    ]
-
-let adv_result_decode s =
-  let* fs = Codec.parse_fields s in
-  let get f k = Option.bind (Codec.lookup fs k) f in
-  let* rounds = get Codec.int_dec "rounds" in
-  let* bound = get Codec.float_dec "bound" in
-  let* survivors = get Codec.int_dec "survivors" in
-  Some { rounds; bound; survivors }
-
-(* Key decoding — what a worker process does with the key strings the
-   coordinator streams to it. The store itself never decodes keys
-   (disk lookup encodes the query); workers must, to reconstruct the
-   cell they are asked to compute. The lock factory is recovered from
-   the registry by name, so a key naming an unknown lock (never
-   produced by same-fingerprint code, but the wire is untrusted)
-   decodes to [None] rather than raising. *)
-
-let cell_of_key_string s =
-  let* fs = Codec.parse_fields s in
-  let get f k = Option.bind (Codec.lookup fs k) f in
-  let* lock_name = Option.bind (Codec.lookup fs "lock") Codec.unescape in
-  let* lock = Registry.find lock_name in
-  let* n = get Codec.int_dec "n" in
-  let* width = get Codec.int_dec "w" in
-  let* model = get Codec.model_dec "model" in
-  let* seed = get Codec.int_dec "seed" in
-  let* superpassages = get Codec.int_dec "sp" in
-  let* crashes = get Codec.crash_policy_dec "crashes" in
-  let* allow_cs_crash = get Codec.bool_dec "cs_crash" in
-  let* max_crashes = get Codec.int_dec "max_crashes" in
-  Some { lock; n; width; model; seed; superpassages; crashes; allow_cs_crash; max_crashes }
-
-let adv_cell_of_key_string s =
-  let* fs = Codec.parse_fields s in
-  let get f k = Option.bind (Codec.lookup fs k) f in
-  let* lock_name = Option.bind (Codec.lookup fs "lock") Codec.unescape in
-  let* a_lock = Registry.find lock_name in
-  let* a_n = get Codec.int_dec "n" in
-  let* a_width = get Codec.int_dec "w" in
-  let* a_model = get Codec.model_dec "model" in
-  let* k = get Codec.int_dec "k" in
-  Some { a_lock; a_n; a_width; a_model; a_k = Some k }
-
-(* The worker-side dispatch: encoded key in, encoded result out.
-   Total — an undecodable or unknown-section key is reported back as
-   unservable (the coordinator computes it in-process) instead of
-   taking the worker down. *)
-let compute_encoded ?budgets ~section ~key () =
-  if String.equal section cell_section then
-    Option.map
-      (fun c -> cell_result_encode (compute_cell ?budgets c))
-      (cell_of_key_string key)
-  else if String.equal section adv_section then
-    Option.map (fun c -> adv_result_encode (compute_adv c)) (adv_cell_of_key_string key)
-  else None
-
-(* The code fingerprint versioning every store entry. [schema_version]
-   is the convention-bumped part: raise it whenever harness, lock or
-   adversary semantics change in a way that alters results. The
-   registry signature invalidates automatically when locks are added,
-   renamed or change their width requirements. *)
-let schema_version = "rme-results-1"
-
-let code_fingerprint () =
-  let lock_sig (f : Lock_intf.factory) =
-    Printf.sprintf "%s:%b:%d:%d:%d" f.Lock_intf.name f.Lock_intf.recoverable
-      (f.Lock_intf.min_width ~n:2)
-      (f.Lock_intf.min_width ~n:64)
-      (f.Lock_intf.min_width ~n:4096)
-  in
-  Fingerprint.of_strings (schema_version :: List.map lock_sig Registry.all)
-
-(* ------------------------------------------------------------------ *)
-(* Graceful interruption. One process-wide flag: the first
-   SIGINT/SIGTERM requests a stop (prefetch notices between cells,
-   drains what is in flight, flushes store + manifest and raises
-   {!Interrupted}); a second signal hard-exits with the conventional
-   128+signo code for users who really mean it. *)
-
-exception Interrupted
-
-let exit_interrupted = 75 (* EX_TEMPFAIL: stopped cleanly, state saved *)
-
-let interrupt_flag = Atomic.make false
-let interrupt_signals = Atomic.make 0
-let request_interrupt () = Atomic.set interrupt_flag true
-let interrupted () = Atomic.get interrupt_flag
-
-let clear_interrupt () =
-  Atomic.set interrupt_flag false;
-  Atomic.set interrupt_signals 0
-
-let install_interrupt_handlers () =
-  let handle signo =
-    if Atomic.fetch_and_add interrupt_signals 1 = 0 then
-      Atomic.set interrupt_flag true
-    else Unix._exit (if signo = Sys.sigterm then 143 else 130)
-  in
-  List.iter
-    (fun s ->
-      try Sys.set_signal s (Sys.Signal_handle handle)
-      with Invalid_argument _ | Sys_error _ -> ())
-    [ Sys.sigint; Sys.sigterm ]
-
-(* ------------------------------------------------------------------ *)
 (* The engine. *)
 
-type counters = { computed : int; cached : int; disk : int; remote : int }
+type counters = { computed : int; cached : int }
 
 type t = {
-  pool : Pool.t;
-  guard : Mutex.t;
+  mutable pool : Pool.t;
+  guard : Mutex.t;  (* protects the memos and the counters. *)
   memo : (key, cell_result) Hashtbl.t;
   adv_memo : (adv_key, adv_result) Hashtbl.t;
-  mutable store : Store.t option;
-  mutable dist : Dist.t option;
   mutable progress : bool;
-  mutable budgets : budgets;
-  mutable label : string;
-  mutable autosave_cells : int;
-  mutable autosave_secs : float;
-  mutable last_autosave : float;
-  mutable since_autosave : int;
-  mutable started : float;
   mutable n_computed : int;
   mutable n_cached : int;
-  mutable n_disk : int;
-  mutable n_remote : int;
-  (* Manifest counters: cells requested / resolved / timed out across
-     the engine's lifetime (memo re-hits of shared cells included —
-     these describe sweep progress, not distinct keys). *)
-  mutable u_total : int;
-  mutable u_done : int;
-  mutable u_timed : int;
 }
 
-let open_store dir =
-  try Some (Store.open_ ~dir ~fingerprint:(code_fingerprint ()))
-  with e ->
-    Printf.eprintf "[rme] warning: cannot open result store %s (%s); running uncached\n%!"
-      dir (Printexc.to_string e);
-    None
-
-(* The worker command line when none is given: this very binary with
-   the front-ends' conventional worker-mode argument. Correct for
-   [bin/rme] ([rme worker]); other hosts (bench, tests) pass their
-   own [worker_argv]. *)
-let default_worker_argv () = [| Sys.executable_name; "worker" |]
-
-let env_float name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some v -> float_of_string_opt v
-
-let env_int name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some v -> int_of_string_opt v
-
-let make_dist ?worker_argv ?worker_deadline ?cell_timeout ~workers () =
-  if workers <= 0 then None
-  else
-    let argv =
-      match worker_argv with Some a -> a | None -> default_worker_argv ()
-    in
-    (* Batch-deadline resolution: explicit (--batch-deadline) beats
-       RME_BATCH_DEADLINE beats a value derived from the cell budget —
-       a batch is at most [Pool.auto_chunk]-capped (64) cells, so a
-       worker honouring its per-cell timeout answers within ~64x the
-       budget plus handshake slack; only with no budget at all does
-       the flat 300 s default apply. *)
-    let batch_deadline =
-      match worker_deadline with
-      | Some d -> d
-      | None -> (
-          match env_float "RME_BATCH_DEADLINE" with
-          | Some d -> d
-          | None -> (
-              match cell_timeout with
-              | Some ct -> Float.max 60.0 (10.0 +. (ct *. 64.0))
-              | None -> 300.0))
-    in
-    Some
-      (Dist.create
-         (Dist.default_config ~batch_deadline
-            ?handshake_deadline:(env_float "RME_HANDSHAKE_DEADLINE") ~workers ~argv
-            ~fingerprint:(code_fingerprint ()) ()))
-
-let create ?(jobs = 1) ?cache_dir ?(progress = false) ?(workers = 0) ?worker_argv
-    ?worker_deadline ?cell_timeout ?step_budget ?(retry_timed_out = false)
-    ?(escalation = 1.0) ?(autosave_cells = 64) ?(autosave_secs = 10.0)
-    ?(label = "sweep") () =
-  let budgets = { cell_timeout; step_budget; retry_timed_out; escalation } in
+let create ?(jobs = 1) ?(progress = false) () =
   {
     pool = Pool.create ~jobs;
     guard = Mutex.create ();
     memo = Hashtbl.create 256;
     adv_memo = Hashtbl.create 64;
-    store = (match cache_dir with None -> None | Some d -> open_store d);
-    dist =
-      make_dist ?worker_argv ?worker_deadline ?cell_timeout:budgets.cell_timeout
-        ~workers ();
     progress;
-    budgets;
-    label;
-    autosave_cells = max 1 autosave_cells;
-    autosave_secs = Float.max 0.1 autosave_secs;
-    last_autosave = Unix.gettimeofday ();
-    since_autosave = 0;
-    started = Unix.gettimeofday ();
     n_computed = 0;
     n_cached = 0;
-    n_disk = 0;
-    n_remote = 0;
-    u_total = 0;
-    u_done = 0;
-    u_timed = 0;
   }
 
 let jobs t = Pool.jobs t.pool
-let workers t = match t.dist with None -> 0 | Some d -> (Dist.config d).Dist.workers
-let cache_dir t = Option.map Store.dir t.store
-let store_stats t = Option.map Store.stats t.store
-let dist_stats t = Option.map Dist.stats t.dist
-
-(* A store failure must never take the run down: fall back to
-   uncached operation (results stay correct, just recomputed). *)
-let safe_flush t =
-  match t.store with
-  | None -> ()
-  | Some s -> (
-      try Store.flush s
-      with e ->
-        Printf.eprintf
-          "[rme] warning: result store flush failed (%s); caching disabled\n%!"
-          (Printexc.to_string e);
-        t.store <- None)
-
-(* ------------------------------------------------------------------ *)
-(* The run manifest: a small JSON summary written atomically next to
-   the shards at every autosave and checkpoint, so an interrupted or
-   SIGKILLed sweep leaves behind how far it got. [--resume] reads it
-   back for validation and reporting — the store itself remains the
-   source of truth for which cells are done. Best effort: a manifest
-   write failure must never take a run down. *)
-
-let manifest_file = "manifest.json"
-let manifest_path ~dir = Filename.concat dir manifest_file
-
-type manifest = {
-  m_fingerprint : string;
-  m_label : string;
-  m_total : int;
-  m_done : int;
-  m_timed_out : int;
-  m_elapsed : float;
-  m_interrupted : bool;
-}
-
-(* Caller holds [t.guard]. Skipped until the engine has seen work, so
-   an incidental open (stats, a single lookup) does not clobber the
-   previous sweep's manifest with zeros. *)
-let save_manifest t ~interrupted =
-  match t.store with
-  | Some s when t.u_total > 0 -> (
-      try
-        let doc =
-          Json.Obj
-            [
-              ("schema", Json.num_int 1);
-              ("fingerprint", Json.Str (Store.fingerprint s));
-              ("label", Json.Str t.label);
-              ("total_cells", Json.num_int t.u_total);
-              ("completed_cells", Json.num_int t.u_done);
-              ("timed_out_cells", Json.num_int t.u_timed);
-              ("elapsed_s", Json.Num (Unix.gettimeofday () -. t.started));
-              ("interrupted", Json.Bool interrupted);
-            ]
-        in
-        let path = manifest_path ~dir:(Store.dir s) in
-        let tmp = path ^ ".tmp" in
-        let oc = open_out_bin tmp in
-        (try output_string oc (Json.to_string doc)
-         with e ->
-           close_out_noerr oc;
-           raise e);
-        close_out oc;
-        Sys.rename tmp path
-      with _ -> ())
-  | _ -> ()
-
-let load_manifest ~dir =
-  let read path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> In_channel.input_all ic)
-  in
-  match read (manifest_path ~dir) with
-  | exception Sys_error _ -> None
-  | s -> (
-      match Json.of_string s with
-      | Error _ -> None
-      | Ok doc -> (
-          let str k = Option.bind (Json.member k doc) Json.to_str in
-          let int k =
-            match Option.bind (Json.member k doc) Json.to_float with
-            | Some f -> int_of_float f
-            | None -> 0
-          in
-          let flo k =
-            Option.value ~default:0.0 (Option.bind (Json.member k doc) Json.to_float)
-          in
-          let boolean k =
-            match Json.member k doc with Some (Json.Bool b) -> b | _ -> false
-          in
-          match str "fingerprint" with
-          | None -> None
-          | Some fp ->
-              Some
-                {
-                  m_fingerprint = fp;
-                  m_label = Option.value ~default:"" (str "label");
-                  m_total = int "total_cells";
-                  m_done = int "completed_cells";
-                  m_timed_out = int "timed_out_cells";
-                  m_elapsed = flo "elapsed_s";
-                  m_interrupted = boolean "interrupted";
-                }))
-
-let resume_banner ~dir =
-  match load_manifest ~dir with
-  | None ->
-      Printf.sprintf
-        "[rme] --resume: no manifest under %s; stored cells are still reused" dir
-  | Some m ->
-      if m.m_fingerprint <> code_fingerprint () then
-        Printf.sprintf
-          "[rme] --resume: manifest under %s was written by different code; its \
-           results are stale and will be recomputed"
-          dir
-      else
-        Printf.sprintf "[rme] resuming %s: %d/%d cells committed%s, %.1fs spent%s"
-          m.m_label m.m_done m.m_total
-          (if m.m_timed_out > 0 then
-             Printf.sprintf " (%d timed out, retrying with escalated budgets)"
-               m.m_timed_out
-           else "")
-          m.m_elapsed
-          (if m.m_interrupted then " before interruption" else "")
-
-(* Caller holds [t.guard]. The autosave cadence bounds how much a
-   SIGKILL can lose: at most [autosave_cells] committed cells or
-   [autosave_secs] seconds of them, whichever trips first. *)
-let maybe_autosave t =
-  match t.store with
-  | None -> ()
-  | Some _ ->
-      let now = Unix.gettimeofday () in
-      if
-        t.since_autosave >= t.autosave_cells
-        || now -. t.last_autosave >= t.autosave_secs
-      then begin
-        t.since_autosave <- 0;
-        t.last_autosave <- now;
-        safe_flush t;
-        save_manifest t ~interrupted:false
-      end
-
-let checkpoint t ~interrupted =
-  Mutex.lock t.guard;
-  t.since_autosave <- 0;
-  t.last_autosave <- Unix.gettimeofday ();
-  safe_flush t;
-  save_manifest t ~interrupted;
-  Mutex.unlock t.guard
-
-let shutdown t =
-  checkpoint t ~interrupted:false;
-  (match t.dist with
-  | None -> ()
-  | Some d ->
-      Dist.shutdown d;
-      t.dist <- None);
-  Pool.shutdown t.pool
+let shutdown t = Pool.shutdown t.pool
 
 let counters t =
   Mutex.lock t.guard;
-  let c =
-    {
-      computed = t.n_computed;
-      cached = t.n_cached;
-      disk = t.n_disk;
-      remote = t.n_remote;
-    }
-  in
+  let c = { computed = t.n_computed; cached = t.n_cached } in
   Mutex.unlock t.guard;
   c
-
-let progress_guard = Mutex.create ()
 
 let pp_eta seconds =
   if seconds >= 90.0 then Printf.sprintf "%.0fm%02.0fs" (seconds /. 60.0) (Float.rem seconds 60.0)
   else Printf.sprintf "%.0fs" seconds
 
-(* Compute the batch's missing unique keys — memory first, then the
-   persistent store, then worker processes, then in parallel over the
-   pool. The work list preserves first-occurrence order, so the pool
-   sees cells in canonical order; results merge by key, so the memo
-   content is independent of domain interleaving.
-
-   Each result is committed (memo + store + counters, under the
-   guard) the moment it exists, and the store autosaves on its
-   cadence — so an interruption or a crash can only cost cells still
-   in flight, never finished ones. An active interruption makes the
-   remaining cells no-ops; [Pool.map_array] still joins every started
-   task and [Dist.run] drains its in-flight batches, which is the
-   "drain, flush, then stop" of graceful shutdown. *)
-let prefetch_memo t table key_of compute ~section ~enc_key ~enc_res ~dec_res ~timed
-    cells =
-  if interrupted () then begin
-    checkpoint t ~interrupted:true;
-    raise Interrupted
-  end;
-  let cells = Array.of_list cells in
-  let total = Array.length cells in
-  Mutex.lock t.guard;
-  t.u_total <- t.u_total + total;
-  let seen = Hashtbl.create 16 in
-  let missing = ref [] in
-  Array.iter
-    (fun c ->
-      let k = key_of c in
-      if not (Hashtbl.mem table k) && not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
-        missing := (k, c) :: !missing
-      end)
-    cells;
-  let missing = List.rev !missing in
-  let n_missing = List.length missing in
-  (* Disk phase: a stored value that fails to decode is corruption —
-     treat as a miss and recompute (the fresh value overwrites it).
-     Under --resume ([retry_timed_out]), a stored timed-out result is
-     not a final value either: recompute with escalated budgets. *)
-  let disk_hits = ref 0 in
-  let retry = t.budgets.retry_timed_out in
-  let work =
-    List.filter
-      (fun (k, _) ->
-        match t.store with
-        | None -> true
-        | Some s -> (
-            match Store.find s ~section (enc_key k) with
-            | None -> true
-            | Some v -> (
-                match dec_res v with
-                | Some r when retry && timed r -> true
-                | Some r ->
-                    Hashtbl.replace table k r;
-                    incr disk_hits;
-                    false
-                | None -> true)))
-      missing
-  in
-  let work = Array.of_list work in
-  let nw = Array.length work in
-  let n_memo = total - n_missing in
-  let n_disk = !disk_hits in
-  t.n_cached <- t.n_cached + n_memo;
-  t.n_disk <- t.n_disk + n_disk;
-  t.u_done <- t.u_done + n_memo + n_disk;
-  Mutex.unlock t.guard;
-  (* Compute phase, with a live progress line when asked for one. *)
-  let show = t.progress && nw > 0 in
+(* A live progress line on stderr for one batch of [total] requests, of
+   which [nw] are computed: [tick ()] counts a computed cell (from any
+   domain) and redraws at most every 0.1 s; [finish ()] prints the
+   final line. *)
+let progress_line ~what ~total ~nw =
   let done_count = Atomic.make 0 in
+  let guard = Mutex.create () in
   let t0 = Unix.gettimeofday () in
   let last_printed = ref neg_infinity in
-  let report ~final =
+  let draw ~final =
     let now = Unix.gettimeofday () in
-    Mutex.lock progress_guard;
+    Mutex.lock guard;
     if final || now -. !last_printed >= 0.1 then begin
       last_printed := now;
       let d = Atomic.get done_count in
@@ -753,130 +198,78 @@ let prefetch_memo t table key_of compute ~section ~enc_key ~enc_res ~dec_res ~ti
           Printf.sprintf " eta %s" (pp_eta ((now -. t0) /. float_of_int d *. float_of_int (nw - d)))
         else ""
       in
-      Printf.eprintf "\r[rme] %s cells %d/%d (computed %d/%d, disk %d, memo %d)%s%s%!"
-        (if section = adv_section then "adversary" else "trial")
+      Printf.eprintf "\r[rme] %s cells %d/%d (computed %d/%d, memo %d)%s%s%!" what
         (total - nw + d)
-        total d nw n_disk n_memo eta
+        total d nw (total - nw) eta
         (if final then "\n" else "")
     end;
-    Mutex.unlock progress_guard
+    Mutex.unlock guard
   in
-  let served_remote = Array.make nw false in
-  let commit ~remote i r =
-    Mutex.lock t.guard;
-    let k, _ = work.(i) in
-    Hashtbl.replace table k r;
-    (match t.store with
-    | None -> ()
-    | Some s -> Store.add s ~section ~key:(enc_key k) ~value:(enc_res r));
-    t.n_computed <- t.n_computed + 1;
-    if remote then t.n_remote <- t.n_remote + 1;
-    t.u_done <- t.u_done + 1;
-    if timed r then t.u_timed <- t.u_timed + 1;
-    t.since_autosave <- t.since_autosave + 1;
-    maybe_autosave t;
-    Mutex.unlock t.guard;
-    if show then begin
-      Atomic.incr done_count;
-      report ~final:false
-    end
+  let tick () =
+    Atomic.incr done_count;
+    draw ~final:false
   in
-  (* Worker tier: ship the missing keys to worker processes over the
-     store wire format. Whatever they cannot serve — workers lost,
-     entry reported unservable, or a value that fails to decode —
-     falls through to the in-process pool below, so distribution can
-     only relocate work, never change results. *)
-  (match t.dist with
-  | Some d when nw > 0 ->
-      let tasks = Array.map (fun (k, _) -> (section, enc_key k)) work in
-      ignore
-        (Dist.run d ~tasks
-           ~on_result:(fun i v ->
-             match dec_res v with
-             | Some r ->
-                 served_remote.(i) <- true;
-                 commit ~remote:true i r
-             | None -> ())
-           ~should_stop:interrupted ())
-  | _ -> ());
-  (* Local tier: whatever the workers did not serve. *)
+  (tick, fun () -> draw ~final:true)
+
+let commit t table k r =
+  Mutex.lock t.guard;
+  Hashtbl.replace table k r;
+  t.n_computed <- t.n_computed + 1;
+  Mutex.unlock t.guard
+
+(* Compute the batch's missing unique keys in parallel over the pool.
+   The work list keeps first-occurrence order, so the pool sees cells in
+   canonical order; results merge by key, so the memo content is
+   independent of domain interleaving. *)
+let prefetch_memo t table key_of compute ~what cells =
+  let total = List.length cells in
+  let seen = Hashtbl.create 16 in
+  Mutex.lock t.guard;
+  let missing =
+    List.filter_map
+      (fun c ->
+        let k = key_of c in
+        if Hashtbl.mem table k || Hashtbl.mem seen k then None
+        else begin
+          Hashtbl.add seen k ();
+          Some (k, c)
+        end)
+      cells
+  in
+  let work = Array.of_list missing in
+  let nw = Array.length work in
+  t.n_cached <- t.n_cached + total - nw;
+  Mutex.unlock t.guard;
+  let tick, finish =
+    if t.progress && nw > 0 then progress_line ~what ~total ~nw
+    else (ignore, ignore)
+  in
   ignore
     (Pool.map_array t.pool nw (fun i ->
-         if served_remote.(i) || interrupted () then ()
-         else commit ~remote:false i (compute (snd work.(i)))));
-  if show then report ~final:true;
-  if interrupted () then begin
-    checkpoint t ~interrupted:true;
-    raise Interrupted
-  end;
-  checkpoint t ~interrupted:false
+         let k, c = work.(i) in
+         commit t table k (compute c);
+         tick ()));
+  finish ()
 
-let get_memo t table key_of compute ~section ~enc_key ~enc_res ~dec_res ~timed c =
+let get_memo t table key_of compute c =
   let k = key_of c in
   Mutex.lock t.guard;
-  let retry = t.budgets.retry_timed_out in
-  let hit =
-    match Hashtbl.find_opt table k with
-    | Some r -> Some r
-    | None -> (
-        match t.store with
-        | None -> None
-        | Some s -> (
-            match Store.find s ~section (enc_key k) with
-            | None -> None
-            | Some v -> (
-                match dec_res v with
-                | Some r when retry && timed r -> None
-                | Some r ->
-                    Hashtbl.replace table k r;
-                    t.n_disk <- t.n_disk + 1;
-                    Some r
-                | None -> None)))
-  in
+  let hit = Hashtbl.find_opt table k in
   Mutex.unlock t.guard;
   match hit with
   | Some r -> r
   | None ->
       let r = compute c in
-      Mutex.lock t.guard;
-      Hashtbl.replace table k r;
-      t.n_computed <- t.n_computed + 1;
-      t.u_total <- t.u_total + 1;
-      t.u_done <- t.u_done + 1;
-      if timed r then t.u_timed <- t.u_timed + 1;
-      t.since_autosave <- t.since_autosave + 1;
-      (match t.store with
-      | None -> ()
-      | Some s -> Store.add s ~section ~key:(enc_key k) ~value:(enc_res r));
-      Mutex.unlock t.guard;
-      safe_flush t;
+      commit t table k r;
       r
 
-let cell_timed r = r.timed_out
-let adv_timed _ = false
-
-let prefetch t cells =
-  prefetch_memo t t.memo key_of_cell
-    (fun c -> compute_cell ~budgets:t.budgets c)
-    ~section:cell_section ~enc_key:cell_key_string_of_key
-    ~enc_res:cell_result_encode ~dec_res:cell_result_decode ~timed:cell_timed cells
-
-let get t c =
-  get_memo t t.memo key_of_cell
-    (fun c -> compute_cell ~budgets:t.budgets c)
-    ~section:cell_section ~enc_key:cell_key_string_of_key
-    ~enc_res:cell_result_encode ~dec_res:cell_result_decode ~timed:cell_timed c
+let prefetch t cells = prefetch_memo t t.memo key_of_cell compute_cell ~what:"trial" cells
+let get t c = get_memo t t.memo key_of_cell compute_cell c
 
 let prefetch_adv t cells =
-  prefetch_memo t t.adv_memo adv_key_of compute_adv ~section:adv_section
-    ~enc_key:adv_key_string_of_key ~enc_res:adv_result_encode
-    ~dec_res:adv_result_decode ~timed:adv_timed cells
+  prefetch_memo t t.adv_memo adv_key_of compute_adv ~what:"adversary" cells
 
-let get_adv t c =
-  get_memo t t.adv_memo adv_key_of compute_adv ~section:adv_section
-    ~enc_key:adv_key_string_of_key ~enc_res:adv_result_encode
-    ~dec_res:adv_result_decode ~timed:adv_timed c
-
+let get_adv t c = get_memo t t.adv_memo adv_key_of compute_adv c
 let map t f xs = Pool.map_list t.pool f xs
 
 (* ------------------------------------------------------------------ *)
@@ -888,136 +281,17 @@ let default () =
   match !default_engine with
   | Some e -> e
   | None ->
-      let e = create ~jobs:1 () in
+      let e = create () in
       default_engine := Some e;
       e
 
+(* Swap the pool in place, so handles taken before the change keep
+   sharing the memo and counters with the default engine. *)
 let set_jobs j =
-  match !default_engine with
-  | Some e when jobs e = j && j > 0 -> ()
-  | None -> default_engine := Some (create ~jobs:j ())
-  | Some e ->
-      (* Replace only the pool: the memo tables, counters and store
-         handle carry over, so a [-j] change mid-process does not
-         forfeit computed cells. *)
-      Pool.shutdown e.pool;
-      default_engine := Some { e with pool = Pool.create ~jobs:j; guard = Mutex.create () }
-
-let set_cache_dir dir =
   let e = default () in
-  match (dir, e.store) with
-  | None, None -> ()
-  | None, Some _ ->
-      safe_flush e;
-      e.store <- None
-  | Some d, Some s when Store.dir s = d -> ()
-  | Some d, _ ->
-      safe_flush e;
-      e.store <- open_store d
-
-let set_progress b = (default ()).progress <- b
-
-(* Adjust the default engine's budgets, autosave cadence and manifest
-   label; absent arguments leave the current value unchanged. Called
-   by the front-ends before [set_workers], so a derived batch deadline
-   sees the cell budget. *)
-let configure ?cell_timeout ?step_budget ?retry_timed_out ?escalation
-    ?autosave_cells ?autosave_secs ?label () =
-  let e = default () in
-  let b = e.budgets in
-  let pick o v = match o with Some _ -> o | None -> v in
-  e.budgets <-
-    {
-      cell_timeout = pick cell_timeout b.cell_timeout;
-      step_budget = pick step_budget b.step_budget;
-      retry_timed_out = Option.value ~default:b.retry_timed_out retry_timed_out;
-      escalation = Option.value ~default:b.escalation escalation;
-    };
-  (match autosave_cells with Some n -> e.autosave_cells <- max 1 n | None -> ());
-  (match autosave_secs with Some s -> e.autosave_secs <- Float.max 0.1 s | None -> ());
-  match label with Some l -> e.label <- l | None -> ()
-
-let set_workers ?argv ?deadline n =
-  let e = default () in
-  if workers e <> n || argv <> None then begin
-    (match e.dist with
-    | None -> ()
-    | Some d ->
-        Dist.shutdown d;
-        e.dist <- None);
-    e.dist <-
-      make_dist ?worker_argv:argv ?worker_deadline:deadline
-        ?cell_timeout:e.budgets.cell_timeout ~workers:n ()
+  if not (jobs e = j && j > 0) then begin
+    Pool.shutdown e.pool;
+    e.pool <- Pool.create ~jobs:j
   end
 
-let resolve_cache_dir ?cli ~no_cache () =
-  if no_cache then None
-  else
-    match cli with
-    | Some _ -> cli
-    | None -> (
-        match Sys.getenv_opt "RME_CACHE_DIR" with
-        | None | Some "" -> None
-        | Some d -> Some d)
-
-let resolve_workers ?cli () =
-  match cli with
-  | Some n -> max 0 n
-  | None -> (
-      match Sys.getenv_opt "RME_WORKERS" with
-      | None | Some "" -> 0
-      | Some v -> ( match int_of_string_opt v with Some n -> max 0 n | None -> 0))
-
-let resolve_cell_timeout ?cli () =
-  match cli with Some _ -> cli | None -> env_float "RME_CELL_TIMEOUT"
-
-let resolve_step_budget ?cli () =
-  match cli with Some _ -> cli | None -> env_int "RME_STEP_BUDGET"
-
-let resolve_batch_deadline ?cli () =
-  match cli with Some _ -> cli | None -> env_float "RME_BATCH_DEADLINE"
-
-let resolve_autosave () = (env_int "RME_AUTOSAVE_CELLS", env_float "RME_AUTOSAVE_SECS")
-
-(* The explicit flag forces the readout on; otherwise it is on exactly
-   when stderr is a terminal, so redirected sweep logs stay clean. *)
-let resolve_progress ?(cli = false) () =
-  cli || (try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* The worker side: what [rme worker] / [bench --worker] run. With a
-   cache directory the worker gets its own disk tier — lookups go
-   store → compute, computed entries are written back and flushed
-   after every batch, so a long sweep's results survive even a
-   coordinator that dies mid-run. *)
-
-let serve_worker ?cache_dir ?budgets ic oc =
-  let store = match cache_dir with None -> None | Some d -> open_store d in
-  (* Mirror the engine's resume semantics: under [retry_timed_out]
-     the worker's own disk tier must not hand back a stored timed-out
-     result the coordinator is asking to have recomputed. *)
-  let retry =
-    match budgets with Some b -> b.retry_timed_out | None -> false
-  in
-  let serveable ~section v =
-    not
-      (retry
-      && String.equal section cell_section
-      && match cell_result_decode v with Some r -> r.timed_out | None -> true)
-  in
-  let compute ~section ~key =
-    match Option.bind store (fun s -> Store.find s ~section key) with
-    | Some v when serveable ~section v -> Some v
-    | Some _ | None ->
-        let v = compute_encoded ?budgets ~section ~key () in
-        (match (store, v) with
-        | Some s, Some value -> Store.add s ~section ~key ~value
-        | _ -> ());
-        v
-  in
-  let on_batch () =
-    match store with
-    | None -> ()
-    | Some s -> ( try Store.flush s with _ -> ())
-  in
-  Rme_dist.Worker.serve ~fingerprint:(code_fingerprint ()) ~compute ~on_batch ic oc
+let set_progress b = (default ()).progress <- b

@@ -23,7 +23,6 @@ type config = {
   allow_cs_crash : bool;
   max_crashes_per_process : int;
   step_budget : int;
-  deadline : float option;
   record_trace : bool;
   cs : (pid:int -> attempt:int -> unit Prog.t) option;
 }
@@ -45,7 +44,6 @@ let default_config ~n ~width model =
     allow_cs_crash = false;
     max_crashes_per_process = 1;
     step_budget = default_step_budget ~n;
-    deadline = None;
     record_trace = false;
     cs = None;
   }
@@ -451,21 +449,13 @@ let run config (factory : Lock_intf.factory) =
   let completed = ref false in
   let timed_out = ref false in
   (* Budget check, consulted only while runnable work remains — so
-     exhausting it always means the run was cut short. The wall-clock
-     deadline is polled every 1024 turns: cheap enough to leave on,
-     frequent enough that a pathological cell overshoots its budget by
-     at most one poll interval. *)
+     exhausting it always means the run was cut short. *)
   let budget_left () =
     if !steps >= config.step_budget then begin
       timed_out := true;
       false
     end
-    else
-      match config.deadline with
-      | Some d when !steps land 1023 = 0 && Unix.gettimeofday () > d ->
-          timed_out := true;
-          false
-      | _ -> true
+    else true
   in
   (* System-wide crash: every process outside the remainder crashes at
      the same instant, and the lock's epoch counter — the Golab–Hendler

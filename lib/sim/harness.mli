@@ -46,15 +46,6 @@ type config = {
   step_budget : int;
       (** Scheduler turns before the run is declared stuck; generous
           budgets make the deadlock-freedom check meaningful. *)
-  deadline : float option;
-      (** Absolute wall-clock cutoff ([Unix.gettimeofday] scale),
-          polled every 1024 turns: when exceeded with runnable work
-          remaining, the run stops with [timed_out] set, exactly as if
-          the step budget ran out. [None] (the default) means steps
-          only. Note that a wall-clock cutoff is inherently
-          nondeterministic — callers that persist results must treat a
-          timed-out result as retryable, never as the cell's final
-          value (see the engine's resume semantics). *)
   record_trace : bool;
   cs : (pid:int -> attempt:int -> unit Prog.t) option;
       (** The critical-section body. [None] gives the paper's assumption
@@ -69,8 +60,8 @@ type config = {
 }
 
 val default_config : n:int -> width:int -> Rme_memory.Rmr.model -> config
-(** One super-passage per process, round-robin, no crashes, a step
-    budget of {!default_step_budget}, and no wall-clock deadline. *)
+(** One super-passage per process, round-robin, no crashes and a step
+    budget of {!default_step_budget}. *)
 
 val default_step_budget : n:int -> int
 (** The budget formula [default_config] applies: a constant floor for
@@ -100,10 +91,9 @@ type result = {
   ok : bool;  (** Completed within budget with no violations. *)
   completed : bool;
   timed_out : bool;
-      (** The run was cut short — step budget exhausted or wall-clock
-          deadline passed — with runnable work remaining. Implies
-          [not completed]; a deadlocked protocol surfaces here rather
-          than hanging the harness. *)
+      (** The step budget ran out with runnable work remaining.
+          Implies [not completed]; a deadlocked protocol surfaces here
+          rather than hanging the harness. *)
   steps : int;
   violations : string list;
   procs : proc_stats array;

@@ -76,14 +76,10 @@ let sequential n f =
    batches (n close to jobs), which auto-resolves to chunk 1. *)
 let auto_chunk ~jobs n = max 1 (min 64 (n / (jobs * 4)))
 
-let map_array ?chunk t n f =
+let map_array t n f =
   if n <= 1 || t.jobs = 1 then sequential n f
   else begin
-    let chunk =
-      match chunk with
-      | Some c when c > 0 -> c
-      | Some _ | None -> auto_chunk ~jobs:t.jobs n
-    in
+    let chunk = auto_chunk ~jobs:t.jobs n in
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let pending = Atomic.make n in
@@ -129,6 +125,6 @@ let map_array ?chunk t n f =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_list ?chunk t f xs =
+let map_list t f xs =
   let arr = Array.of_list xs in
-  Array.to_list (map_array ?chunk t (Array.length arr) (fun i -> f arr.(i)))
+  Array.to_list (map_array t (Array.length arr) (fun i -> f arr.(i)))

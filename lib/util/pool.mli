@@ -25,27 +25,20 @@ val create : jobs:int -> t
 val jobs : t -> int
 (** Total parallelism, including the calling domain. *)
 
-val auto_chunk : jobs:int -> int -> int
-(** [auto_chunk ~jobs n] is the chunk size {!map_array} picks for [n]
-    tasks when none is given: about four chunks per worker, capped at
-    64, floored at 1. Exposed so other schedulers over the same cells
-    (the multi-process coordinator) size their batches identically. *)
-
-val map_array : ?chunk:int -> t -> int -> (int -> 'a) -> 'a array
+val map_array : t -> int -> (int -> 'a) -> 'a array
 (** [map_array t n f] computes [[| f 0; ...; f (n-1) |]]. Contiguous
     index chunks are handed out through a shared atomic counter, so
     load balances dynamically; results land at their own index, keeping
     the output order canonical regardless of chunking or interleaving.
 
-    [chunk] is the number of indices claimed per fetch. When omitted
-    (or [<= 0]) it is picked automatically from the task count: about
-    four chunks per worker, capped at 64 — so batches of microsecond
+    The chunk size is picked from the task count: about four chunks per
+    domain, capped at 64 and floored at 1 — so batches of microsecond
     tasks (trial cells at n <= 8) stop paying one atomic fetch each,
     while small batches of coarse tasks degrade to chunk 1 and keep
     full dynamic balance. If any [f i] raises, one of the exceptions
     is re-raised in the caller after all started tasks finish. *)
 
-val map_list : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list t f xs] is {!map_array} over a list, preserving order. *)
 
 val shutdown : t -> unit

@@ -2,10 +2,8 @@
 
    Passing [rand] explicitly keeps [QCheck_alcotest]'s lazily
    self-initialised seed from firing — that path prints
-   "qcheck random seed: ..." to stdout at suite-construction time,
-   and this test binary doubles as a dist worker subprocess whose
-   stdout must carry protocol frames only (see test_dist.ml). A fixed
-   default seed also makes CI property failures reproducible;
+   "qcheck random seed: ..." to stdout at suite-construction time. A
+   fixed default seed also makes CI property failures reproducible;
    [QCHECK_SEED] still overrides it. *)
 
 let seed () =

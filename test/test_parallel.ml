@@ -63,35 +63,47 @@ let test_pool_shutdown_idempotent () =
   Pool.shutdown p;
   Pool.shutdown p
 
+(* Chunk sizes come from the task count alone: about four chunks per
+   domain, capped at 64. At jobs 4, n = 1000 gives chunk 62, n = 257
+   gives 16, n = 100 gives 6 and n = 5 gives 1. *)
 let test_pool_chunked () =
-  (* Explicit chunk sizes — including ones that don't divide n, exceed
-     n, or claim everything at once — must not change the output. *)
-  let expect = List.init 100 (fun i -> i * i) in
   List.iter
-    (fun chunk ->
+    (fun n ->
       with_pool ~jobs:4 (fun p ->
-          let out = Pool.map_array ~chunk p 100 (fun i -> i * i) in
+          let out = Pool.map_array p n (fun i -> i * i) in
           Alcotest.(check bool)
-            (Printf.sprintf "chunk %d keeps order" chunk)
+            (Printf.sprintf "n = %d keeps order" n)
             true
-            (Array.to_list out = expect)))
-    [ 1; 3; 7; 64; 100; 1000 ];
-  (* Auto chunking (the n <= 8 tiny-cell batch shape: many microsecond
-     tasks) also preserves order. *)
+            (Array.to_list out = List.init n (fun i -> i * i))))
+    [ 5; 100; 257; 1000 ]
+
+let test_pool_chunks_contiguous () =
+  (* A chunk runs start to end on the domain that claimed it, so two
+     neighbouring indices can only run on different domains across a
+     chunk boundary — a multiple of 62 for n = 1000 at jobs 4. *)
   with_pool ~jobs:4 (fun p ->
-      let out = Pool.map_array p 1000 (fun i -> i + 1) in
-      Alcotest.(check bool) "auto chunk keeps order" true
-        (Array.to_list out = List.init 1000 (fun i -> i + 1)))
+      let ran_on =
+        Pool.map_array p 1000 (fun _ ->
+            let acc = ref 0 in
+            for k = 1 to 2_000 do
+              acc := !acc + k
+            done;
+            ignore (Sys.opaque_identity !acc);
+            (Domain.self () :> int))
+      in
+      for i = 0 to 998 do
+        if ran_on.(i) <> ran_on.(i + 1) && (i + 1) mod 62 <> 0 then
+          Alcotest.failf "indices %d and %d split across domains inside a chunk" i (i + 1)
+      done)
 
 let test_pool_chunked_exception () =
+  (* Index 93 lies in the middle of the chunk [62, 124). *)
   with_pool ~jobs:4 (fun p ->
-      (match
-         Pool.map_array ~chunk:8 p 100 (fun i -> if i = 57 then raise (Boom i) else i)
-       with
+      (match Pool.map_array p 1000 (fun i -> if i = 93 then raise (Boom i) else i) with
       | _ -> Alcotest.fail "expected Boom"
-      | exception Boom 57 -> ());
+      | exception Boom 93 -> ());
       Alcotest.(check bool) "usable after chunked failure" true
-        (Pool.map_array ~chunk:3 p 8 (fun i -> i + 1) = [| 1; 2; 3; 4; 5; 6; 7; 8 |]))
+        (Pool.map_array p 8 (fun i -> i + 1) = [| 1; 2; 3; 4; 5; 6; 7; 8 |]))
 
 (* ---------------- the memo cache and counters ---------------- *)
 
@@ -163,53 +175,28 @@ let test_tables_bit_identical () =
   Alcotest.(check string) "-j 4 == -j 1" seq par;
   Alcotest.(check string) "-j 4 reruns agree" par par'
 
-(* ---------------- bit-identical tables at --workers 2 ---------------- *)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let test_tables_workers_identical () =
-  (* The j1 == j4 guarantee extended to process sharding: an in-process
-     coordinator driving two forked workers, all sharing one cache
-     directory, must produce byte-identical tables — and the warm rerun
-     must be answered entirely from the shared store (0 computed). *)
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rme_workers_test_%d" (Unix.getpid ()))
-  in
-  rm_rf d;
-  Fun.protect ~finally:(fun () -> rm_rf d) (fun () ->
-      let worker_argv =
-        [| Sys.executable_name; "__rme_worker__"; "engine"; "--cache-dir"; d |]
-      in
-      let base = with_engine ~jobs:1 render_suite in
-      let cold =
-        let e = Engine.create ~jobs:1 ~cache_dir:d ~workers:2 ~worker_argv () in
-        Fun.protect ~finally:(fun () -> Engine.shutdown e) (fun () ->
-            let out = render_suite e in
-            Alcotest.(check bool) "cold pass: workers computed cells" true
-              ((Engine.counters e).Engine.remote > 0);
-            out)
-      in
-      Alcotest.(check string) "--workers 2 == --workers 0" base cold;
-      let e = Engine.create ~jobs:1 ~cache_dir:d ~workers:2 ~worker_argv () in
-      Fun.protect ~finally:(fun () -> Engine.shutdown e) (fun () ->
-          let warm = render_suite e in
-          Alcotest.(check string) "warm --workers 2 byte-identical" base warm;
-          Alcotest.(check int) "warm pass: 0 computed" 0
-            (Engine.counters e).Engine.computed))
-
 let test_adversary_tables_bit_identical () =
   let render engine = render_all (E.e3_adversary_bound ~engine ~ns:[ 32 ] ~ws:[ 8 ] ()) in
   let seq = with_engine ~jobs:1 render in
   let par = with_engine ~jobs:4 render in
   Alcotest.(check string) "adversary cells shard deterministically" seq par
+
+(* ---------------- stuck locks ---------------- *)
+
+let test_deadlocked_cell_times_out () =
+  (* Every cell runs under the harness's deterministic step budget, so a
+     deadlocked lock is memoised as an explicit timed-out result. *)
+  with_engine ~jobs:1 (fun e ->
+      let c =
+        Engine.cell ~seed:1 ~n:2 ~width:8 ~model:Rmr.Cc Test_harness.deadlock_factory
+      in
+      let r = Engine.get e c in
+      Alcotest.(check bool) "timed out" true r.Engine.timed_out;
+      Alcotest.(check bool) "not ok" false r.Engine.ok;
+      Alcotest.(check int) "computed once" 1 (Engine.counters e).Engine.computed;
+      ignore (Engine.get e c);
+      Alcotest.(check int) "second get served from the memo" 1
+        (Engine.counters e).Engine.computed)
 
 (* ---------------- cross-experiment cell sharing ---------------- *)
 
@@ -249,6 +236,20 @@ let test_set_jobs_keeps_memo () =
     c2.Engine.cached;
   Engine.set_jobs 1
 
+let test_set_jobs_swaps_pool_in_place () =
+  (* Regression: [set_jobs] used to install a copy of the default
+     engine, leaving earlier [default ()] handles on the shut-down pool
+     with frozen counters. *)
+  Engine.set_jobs 1;
+  let before = Engine.default () in
+  let c0 = (Engine.counters before).Engine.computed in
+  Engine.set_jobs 2;
+  Engine.prefetch (Engine.default ()) [ mk_cell 201; mk_cell 202 ];
+  Alcotest.(check int) "earlier handle sees the jobs change" 2 (Engine.jobs before);
+  Alcotest.(check int) "earlier handle sees the new cells" (c0 + 2)
+    (Engine.counters before).Engine.computed;
+  Engine.set_jobs 1
+
 let suite =
   ( "parallel",
     [
@@ -260,17 +261,21 @@ let suite =
       Alcotest.test_case "pool: shutdown is idempotent" `Quick
         test_pool_shutdown_idempotent;
       Alcotest.test_case "pool: chunked scheduling keeps order" `Quick test_pool_chunked;
+      Alcotest.test_case "pool: chunks are contiguous index runs" `Quick
+        test_pool_chunks_contiguous;
       Alcotest.test_case "pool: chunked exception propagates" `Quick
         test_pool_chunked_exception;
       Alcotest.test_case "engine: set_jobs keeps the memo cache" `Quick
         test_set_jobs_keeps_memo;
+      Alcotest.test_case "engine: set_jobs swaps the pool in place" `Quick
+        test_set_jobs_swaps_pool_in_place;
+      Alcotest.test_case "engine: deadlocked cell memoised as timed out" `Quick
+        test_deadlocked_cell_times_out;
       Alcotest.test_case "engine: memo counters" `Quick test_memo_counters;
       Alcotest.test_case "engine: memo result = direct harness run" `Quick
         test_memo_equals_direct;
       Alcotest.test_case "tables bit-identical at -j 1/-j 4" `Quick
         test_tables_bit_identical;
-      Alcotest.test_case "tables bit-identical at --workers 2 (shared cache)" `Quick
-        test_tables_workers_identical;
       Alcotest.test_case "adversary tables bit-identical" `Quick
         test_adversary_tables_bit_identical;
       Alcotest.test_case "e6 served from e1's cells" `Quick test_e6_shares_e1_cells;
