@@ -23,26 +23,17 @@ module Engine = Rme_experiments.Engine
 module Table = Rme_util.Table
 module Json = Rme_util.Json
 
-let print_outcome tables = List.iter Table.print tables
-
 (* Accumulated measurements for --json: probe name -> ns/run, and
    per-experiment wall clock / cell counters, in execution order. *)
 let probe_results : (string * float) list ref = ref []
-let experiment_results : (string * (float * int * int)) list ref = ref []
+let experiment_results : (string * E.report) list ref = ref []
 
-let run_experiment (id, descr, f) =
-  Printf.printf "---- %s: %s ----\n%!" (String.uppercase_ascii id) descr;
-  let eng = Engine.default () in
-  let c0 = Engine.counters eng in
-  let t0 = Unix.gettimeofday () in
-  print_outcome (f ());
-  let dt = Unix.gettimeofday () -. t0 in
-  let c1 = Engine.counters eng in
-  let computed = c1.Engine.computed - c0.Engine.computed in
-  let cached = c1.Engine.cached - c0.Engine.cached in
-  experiment_results := (id, (dt, computed, cached)) :: !experiment_results;
-  Printf.printf "(%s completed in %.1fs; j=%d; cells: %d computed, %d cached)\n\n%!" id dt
-    (Engine.jobs eng) computed cached
+let run_experiments (entries : E.entry list) =
+  List.iter
+    (fun (e : E.entry) ->
+      Printf.printf "---- %s: %s ----\n%!" (String.uppercase_ascii e.E.id) e.E.descr;
+      experiment_results := (e.E.id, e.E.run ()) :: !experiment_results)
+    entries
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing: one probe per moving part, so the harness doubles
@@ -142,13 +133,13 @@ let write_json file =
   in
   let experiments =
     List.rev_map
-      (fun (id, (wall, computed, cached)) ->
+      (fun (id, (r : E.report)) ->
         ( id,
           Json.Obj
             [
-              ("wall_s", Json.Num wall);
-              ("cells_computed", Json.num_int computed);
-              ("cells_cached", Json.num_int cached);
+              ("wall_s", Json.Num r.E.wall_s);
+              ("cells_computed", Json.num_int r.E.computed);
+              ("cells_cached", Json.num_int r.E.cached);
             ] ))
       !experiment_results
   in
@@ -326,17 +317,13 @@ let () =
             "usage: bench compare OLD.json NEW.json [--tolerance X] [--out FILE]";
           exit 1)
   | [] ->
-      List.iter run_experiment E.all;
+      run_experiments (Result.get_ok (E.select (List.map (fun (i, _, _) -> i) E.all)));
       run_timing ()
   | [ "time" ] -> run_timing ()
-  | ids ->
-      List.iter
-        (fun id ->
-          match List.find_opt (fun (i, _, _) -> i = id) E.all with
-          | Some e -> run_experiment e
-          | None ->
-              Printf.eprintf "unknown experiment %S (available: %s, time, compare)\n" id
-                (String.concat ", " (List.map (fun (i, _, _) -> i) E.all));
-              exit 1)
-        ids);
+  | ids -> (
+      match E.select ids with
+      | Ok entries -> run_experiments entries
+      | Error e ->
+          prerr_endline e;
+          exit 1));
   match o.json with Some file -> write_json file | None -> ()

@@ -249,28 +249,12 @@ let lemma_cmd =
 
 let experiment jobs progress ids =
   let module E = Rme_experiments.Experiments in
-  Engine.set_jobs jobs;
-  Engine.set_progress progress;
-  let eng = Engine.default () in
   let ids = if ids = [ "all" ] then List.map (fun (i, _, _) -> i) E.all else ids in
-  List.iter
-    (fun id ->
-      let c0 = Engine.counters eng in
-      let t0 = Unix.gettimeofday () in
-      match E.run_one id with
-      | Some tables ->
-          List.iter Rme_util.Table.print tables;
-          let c1 = Engine.counters eng in
-          Printf.printf "(%s completed in %.1fs; j=%d; cells: %d computed, %d cached)\n\n%!"
-            id
-            (Unix.gettimeofday () -. t0)
-            (Engine.jobs eng)
-            (c1.Engine.computed - c0.Engine.computed)
-            (c1.Engine.cached - c0.Engine.cached)
-      | None ->
-          Printf.eprintf "unknown experiment %S\n" id;
-          exit 1)
-    ids
+  E.select ids
+  |> Result.map (fun entries ->
+         Engine.set_jobs jobs;
+         Engine.set_progress progress;
+         List.iter (fun (e : E.entry) -> ignore (e.E.run ())) entries)
 
 let experiment_cmd =
   let ids =
@@ -293,7 +277,7 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate the paper-shaped experiment tables.")
-    Term.(const experiment $ jobs $ progress $ ids)
+    Term.(term_result' (const experiment $ jobs $ progress $ ids))
 
 (* ---------------- main ---------------- *)
 
@@ -304,7 +288,7 @@ let eval ?argv () =
      PODC 2023)."
   in
   let info = Cmd.info "rme" ~version:"1.0.0" ~doc in
-  Cmd.eval ?argv
+  Cmd.eval ?argv ~term_err:1
     (Cmd.group info
        [
          locks_cmd;

@@ -676,5 +676,45 @@ let all =
     ("f1", "fairness: bypass counts per lock", fun () -> f1_fairness ());
   ]
 
-let run_one id =
-  List.find_opt (fun (i, _, _) -> i = id) all |> Option.map (fun (_, _, f) -> f ())
+(* ------------------------------------------------------------------ *)
+(* Running experiments by id, shared by [rme experiment] and the bench
+   harness: check every id first, then time each run and print its
+   tables and the counters line. *)
+
+type report = { wall_s : float; computed : int; cached : int }
+type entry = { id : string; descr : string; run : unit -> report }
+
+let run_printed id f =
+  let eng = Engine.default () in
+  let c0 = Engine.counters eng in
+  let t0 = Unix.gettimeofday () in
+  List.iter Table.print (f ());
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let c1 = Engine.counters eng in
+  let r =
+    {
+      wall_s;
+      computed = c1.Engine.computed - c0.Engine.computed;
+      cached = c1.Engine.cached - c0.Engine.cached;
+    }
+  in
+  Printf.printf "(%s completed in %.1fs; j=%d; cells: %d computed, %d cached)\n\n%!" id
+    wall_s (Engine.jobs eng) r.computed r.cached;
+  r
+
+let select ids =
+  let found, unknown =
+    List.partition_map
+      (fun id ->
+        match List.find_opt (fun (i, _, _) -> i = id) all with
+        | Some (id, descr, f) -> Left { id; descr; run = (fun () -> run_printed id f) }
+        | None -> Right (Printf.sprintf "%S" id))
+      ids
+  in
+  if unknown = [] then Ok found
+  else
+    Error
+      (Printf.sprintf "unknown experiment%s %s (available: %s)"
+         (if List.length unknown > 1 then "s" else "")
+         (String.concat ", " unknown)
+         (String.concat ", " (List.map (fun (i, _, _) -> i) all)))

@@ -83,5 +83,16 @@ val f1_fairness :
 val all : (string * string * (unit -> outcome)) list
 (** [(id, description, run)] for every experiment, in order. *)
 
-val run_one : string -> outcome option
-(** Run an experiment by id ("e1" .. "e7"). *)
+type report = { wall_s : float; computed : int; cached : int }
+(** One printed run: its wall clock, and the trial and adversary cells
+    the default engine computed and served from its memo meanwhile. *)
+
+type entry = { id : string; descr : string; run : unit -> report }
+
+val select : string list -> (entry list, string) result
+(** [select ids] checks every id against {!all} before anything runs,
+    so an unknown id fails fast. Each entry's [run] runs the experiment
+    on {!Engine.default}, prints its tables and the line
+    [(<id> completed in <s>s; j=<jobs>; cells: <c> computed, <m> cached)]
+    to stdout, and returns the report. The error names the unknown ids
+    and lists the available ones. *)

@@ -57,6 +57,12 @@ let test_experiment_e1_parallel () =
   Alcotest.(check bool) "prints counters" true (contains ~needle:"cells:" out);
   Alcotest.(check bool) "reports j=2" true (contains ~needle:"j=2" out)
 
+let test_unknown_experiment_rejected_first () =
+  let code, out = eval [ "experiment"; "e1"; "zzz" ] in
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check bool) "runs nothing" false (contains ~needle:"completed in" out);
+  Alcotest.(check bool) "prints no E1 table" false (contains ~needle:"katzan-morrison" out)
+
 let test_unknown_lock_rejected () =
   let code, _ = eval [ "simulate"; "--lock"; "nope" ] in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
@@ -68,5 +74,7 @@ let suite =
       Alcotest.test_case "simulate" `Quick test_simulate;
       Alcotest.test_case "adversary" `Quick test_adversary;
       Alcotest.test_case "experiment e1 -j 2" `Quick test_experiment_e1_parallel;
+      Alcotest.test_case "unknown experiment rejected before any run" `Quick
+        test_unknown_experiment_rejected_first;
       Alcotest.test_case "unknown lock rejected" `Quick test_unknown_lock_rejected;
     ] )

@@ -43,8 +43,8 @@ let test_a1 () = check_tables "a1" (E.a1_arity_ablation ~n:32 ~arities:[ 2; 8 ] 
 
 let test_a2 () = check_tables "a2" (E.a2_k_ablation ~n:64 ~ks:[ 17; 32 ] ())
 
-let test_run_one () =
-  Alcotest.(check bool) "unknown id" true (E.run_one "zzz" = None);
+let test_catalogue () =
+  Alcotest.(check bool) "unknown id" true (Result.is_error (E.select [ "zzz" ]));
   Alcotest.(check int) "catalogue size" 12 (List.length E.all);
   Alcotest.(check bool) "ids unique" true
     (let ids = List.map (fun (i, _, _) -> i) E.all in
@@ -62,5 +62,5 @@ let suite =
       Alcotest.test_case "e8 system-wide" `Quick test_e8;
       Alcotest.test_case "a1 arity ablation" `Quick test_a1;
       Alcotest.test_case "a2 k ablation" `Quick test_a2;
-      Alcotest.test_case "catalogue" `Quick test_run_one;
+      Alcotest.test_case "catalogue" `Quick test_catalogue;
     ] )

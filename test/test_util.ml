@@ -1,7 +1,6 @@
-(* Tests for Splitmix, Stats, Table, Vec and Intset. *)
+(* Tests for Splitmix, Table, Vec and Intset. *)
 
 module Splitmix = Rme_util.Splitmix
-module Stats = Rme_util.Stats
 module Table = Rme_util.Table
 module Vec = Rme_util.Vec
 module Intset = Rme_util.Intset
@@ -47,23 +46,6 @@ let test_splitmix_shuffle_permutation () =
   let sorted = Array.copy a in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 (fun i -> i)) sorted
-
-let test_stats_summary () =
-  let s = Stats.summarize [| 1.0; 2.0; 3.0; 4.0 |] in
-  Alcotest.(check int) "count" 4 s.Stats.count;
-  Alcotest.(check (float 1e-9)) "min" 1.0 s.Stats.min;
-  Alcotest.(check (float 1e-9)) "max" 4.0 s.Stats.max;
-  Alcotest.(check (float 1e-9)) "mean" 2.5 s.Stats.mean;
-  Alcotest.(check (float 1e-9)) "p50" 2.5 s.Stats.p50
-
-let test_stats_single () =
-  let s = Stats.summarize [| 7.0 |] in
-  Alcotest.(check (float 1e-9)) "p95 of singleton" 7.0 s.Stats.p95;
-  Alcotest.(check (float 1e-9)) "stddev" 0.0 s.Stats.stddev
-
-let test_stats_empty () =
-  Alcotest.check_raises "empty" (Invalid_argument "Stats.summarize: empty sample")
-    (fun () -> ignore (Stats.summarize [||]))
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -134,9 +116,6 @@ let suite =
       Alcotest.test_case "splitmix float range" `Quick test_splitmix_float_range;
       Alcotest.test_case "splitmix copy" `Quick test_splitmix_copy_independent;
       Alcotest.test_case "splitmix shuffle permutes" `Quick test_splitmix_shuffle_permutation;
-      Alcotest.test_case "stats summary" `Quick test_stats_summary;
-      Alcotest.test_case "stats singleton" `Quick test_stats_single;
-      Alcotest.test_case "stats empty rejected" `Quick test_stats_empty;
       Alcotest.test_case "table renders" `Quick test_table_render;
       Alcotest.test_case "table arity checked" `Quick test_table_wrong_arity;
       Alcotest.test_case "vec basics" `Quick test_vec_basic;
