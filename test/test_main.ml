@@ -25,6 +25,7 @@ let () =
       Test_adversary.suite;
       Test_schedule.suite;
       Test_experiments.suite;
+      Test_tables.suite;
       Test_parallel.suite;
       Test_resilience.suite;
       Test_cli.suite;
