@@ -10,7 +10,7 @@
      dune exec bench/main.exe -- -j 4 e1 e2   # shard trial cells over 4 domains
      dune exec bench/main.exe -- --progress e2               # live ETA on stderr
      dune exec bench/main.exe -- time --json BENCH.json      # machine-readable probes
-     dune exec bench/main.exe -- compare OLD.json NEW.json --tolerance 3.0
+     dune exec bench/main.exe -- compare OLD.json NEW.json
                                               # CI regression gate (exit 1 on
                                               # any probe slower than 3x old)
 
@@ -172,11 +172,16 @@ let probe_ns doc name =
       Option.bind (Json.member name probes) (fun p ->
           Option.bind (Json.member "ns_per_run" p) Json.to_float))
 
+(* The largest new/old slowdown [compare] lets pass. CI runners are
+   shared and noisy, so this catches order-of-magnitude regressions (an
+   accidentally quadratic path), not percentage drift. *)
+let tolerance = 3.0
+
 (* Compare two --json files: per-probe new/old ratios, failing (exit 1)
    when any probe slowed down by more than [tolerance]. Probes present
    on only one side are reported but never fail the run — the suite is
    allowed to grow and shrink. *)
-let run_compare ~tolerance ~out old_file new_file =
+let run_compare old_file new_file =
   let old_doc = load_json old_file and new_doc = load_json new_file in
   let old_probes =
     List.map fst (Json.obj_bindings (Option.value ~default:(Json.Obj []) (Json.member "probes" old_doc)))
@@ -190,34 +195,23 @@ let run_compare ~tolerance ~out old_file new_file =
       ~columns:[ "probe"; "old"; "new"; "ratio"; "verdict" ]
   in
   let regressions = ref [] in
-  let rows =
-    List.filter_map
-      (fun name ->
-        match (probe_ns old_doc name, probe_ns new_doc name) with
-        | Some o, Some n when o > 0.0 ->
-            let ratio = n /. o in
-            let verdict =
-              if ratio > tolerance then begin
-                regressions := name :: !regressions;
-                "REGRESSION"
-              end
-              else if ratio < 1.0 /. tolerance then "improved"
-              else "ok"
-            in
-            Table.add_row t
-              [ name; pp_ns o; pp_ns n; Printf.sprintf "%.2fx" ratio; verdict ];
-            Some
-              ( name,
-                Json.Obj
-                  [
-                    ("old_ns", Json.Num o);
-                    ("new_ns", Json.Num n);
-                    ("ratio", Json.Num ratio);
-                    ("speedup", Json.Num (o /. n));
-                  ] )
-        | _ -> None)
-      shared
-  in
+  List.iter
+    (fun name ->
+      match (probe_ns old_doc name, probe_ns new_doc name) with
+      | Some o, Some n when o > 0.0 ->
+          let ratio = n /. o in
+          let verdict =
+            if ratio > tolerance then begin
+              regressions := name :: !regressions;
+              "REGRESSION"
+            end
+            else if ratio < 1.0 /. tolerance then "improved"
+            else "ok"
+          in
+          Table.add_row t
+            [ name; pp_ns o; pp_ns n; Printf.sprintf "%.2fx" ratio; verdict ]
+      | _ -> ())
+    shared;
   Table.print t;
   List.iter
     (fun n ->
@@ -229,23 +223,6 @@ let run_compare ~tolerance ~out old_file new_file =
       if not (List.mem n old_probes) then
         Printf.printf "note: probe %S only in %s\n" n new_file)
     new_probes;
-  (match out with
-  | Some file ->
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.num_int 1);
-            ("old", Json.Str old_file);
-            ("new", Json.Str new_file);
-            ("tolerance", Json.Num tolerance);
-            ("probes", Json.Obj rows);
-          ]
-      in
-      let oc = open_out file in
-      output_string oc (Json.to_string doc);
-      close_out oc;
-      Printf.printf "(wrote %s)\n%!" file
-  | None -> ());
   match !regressions with
   | [] -> Printf.printf "compare: ok (%d probes within %.1fx)\n" (List.length shared) tolerance
   | l ->
@@ -254,15 +231,12 @@ let run_compare ~tolerance ~out old_file new_file =
         (String.concat ", " (List.rev l));
       exit 1
 
-(* Accepts [-j N], [--jobs N], [-jN], [--progress]/[-v], [--json FILE],
-   [--tolerance X] and [--out FILE]; returns the options and the
-   remaining args. *)
+(* Accepts [-j N], [--jobs N], [-jN], [--progress]/[-v] and
+   [--json FILE]; returns the options and the remaining args. *)
 type opts = {
   jobs : int;
   progress : bool;
   json : string option;  (* write probe/experiment measurements here *)
-  tolerance : float;  (* compare: max allowed new/old slowdown *)
-  out : string option;  (* compare: write the comparison JSON here *)
 }
 
 let parse_opts args =
@@ -284,24 +258,11 @@ let parse_opts args =
     | "--json" :: [] ->
         prerr_endline "missing value after --json";
         exit 1
-    | "--tolerance" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some tol when tol >= 1.0 -> go { o with tolerance = tol } acc rest
-        | Some _ | None ->
-            Printf.eprintf "invalid --tolerance value %S (need >= 1.0)\n" v;
-            exit 1)
-    | "--tolerance" :: [] ->
-        prerr_endline "missing value after --tolerance";
-        exit 1
-    | "--out" :: f :: rest -> go { o with out = Some f } acc rest
-    | "--out" :: [] ->
-        prerr_endline "missing value after --out";
-        exit 1
     | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" ->
         go { o with jobs = jobs_value (String.sub a 2 (String.length a - 2)) } acc rest
     | a :: rest -> go o (a :: acc) rest
   in
-  go { jobs = 1; progress = false; json = None; tolerance = 1.5; out = None } [] args
+  go { jobs = 1; progress = false; json = None } [] args
 
 let () =
   let o, args = parse_opts (Array.to_list Sys.argv |> List.tl) in
@@ -310,11 +271,9 @@ let () =
   (match args with
   | "compare" :: rest -> (
       match rest with
-      | [ old_file; new_file ] ->
-          run_compare ~tolerance:o.tolerance ~out:o.out old_file new_file
+      | [ old_file; new_file ] -> run_compare old_file new_file
       | _ ->
-          prerr_endline
-            "usage: bench compare OLD.json NEW.json [--tolerance X] [--out FILE]";
+          prerr_endline "usage: bench compare OLD.json NEW.json";
           exit 1)
   | [] ->
       run_experiments (Result.get_ok (E.select (List.map (fun (i, _, _) -> i) E.all)));

@@ -67,6 +67,19 @@ let model_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
+let ( let* ) = Result.bind
+
+(* Reject what the simulator would raise on, before anything runs. *)
+let check_size (lock : Lock_intf.factory) ~n ~width =
+  if n < 1 then Error (Printf.sprintf "-n must be at least 1 (got %d)" n)
+  else if width < 1 || width > 62 then
+    Error (Printf.sprintf "--width must be in 1..62 (got %d)" width)
+  else if not (Lock_intf.supports lock ~n ~width) then
+    Error
+      (Printf.sprintf "lock %s needs --width >= %d for n = %d" lock.Lock_intf.name
+         (lock.Lock_intf.min_width ~n) n)
+  else Ok ()
+
 (* ---------------- rme locks ---------------- *)
 
 let locks_cmd =
@@ -84,6 +97,7 @@ let locks_cmd =
 (* ---------------- rme simulate ---------------- *)
 
 let simulate lock n width model seed superpassages crash_prob cs_crash trace =
+  let* () = check_size lock ~n ~width in
   let crashes =
     if crash_prob > 0.0 then H.Crash_prob { prob = crash_prob; seed = seed * 31 }
     else H.No_crashes
@@ -109,7 +123,7 @@ let simulate lock n width model seed superpassages crash_prob cs_crash trace =
   (match r.H.trace with
   | Some t -> Format.printf "%a" Rme_sim.Trace.pp t
   | None -> ());
-  if not r.H.ok then exit 1
+  if r.H.ok then Ok () else Error "the run was not ok"
 
 let simulate_cmd =
   let sp =
@@ -129,14 +143,17 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a lock through a workload and report RMRs.")
     Term.(
-      const simulate $ lock_arg $ n_arg 8 $ width_arg $ model_arg $ seed_arg $ sp
-      $ crash_prob $ cs_crash $ trace)
+      term_result'
+        (const simulate $ lock_arg $ n_arg 8 $ width_arg $ model_arg $ seed_arg
+       $ sp $ crash_prob $ cs_crash $ trace))
 
 (* ---------------- rme adversary ---------------- *)
 
 let adversary lock n width model k check rounds_detail =
+  let* () = check_size lock ~n ~width in
   let cfg = A.default_config ~n ~width model in
   let cfg = match k with Some k -> { cfg with A.k } | None -> cfg in
+  let* () = if cfg.A.k < 2 then Error "-k must be at least 2" else Ok () in
   let r = A.run cfg lock in
   Printf.printf "lock=%s n=%d w=%d k=%d model=%s\n" lock.Lock_intf.name n width
     cfg.A.k (Rmr.model_name model);
@@ -159,8 +176,9 @@ let adversary lock n width model k check rounds_detail =
   if check then begin
     let rep = T.check ~max_actives:10 r.A.schedule in
     Format.printf "invariant check: %a@." T.pp_report rep;
-    if not (T.ok rep) then exit 1
+    if not (T.ok rep) then Error "invariant check failed" else Ok ()
   end
+  else Ok ()
 
 let adversary_cmd =
   let k =
@@ -179,56 +197,52 @@ let adversary_cmd =
     (Cmd.info "adversary"
        ~doc:"Run the Theorem 1 lower-bound construction against a lock.")
     Term.(
-      const adversary $ lock_arg $ n_arg 64 $ width_arg $ model_arg $ k $ check
-      $ detail)
+      term_result'
+        (const adversary $ lock_arg $ n_arg 64 $ width_arg $ model_arg $ k $ check
+       $ detail))
 
 (* ---------------- rme lemma ---------------- *)
 
 let lemma ell delta m family seed trials =
   let module Hiding = Rme_core.Hiding in
   let fs = Rme_experiments.Experiments.e4_families in
-  match List.assoc_opt family fs with
-  | None ->
-      Printf.eprintf "unknown family %S (available: %s)\n" family
-        (String.concat ", " (List.map fst fs));
-      exit 1
-  | Some f ->
-      let p = Hiding.paper_params ~ell ~delta in
-      let gsize = Hiding.min_group_size p in
-      Printf.printf
-        "params: ell=%d delta=%.1f k=%d subgroup=%d group-size=%d m=%d\n" ell delta
-        p.Hiding.k p.Hiding.subgroup_size gsize m;
-      let groups =
-        Array.init m (fun i -> Array.init gsize (fun j -> (i * gsize) + j))
+  let* f =
+    Option.to_result (List.assoc_opt family fs)
+      ~none:
+        (Printf.sprintf "unknown family %S (available: %s)" family
+           (String.concat ", " (List.map fst fs)))
+  in
+  let p = Hiding.paper_params ~ell ~delta in
+  let gsize = Hiding.min_group_size p in
+  Printf.printf "params: ell=%d delta=%.1f k=%d subgroup=%d group-size=%d m=%d\n"
+    ell delta p.Hiding.k p.Hiding.subgroup_size gsize m;
+  let groups = Array.init m (fun i -> Array.init gsize (fun j -> (i * gsize) + j)) in
+  let sol = Hiding.solve p ~groups ~f ~y0:0 in
+  let* () = Result.map_error (( ^ ) "solve: FAILED ") (Hiding.verify sol ~f) in
+  print_endline "solve: ok (all lemma clauses verified)";
+  let rng = Rme_util.Splitmix.create seed in
+  let v = Hiding.all_v sol in
+  let budget = int_of_float (delta *. float_of_int (Intset.cardinal v)) in
+  let pool = Array.concat (Array.to_list groups) in
+  let rec queries i min_id =
+    if i > trials then Ok min_id
+    else begin
+      Rme_util.Splitmix.shuffle rng pool;
+      let d =
+        Array.sub pool 0 (Rme_util.Splitmix.int rng (budget + 1))
+        |> Array.fold_left (fun acc x -> Intset.add x acc) Intset.empty
       in
-      let sol = Hiding.solve p ~groups ~f ~y0:0 in
-      (match Hiding.verify sol ~f with
-      | Ok () -> print_endline "solve: ok (all lemma clauses verified)"
-      | Error e ->
-          Printf.printf "solve: FAILED %s\n" e;
-          exit 1);
-      let rng = Rme_util.Splitmix.create seed in
-      let v = Hiding.all_v sol in
-      let budget = int_of_float (delta *. float_of_int (Intset.cardinal v)) in
-      let pool = Array.concat (Array.to_list groups) in
-      let min_id = ref max_int in
-      for _ = 1 to trials do
-        Rme_util.Splitmix.shuffle rng pool;
-        let d =
-          Array.sub pool 0 (Rme_util.Splitmix.int rng (budget + 1))
-          |> Array.fold_left (fun acc x -> Intset.add x acc) Intset.empty
-        in
-        let hs = Hiding.query sol ~d in
-        min_id := min !min_id (List.length hs);
-        match Hiding.verify_query sol ~f ~d hs with
-        | Ok () -> ()
-        | Error e ->
-            Printf.printf "query: FAILED %s\n" e;
-            exit 1
-      done;
-      Printf.printf "%d random discovery sets: min |I_D| = %d (needs >= %.1f)\n"
-        trials !min_id
-        (float_of_int m /. 2.0)
+      let hs = Hiding.query sol ~d in
+      match Hiding.verify_query sol ~f ~d hs with
+      | Ok () -> queries (i + 1) (min min_id (List.length hs))
+      | Error e -> Error ("query: FAILED " ^ e)
+    end
+  in
+  let* min_id = queries 1 max_int in
+  Printf.printf "%d random discovery sets: min |I_D| = %d (needs >= %.1f)\n" trials
+    min_id
+    (float_of_int m /. 2.0);
+  Ok ()
 
 let lemma_cmd =
   let ell = Arg.(value & opt int 1 & info [ "ell" ] ~doc:"Value-domain bits.") in
@@ -243,7 +257,7 @@ let lemma_cmd =
   let trials = Arg.(value & opt int 20 & info [ "trials" ] ~doc:"Random D sets.") in
   Cmd.v
     (Cmd.info "lemma" ~doc:"Solve and verify a Process-Hiding Lemma instance.")
-    Term.(const lemma $ ell $ delta $ m $ family $ seed_arg $ trials)
+    Term.(term_result' (const lemma $ ell $ delta $ m $ family $ seed_arg $ trials))
 
 (* ---------------- rme experiment ---------------- *)
 

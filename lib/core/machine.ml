@@ -1,8 +1,8 @@
 module Memory = Rme_memory.Memory
 module Op = Rme_memory.Op
 module Rmr = Rme_memory.Rmr
-module Prog = Rme_sim.Prog
 module Lock_intf = Rme_sim.Lock_intf
+module Stepper = Rme_sim.Stepper
 
 type phase = In_entry | In_cs | In_exit | In_recovery | Completed
 
@@ -14,28 +14,16 @@ type step_info = {
   rmr : bool;
 }
 
-type prog_state =
-  | P_entry of unit Prog.t
-  | P_cs of unit Prog.t
-  | P_exit of unit Prog.t
-  | P_recovery of Lock_intf.resume Prog.t
-  | P_done
+type t = Stepper.t
 
-type proc = {
-  pid : int;
-  mutable state : prog_state;
-  mutable crash_count : int;
-  mutable cs_entries : int;
-}
+let settle t ~pid = Stepper.settle t ~pid ~on_boundary:(fun _ _ -> ())
 
-type t = {
-  memory : Memory.t;
-  rmr : Rmr.t;
-  lock : Lock_intf.instance;
-  cs_loc : Memory.loc;
-  n : int;
-  procs : proc array;
-}
+(* One-shot: each process's single super-passage begins at once, so
+   every process starts poised at the top of its entry section. *)
+let begin_all t =
+  for pid = 0 to Stepper.n t - 1 do
+    settle t ~pid
+  done
 
 let create ~n ~width ~model factory =
   if not (Lock_intf.supports factory ~n ~width) then
@@ -44,154 +32,58 @@ let create ~n ~width ~model factory =
          factory.Lock_intf.name
          (factory.Lock_intf.min_width ~n)
          n);
-  let memory = Memory.create ~width in
-  let lock = factory.Lock_intf.make memory ~n in
-  let cs_loc = Memory.alloc memory ~name:"cs-cell" ~init:0 in
-  let rmr = Rmr.create model ~n in
-  let procs =
-    Array.init n (fun pid ->
-        {
-          pid;
-          state = P_entry (lock.Lock_intf.entry ~pid);
-          crash_count = 0;
-          cs_entries = 0;
-        })
-  in
-  { memory; rmr; lock; cs_loc; n; procs }
+  let t = Stepper.create ~n ~width ~model ~superpassages:1 ~cs:None factory in
+  begin_all t;
+  t
 
-let memory t = t.memory
-let rmr t = t.rmr
-let n t = t.n
-
-let cs_program t ~pid = Prog.write t.cs_loc (pid land 1)
-
-(* Resolve [Return] transitions until the process is poised on a step or
-   done. The CS program always contains a step, so this terminates. *)
-let rec settle t p =
-  match p.state with
-  | P_done -> ()
-  | P_entry (Prog.Return ()) ->
-      p.cs_entries <- p.cs_entries + 1;
-      p.state <- P_cs (cs_program t ~pid:p.pid);
-      settle t p
-  | P_cs (Prog.Return ()) ->
-      p.state <- P_exit (t.lock.Lock_intf.exit ~pid:p.pid);
-      settle t p
-  | P_exit (Prog.Return ()) -> p.state <- P_done
-  | P_recovery (Prog.Return resume) -> begin
-      (match resume with
-      | Lock_intf.Resume_entry ->
-          p.state <- P_entry (t.lock.Lock_intf.entry ~pid:p.pid)
-      | Lock_intf.In_cs ->
-          p.cs_entries <- p.cs_entries + 1;
-          p.state <- P_cs (cs_program t ~pid:p.pid)
-      | Lock_intf.Resume_exit ->
-          p.state <- P_exit (t.lock.Lock_intf.exit ~pid:p.pid)
-      | Lock_intf.Passage_done -> p.state <- P_done);
-      settle t p
-    end
-  | P_entry (Prog.Step _) | P_cs (Prog.Step _) | P_exit (Prog.Step _)
-  | P_recovery (Prog.Step _) ->
-      ()
+let memory = Stepper.memory
+let rmr = Stepper.rmr
+let n = Stepper.n
 
 let phase t ~pid =
-  let p = t.procs.(pid) in
-  settle t p;
-  match p.state with
-  | P_entry _ -> In_entry
-  | P_cs _ -> In_cs
-  | P_exit _ -> In_exit
-  | P_recovery _ -> In_recovery
-  | P_done -> Completed
+  settle t ~pid;
+  match (Stepper.procs t).(pid).section with
+  | Stepper.Entry -> In_entry
+  | Stepper.Cs -> In_cs
+  | Stepper.Exit -> In_exit
+  | Stepper.Recovery -> In_recovery
+  | Stepper.Remainder -> Completed
 
 let completed t ~pid = phase t ~pid = Completed
 
 let peek t ~pid =
-  let p = t.procs.(pid) in
-  settle t p;
-  match p.state with
-  | P_done -> None
-  | P_entry pr -> Prog.peek pr
-  | P_cs pr -> Prog.peek pr
-  | P_exit pr -> Prog.peek pr
-  | P_recovery pr -> Prog.peek pr
+  settle t ~pid;
+  let loc = Stepper.poised_loc t ~pid in
+  if loc < 0 then None else Some (loc, Stepper.poised_op t ~pid)
 
 (* Like [peek |> would_incur] but without materialising the option —
-   this runs once per simulated step in both drivers. *)
+   the adversary asks this before every step it takes. *)
 let poised_rmr t ~pid =
-  let p = t.procs.(pid) in
-  settle t p;
-  match p.state with
-  | P_done -> false
-  | P_entry (Prog.Step (loc, op, _))
-  | P_cs (Prog.Step (loc, op, _))
-  | P_exit (Prog.Step (loc, op, _))
-  | P_recovery (Prog.Step (loc, op, _)) ->
-      Rmr.would_incur t.rmr ~pid ~loc ~owner:(Memory.owner t.memory loc)
-        ~is_read:(Op.is_read op)
-  | P_entry (Prog.Return _)
-  | P_cs (Prog.Return _)
-  | P_exit (Prog.Return _)
-  | P_recovery (Prog.Return _) ->
-      assert false (* settled above *)
-
-let perform t ~pid loc op =
-  let old = Memory.apply t.memory ~pid loc op in
-  let rmr =
-    Rmr.record t.rmr ~pid ~loc ~owner:(Memory.owner t.memory loc)
-      ~is_read:(Op.is_read op)
-  in
-  { loc; op; old_value = old; new_value = Memory.value t.memory loc; rmr }
+  settle t ~pid;
+  let loc = Stepper.poised_loc t ~pid in
+  loc >= 0
+  && Rmr.would_incur (rmr t) ~pid ~loc
+       ~owner:(Memory.owner (memory t) loc)
+       ~is_read:(Op.is_read (Stepper.poised_op t ~pid))
 
 let step t ~pid =
-  let p = t.procs.(pid) in
-  settle t p;
-  match p.state with
-  | P_done -> invalid_arg "Machine.step: process already completed"
-  | P_entry (Prog.Step (loc, op, k)) ->
-      let info = perform t ~pid loc op in
-      p.state <- P_entry (k info.old_value);
-      info
-  | P_cs (Prog.Step (loc, op, k)) ->
-      let info = perform t ~pid loc op in
-      p.state <- P_cs (k info.old_value);
-      info
-  | P_exit (Prog.Step (loc, op, k)) ->
-      let info = perform t ~pid loc op in
-      p.state <- P_exit (k info.old_value);
-      info
-  | P_recovery (Prog.Step (loc, op, k)) ->
-      let info = perform t ~pid loc op in
-      p.state <- P_recovery (k info.old_value);
-      info
-  | P_entry (Prog.Return _)
-  | P_cs (Prog.Return _)
-  | P_exit (Prog.Return _)
-  | P_recovery (Prog.Return _) ->
-      assert false (* settled above *)
+  settle t ~pid;
+  let loc = Stepper.poised_loc t ~pid in
+  if loc < 0 then invalid_arg "Machine.step: process already completed";
+  let op = Stepper.poised_op t ~pid in
+  let old_value = Memory.value (memory t) loc in
+  let rmr = Stepper.step t ~pid in
+  { loc; op; old_value; new_value = Memory.value (memory t) loc; rmr }
 
-let crash t ~pid =
-  let p = t.procs.(pid) in
-  (match p.state with
-  | P_done -> invalid_arg "Machine.crash: process already completed"
-  | P_entry _ | P_cs _ | P_exit _ | P_recovery _ -> ());
-  p.crash_count <- p.crash_count + 1;
-  Rmr.on_crash t.rmr ~pid;
-  p.state <- P_recovery (t.lock.Lock_intf.recover ~pid)
+let crash = Stepper.crash
 
 let run_while_local t ~pid ~cap =
   let rec loop taken =
-    if taken >= cap then taken
-    else begin
-      match peek t ~pid with
-      | None -> taken
-      | Some _ ->
-          if poised_rmr t ~pid then taken
-          else begin
-            ignore (step t ~pid);
-            loop (taken + 1)
-          end
+    if taken < cap && (not (completed t ~pid)) && not (poised_rmr t ~pid) then begin
+      ignore (step t ~pid);
+      loop (taken + 1)
     end
+    else taken
   in
   loop 0
 
@@ -206,48 +98,15 @@ let run_to_completion t ~pid ~cap ~on_step =
   in
   loop 0
 
-let crashes t ~pid = t.procs.(pid).crash_count
-
-let cs_entries t ~pid = t.procs.(pid).cs_entries
-
-let total_rmrs t ~pid = Rmr.total t.rmr ~pid
+let crashes t ~pid = (Stepper.procs t).(pid).crashes
+let cs_entries t ~pid = (Stepper.procs t).(pid).cs_entries
+let total_rmrs t ~pid = Rmr.total (rmr t) ~pid
 
 let reset t =
-  Memory.reset_values t.memory;
-  Rmr.reset t.rmr;
-  Array.iter
-    (fun p ->
-      p.state <- P_entry (t.lock.Lock_intf.entry ~pid:p.pid);
-      p.crash_count <- 0;
-      p.cs_entries <- 0)
-    t.procs
+  Stepper.reset t;
+  begin_all t
 
-(* Program states are immutable values ([Prog.t] is a pure free monad and
-   lock instances close only over location handles), so a snapshot can
-   share them; all mutable run state lives in [memory], [rmr] and the
-   per-process counters captured here. *)
-type snapshot = {
-  s_memory : Memory.checkpoint;
-  s_rmr : Rmr.snapshot;
-  s_procs : (prog_state * int * int) array; (* state, crashes, cs entries *)
-}
+type snapshot = Stepper.snapshot
 
-let snapshot t =
-  {
-    s_memory = Memory.checkpoint t.memory;
-    s_rmr = Rmr.snapshot t.rmr;
-    s_procs = Array.map (fun p -> (p.state, p.crash_count, p.cs_entries)) t.procs;
-  }
-
-let restore t s =
-  if Array.length s.s_procs <> t.n then
-    invalid_arg "Machine.restore: snapshot from a different machine";
-  Memory.restore t.memory s.s_memory;
-  Rmr.restore t.rmr s.s_rmr;
-  Array.iteri
-    (fun i (state, crash_count, cs_entries) ->
-      let p = t.procs.(i) in
-      p.state <- state;
-      p.crash_count <- crash_count;
-      p.cs_entries <- cs_entries)
-    s.s_procs
+let snapshot = Stepper.snapshot
+let restore = Stepper.restore

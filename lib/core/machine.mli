@@ -1,14 +1,10 @@
-(** An adversary-controlled simulation of one-shot mutual exclusion.
-
-    Unlike {!Rme_sim.Harness}, which owns the interleaving policy, the
-    [Machine] exposes single-step control: the lower-bound adversary peeks
-    at each process's poised operation, executes chosen steps one at a
-    time, injects crash steps, and runs selected processes to completion —
-    exactly the moves of the proof's schedule construction.
-
-    Processes run {e one-shot} mutual exclusion (assumptions (A2)/(A3) of
-    the paper): a single super-passage, whose critical section performs
-    exactly one RMR-incurring step. *)
+(** The lower-bound adversary's view of {!Rme_sim.Stepper}: single-step
+    control over one-shot mutual exclusion (assumptions (A2)/(A3): one
+    super-passage per process, whose critical section is one
+    RMR-incurring step). The adversary peeks at poised operations, runs
+    chosen steps and crash steps, and runs processes to completion —
+    the moves of the proof's schedule construction. Every process starts
+    poised at the top of its entry section. *)
 
 type phase = In_entry | In_cs | In_exit | In_recovery | Completed
 
@@ -49,8 +45,8 @@ val step : t -> pid:int -> step_info
     completed process. *)
 
 val crash : t -> pid:int -> unit
-(** Crash step: discards the continuation (local state reset), drops the
-    CC cache, starts the recover protocol. *)
+(** Crash step ({!Rme_sim.Stepper.crash}). Pending phase transitions
+    are not resolved first. *)
 
 val run_while_local : t -> pid:int -> cap:int -> int
 (** Execute steps of [pid] as long as they would {e not} incur an RMR
@@ -72,17 +68,12 @@ val cs_entries : t -> pid:int -> int
 val total_rmrs : t -> pid:int -> int
 
 val reset : t -> unit
-(** Return the machine to its just-created state in place — memory back
-    to initial values, RMR accounting zeroed, every process poised at
-    the top of its entry section — without re-running the lock
-    constructor. The workhorse of replay: re-executing a schedule needs
-    a fresh machine per attempt, and construction (allocation plus name
-    formatting for every cell) would otherwise dominate. *)
+(** Return to the just-created state in place, without re-running the
+    lock constructor: replay needs a fresh machine per attempt, and
+    construction would otherwise dominate. *)
 
 type snapshot
-(** Complete machine state at a point in time. Program states are
-    immutable and shared, not copied; memory values, RMR counters and
-    CC cache state are deep-copied. *)
+(** Complete machine state at a point in time. *)
 
 val snapshot : t -> snapshot
 

@@ -27,10 +27,6 @@ type config = {
   cs : (pid:int -> attempt:int -> unit Prog.t) option;
 }
 
-(* The default scheduler-turn budget: a constant floor for tiny runs
-   plus an n^2 term (each of n processes may legitimately wait out
-   O(n) critical sections under contention). Exposed so experiments
-   and front-ends can scale or override it. *)
 let default_step_budget ~n = 20_000 + (4_000 * n * n)
 
 let default_config ~n ~width model =
@@ -74,20 +70,7 @@ type result = {
   model : Rmr.model;
 }
 
-type phase =
-  | Remainder
-  | Entry of unit Prog.t
-  | Cs of unit Prog.t
-  | Exit of unit Prog.t
-  | Recovery of Lock_intf.resume Prog.t
-  | Finished
-
 type proc = {
-  p_pid : int;
-  mutable p_phase : phase;
-  mutable p_left : int;
-  mutable p_crashes : int;
-  mutable p_cs_entries : int;
   mutable p_cs_rmrs : int; (* CS-step RMRs in the current passage *)
   mutable p_in_passage : bool;
   p_passage_rmrs : int Vec.t;
@@ -107,16 +90,11 @@ type proc = {
   mutable p_spin_val : int;
 }
 
-let section_of_phase = function
-  | Entry _ -> Trace.In_entry
-  | Cs _ -> Trace.In_cs
-  | Exit _ -> Trace.In_exit
-  | Recovery _ -> Trace.In_recovery
-  | Remainder | Finished -> Trace.In_entry (* unreachable in practice *)
-
-(* The single critical-section step of assumption (A2): one RMR-incurring
-   operation on a location outside the lock's object set. *)
-let cs_program cs_loc ~pid = Prog.write cs_loc (pid land 1)
+let trace_section = function
+  | Stepper.Entry | Stepper.Remainder -> Trace.In_entry (* Remainder: unreachable *)
+  | Stepper.Cs -> Trace.In_cs
+  | Stepper.Exit -> Trace.In_exit
+  | Stepper.Recovery -> Trace.In_recovery
 
 let validate config (factory : Lock_intf.factory) =
   if not (Lock_intf.supports factory ~n:config.n ~width:config.width) then
@@ -138,10 +116,12 @@ let validate config (factory : Lock_intf.factory) =
 
 let run config (factory : Lock_intf.factory) =
   validate config factory;
-  let memory = Memory.create ~width:config.width in
-  let lock = factory.make memory ~n:config.n in
-  let cs_loc = Memory.alloc memory ~name:"cs-cell" ~init:0 in
-  let rmr = Rmr.create config.model ~n:config.n in
+  let st =
+    Stepper.create ~n:config.n ~width:config.width ~model:config.model
+      ~superpassages:config.superpassages ~cs:config.cs factory
+  in
+  let memory = Stepper.memory st and rmr = Stepper.rmr st in
+  let sprocs = Stepper.procs st in
   let trace = if config.record_trace then Some (Trace.create ()) else None in
   let violations = ref [] in
   let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
@@ -175,11 +155,6 @@ let run config (factory : Lock_intf.factory) =
   let procs =
     Array.init config.n (fun pid ->
         {
-          p_pid = pid;
-          p_phase = Remainder;
-          p_left = config.superpassages;
-          p_crashes = 0;
-          p_cs_entries = 0;
           p_cs_rmrs = 0;
           p_in_passage = false;
           p_passage_rmrs = Vec.create ();
@@ -192,114 +167,79 @@ let run config (factory : Lock_intf.factory) =
         })
   in
   let steps = ref 0 in
-  let end_passage p =
+  let end_passage pid =
+    let p = procs.(pid) in
     if p.p_in_passage then begin
-      let count = Rmr.passage rmr ~pid:p.p_pid - p.p_cs_rmrs in
+      let count = Rmr.passage rmr ~pid - p.p_cs_rmrs in
       ignore (Vec.push p.p_passage_rmrs count);
       p.p_in_passage <- false
     end
   in
-  let begin_passage p =
-    Rmr.start_passage rmr ~pid:p.p_pid;
+  let begin_passage pid =
+    let p = procs.(pid) in
+    Rmr.start_passage rmr ~pid;
     p.p_cs_rmrs <- 0;
     p.p_in_passage <- true
   in
-  let cs_body p =
-    let pid = p.p_pid in
-    match config.cs with
-    | Some body -> body ~pid ~attempt:(config.superpassages - p.p_left)
-    | None -> cs_program cs_loc ~pid
-  in
-  let enter_cs p =
-    (match !holder with
-    | Some q when q <> p.p_pid ->
-        violate "mutual exclusion violated: p%d entered CS while p%d holds the lock"
-          p.p_pid q
-    | Some _ | None -> ());
-    holder := Some p.p_pid;
-    p.p_cs_entries <- p.p_cs_entries + 1;
-    if not p.p_cs_this_sp then begin
-      (* First CS entry of this super-passage: how many other entries
-         happened since the request? *)
-      p.p_max_bypass <-
-        max p.p_max_bypass (!global_cs_entries - p.p_requested_at);
-      incr global_cs_entries
-    end;
-    p.p_cs_this_sp <- true;
-    p.p_phase <- Cs (cs_body p)
-  in
-  let release_holder p =
+  let release_holder pid =
     match !holder with
-    | Some q when q = p.p_pid -> holder := None
+    | Some q when q = pid -> holder := None
     | Some _ | None -> ()
   in
-  let finish_superpassage p =
-    (* Every super-passage must pass through the critical section exactly
-       once; a recover protocol that skips to Passage_done without the CS
-       having run has lost a request. *)
-    if not p.p_cs_this_sp then
-      violate "p%d completed a super-passage without entering the critical section"
-        p.p_pid;
-    p.p_cs_this_sp <- false;
-    end_passage p;
-    release_holder p;
-    p.p_left <- p.p_left - 1;
-    p.p_phase <- (if p.p_left = 0 then Finished else Remainder)
-  in
-  (* Resolve phase transitions until the process is poised on a
-     shared-memory step (or finished). Each [Cs] program contains at least
-     one step, so the cascade terminates. *)
-  let rec settle p =
-    match p.p_phase with
-    | Finished -> ()
-    | Remainder ->
-        if p.p_left > 0 then begin
-          begin_passage p;
-          p.p_requested_at <- !global_cs_entries;
-          p.p_phase <- Entry (lock.Lock_intf.entry ~pid:p.p_pid);
-          settle p
-        end
-        else p.p_phase <- Finished
-    | Entry (Prog.Return ()) ->
-        enter_cs p;
-        settle p
-    | Cs (Prog.Return ()) ->
+  (* Passage, mutual-exclusion and bypass bookkeeping, at each section
+     boundary the stepper crosses. *)
+  let on_boundary pid b =
+    let p = procs.(pid) in
+    match b with
+    | Stepper.Begin_superpassage ->
+        begin_passage pid;
+        p.p_requested_at <- !global_cs_entries
+    | Stepper.Enter_cs ->
+        (match !holder with
+        | Some q when q <> pid ->
+            violate
+              "mutual exclusion violated: p%d entered CS while p%d holds the lock"
+              pid q
+        | Some _ | None -> ());
+        holder := Some pid;
+        if not p.p_cs_this_sp then begin
+          (* First CS entry of this super-passage: how many other entries
+             happened since the request? *)
+          p.p_max_bypass <-
+            max p.p_max_bypass (!global_cs_entries - p.p_requested_at);
+          incr global_cs_entries
+        end;
+        p.p_cs_this_sp <- true
+    | Stepper.Leave_cs ->
         (* The critical section is over once the process starts its exit
            protocol; mutual exclusion constrains the CS only. A crash
            *inside* the CS, by contrast, keeps the holder set: the crashed
            process must re-enter before anyone else may. *)
-        release_holder p;
-        p.p_phase <- Exit (lock.Lock_intf.exit ~pid:p.p_pid);
-        settle p
-    | Exit (Prog.Return ()) -> finish_superpassage p
-    | Recovery (Prog.Return resume) -> begin
-        match resume with
-        | Lock_intf.Resume_entry ->
-            p.p_phase <- Entry (lock.Lock_intf.entry ~pid:p.p_pid);
-            settle p
-        | Lock_intf.In_cs ->
-            enter_cs p;
-            settle p
-        | Lock_intf.Resume_exit ->
-            p.p_phase <- Exit (lock.Lock_intf.exit ~pid:p.p_pid);
-            settle p
-        | Lock_intf.Passage_done -> finish_superpassage p
-      end
-    | Entry (Prog.Step _) | Cs (Prog.Step _) | Exit (Prog.Step _)
-    | Recovery (Prog.Step _) ->
-        ()
+        release_holder pid
+    | Stepper.End_superpassage ->
+        (* Every super-passage must pass through the critical section
+           exactly once; a recover protocol that skips to Passage_done
+           without the CS having run has lost a request. *)
+        if not p.p_cs_this_sp then
+          violate
+            "p%d completed a super-passage without entering the critical section"
+            pid;
+        p.p_cs_this_sp <- false;
+        end_passage pid;
+        release_holder pid
   in
-  let crashable p =
+  let settle pid = Stepper.settle st ~pid ~on_boundary in
+  let crashable pid =
     factory.recoverable
-    && p.p_crashes < config.max_crashes_per_process
+    && sprocs.(pid).crashes < config.max_crashes_per_process
     &&
-    match p.p_phase with
-    | Entry _ | Exit _ | Recovery _ -> true
-    | Cs _ -> config.allow_cs_crash
-    | Remainder | Finished -> false
+    match sprocs.(pid).section with
+    | Stepper.Entry | Stepper.Exit | Stepper.Recovery -> true
+    | Stepper.Cs -> config.allow_cs_crash
+    | Stepper.Remainder -> false
   in
-  let crash_fires p =
-    crashable p
+  let crash_fires pid =
+    crashable pid
     &&
     match config.crashes with
     | No_crashes | System_crash_script _ | System_crash_prob _ -> false
@@ -308,78 +248,48 @@ let run config (factory : Lock_intf.factory) =
         | Some rng -> Splitmix.float rng < prob
         | None -> false)
     | Crash_script _ -> (
+        let p = procs.(pid) in
         match p.p_pending_crashes with
         | s :: rest when s <= !steps ->
             p.p_pending_crashes <- rest;
             true
         | _ :: _ | [] -> false)
   in
-  let do_crash p =
-    let section = section_of_phase p.p_phase in
-    p.p_crashes <- p.p_crashes + 1;
-    end_passage p;
-    Rmr.on_crash rmr ~pid:p.p_pid;
+  let do_crash pid =
+    let section = trace_section sprocs.(pid).section in
+    end_passage pid;
+    Stepper.crash st ~pid;
     (match trace with
-    | Some t -> Trace.record t (Trace.Crash { pid = p.p_pid; section })
+    | Some t -> Trace.record t (Trace.Crash { pid; section })
     | None -> ());
-    begin_passage p;
-    p.p_spin_loc <- -1;
-    p.p_phase <- Recovery (lock.Lock_intf.recover ~pid:p.p_pid)
+    begin_passage pid;
+    procs.(pid).p_spin_loc <- -1
   in
-  (* Perform one atomic shared-memory operation for [p], with accounting
-     and tracing, and return the pre-operation value. *)
-  let perform p loc op section =
-    let old = Memory.apply memory ~pid:p.p_pid loc op in
-    let incurred =
-      Rmr.record rmr ~pid:p.p_pid ~loc ~owner:(Memory.owner memory loc)
-        ~is_read:(Op.is_read op)
-    in
-    if incurred && section = Trace.In_cs then p.p_cs_rmrs <- p.p_cs_rmrs + 1;
-    (match trace with
+  let trace_step ~pid ~loc ~op ~old_value ~rmr section =
+    match trace with
     | Some t ->
+        let new_value = Memory.value memory loc in
         Trace.record t
-          (Trace.Step
-             {
-               pid = p.p_pid;
-               loc;
-               op;
-               old_value = old;
-               new_value = Memory.value memory loc;
-               rmr = incurred;
-               section;
-             })
-    | None -> ());
-    old
+          (Trace.Step { pid; loc; op; old_value; new_value; rmr; section })
+    | None -> ()
   in
-  (* Location of a poised read, -1 otherwise — queried twice per step. *)
-  let poised_read_loc = function
-    | Entry (Prog.Step (loc, Op.Read, _))
-    | Cs (Prog.Step (loc, Op.Read, _))
-    | Exit (Prog.Step (loc, Op.Read, _))
-    | Recovery (Prog.Step (loc, Op.Read, _)) ->
-        loc
-    | Entry _ | Cs _ | Exit _ | Recovery _ | Remainder | Finished -> -1
-  in
-  let execute p =
-    let was_read = poised_read_loc p.p_phase in
-    (match p.p_phase with
-    | Entry (Prog.Step (loc, op, k)) ->
-        p.p_phase <- Entry (k (perform p loc op Trace.In_entry))
-    | Cs (Prog.Step (loc, op, k)) ->
-        p.p_phase <- Cs (k (perform p loc op Trace.In_cs))
-    | Exit (Prog.Step (loc, op, k)) ->
-        p.p_phase <- Exit (k (perform p loc op Trace.In_exit))
-    | Recovery (Prog.Step (loc, op, k)) ->
-        p.p_phase <- Recovery (k (perform p loc op Trace.In_recovery))
-    | Remainder | Finished
-    | Entry (Prog.Return _)
-    | Cs (Prog.Return _)
-    | Exit (Prog.Return _)
-    | Recovery (Prog.Return _) ->
-        assert false);
-    if was_read >= 0 && poised_read_loc p.p_phase = was_read then begin
-      p.p_spin_loc <- was_read;
-      p.p_spin_val <- Memory.value memory was_read
+  (* Perform the poised operation of [pid], with CS-RMR accounting,
+     tracing and stutter detection. *)
+  let execute pid =
+    let p = procs.(pid) in
+    let section = sprocs.(pid).section in
+    let loc = Stepper.poised_loc st ~pid and op = Stepper.poised_op st ~pid in
+    let old_value = Memory.value memory loc in
+    let rmr = Stepper.step st ~pid in
+    if rmr && section = Stepper.Cs then p.p_cs_rmrs <- p.p_cs_rmrs + 1;
+    trace_step ~pid ~loc ~op ~old_value ~rmr (trace_section section);
+    if
+      Op.is_read op
+      && Stepper.poised_loc st ~pid = loc
+      && Op.is_read (Stepper.poised_op st ~pid)
+    then begin
+      p.p_spin_loc <- loc;
+      p.p_spin_val <- Memory.value memory loc
     end
     else p.p_spin_loc <- -1
   in
@@ -404,15 +314,13 @@ let run config (factory : Lock_intf.factory) =
     let len = ref 0 in
     let spinners = ref 0 in
     for pid = 0 to config.n - 1 do
-      match procs.(pid).p_phase with
-      | Finished -> ()
-      | Remainder ->
-          if procs.(pid).p_left > 0 then begin
+      match sprocs.(pid).section with
+      | Stepper.Remainder ->
+          if sprocs.(pid).left > 0 then begin
             cand.(!len) <- pid;
             incr len
           end
-          else procs.(pid).p_phase <- Finished
-      | Entry _ | Cs _ | Exit _ | Recovery _ ->
+      | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery ->
           if still_spinning procs.(pid) then incr spinners
           else begin
             cand.(!len) <- pid;
@@ -423,11 +331,11 @@ let run config (factory : Lock_intf.factory) =
        change: surface them so the step budget flags the deadlock. *)
     if !len = 0 && !spinners > 0 then
       for pid = 0 to config.n - 1 do
-        match procs.(pid).p_phase with
-        | Entry _ | Cs _ | Exit _ | Recovery _ ->
+        match sprocs.(pid).section with
+        | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery ->
             cand.(!len) <- pid;
             incr len
-        | Remainder | Finished -> ()
+        | Stepper.Remainder -> ()
       done;
     !len
   in
@@ -478,7 +386,7 @@ let run config (factory : Lock_intf.factory) =
   in
   let do_system_crash () =
     incr sys_crashes;
-    (match lock.Lock_intf.system_epoch with
+    (match (Stepper.lock st).Lock_intf.system_epoch with
     | Some epoch ->
         (* The system's epoch increment is a real non-read operation on
            shared memory: it invalidates cache copies (processes in the
@@ -489,28 +397,16 @@ let run config (factory : Lock_intf.factory) =
         | Some c ->
             ignore (Rme_memory.Cache.access c ~pid:0 ~loc:epoch ~is_read:false)
         | None -> ());
-        (match trace with
-        | Some t ->
-            Trace.record t
-              (Trace.Step
-                 {
-                   pid = 0;
-                   loc = epoch;
-                   op = Op.Faa 1;
-                   old_value = old;
-                   new_value = Memory.value memory epoch;
-                   rmr = true;
-                   section = Trace.In_recovery;
-                 })
-        | None -> ())
+        trace_step ~pid:0 ~loc:epoch ~op:(Op.Faa 1) ~old_value:old ~rmr:true
+          Trace.In_recovery
     | None -> ());
-    Array.iter
-      (fun p ->
-        settle p;
-        match p.p_phase with
-        | Entry _ | Cs _ | Exit _ | Recovery _ -> do_crash p
-        | Remainder | Finished -> ())
-      procs
+    for pid = 0 to config.n - 1 do
+      settle pid;
+      match sprocs.(pid).section with
+      | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery ->
+          do_crash pid
+      | Stepper.Remainder -> ()
+    done
   in
   let rec loop () =
     let len = runnable () in
@@ -518,33 +414,32 @@ let run config (factory : Lock_intf.factory) =
     else if budget_left () then begin
       if system_crash_fires () then do_system_crash ();
       let pid = pick len in
-      let p = procs.(pid) in
-      settle p;
-      (match p.p_phase with
-      | Finished | Remainder -> () (* settled into completion *)
-      | Entry _ | Cs _ | Exit _ | Recovery _ ->
-          if crash_fires p then do_crash p else execute p;
+      settle pid;
+      (match sprocs.(pid).section with
+      | Stepper.Remainder -> () (* settled into completion *)
+      | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery ->
+          if crash_fires pid then do_crash pid else execute pid;
           (* Settle eagerly so "runnable" reflects completion. *)
-          settle p);
+          settle pid);
       incr steps;
       loop ()
     end
   in
   loop ();
-  let proc_stats p =
+  let proc_stats pid p =
     let arr = Vec.to_array p.p_passage_rmrs in
     {
-      pid = p.p_pid;
+      pid;
       passages = Array.length arr;
-      crashes = p.p_crashes;
-      total_rmrs = Rmr.total rmr ~pid:p.p_pid;
+      crashes = sprocs.(pid).crashes;
+      total_rmrs = Rmr.total rmr ~pid;
       passage_rmrs = arr;
       max_passage_rmr = Array.fold_left max 0 arr;
-      cs_entries = p.p_cs_entries;
+      cs_entries = sprocs.(pid).cs_entries;
       max_bypass = p.p_max_bypass;
     }
   in
-  let stats = Array.map proc_stats procs in
+  let stats = Array.mapi proc_stats procs in
   let all_passages =
     Array.to_list stats
     |> List.concat_map (fun s -> Array.to_list s.passage_rmrs)
@@ -565,7 +460,7 @@ let run config (factory : Lock_intf.factory) =
     procs = stats;
     max_passage_rmr;
     mean_passage_rmr;
-    total_crashes = Array.fold_left (fun acc p -> acc + p.p_crashes) 0 procs;
+    total_crashes = Array.fold_left (fun acc s -> acc + s.crashes) 0 stats;
     trace;
     memory;
     model = config.model;

@@ -1,7 +1,8 @@
-(** The workload scheduler: runs [n] processes through super-passages of a
-    lock under a chosen interleaving policy and crash regime, accounting
-    RMRs per passage and checking the two RME correctness properties the
-    paper requires (mutual exclusion and deadlock-freedom).
+(** The workload scheduler: drives [n] processes of a {!Stepper} through
+    super-passages of a lock under a chosen interleaving policy and crash
+    regime, accounting RMRs per passage and checking the two RME
+    correctness properties the paper requires (mutual exclusion and
+    deadlock-freedom).
 
     Passage accounting follows the paper's definitions exactly: a passage
     begins with the first shared-memory step of the entry or recover

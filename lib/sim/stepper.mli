@@ -1,0 +1,85 @@
+(** The execution state of [n] processes running one lock: the single
+    implementation of the paper's §2 semantics, shared by {!Harness} and
+    the adversary's [Machine], which choose what steps or crashes
+    next.
+
+    A step is one atomic operation on shared memory, accounted by
+    [Rmr.record]. A crash discards the process's continuation (all its
+    local state), drops its CC cache and starts the lock's [recover],
+    whose answer ({!Lock_intf.resume}) decides where the process
+    resumes. *)
+
+type section = Remainder | Entry | Cs | Exit | Recovery
+
+type boundary =
+  | Begin_superpassage  (** Remainder to [entry]. *)
+  | Enter_cs  (** From [entry], or from [recover] answering [In_cs]. *)
+  | Leave_cs  (** The critical section returned; [exit] starts. *)
+  | End_superpassage  (** [exit] returned, or [recover] said [Passage_done]. *)
+
+(** One process, read-only outside this module: the scheduler's
+    per-turn scan reads every [section], where a call per process would
+    cost more than the scan. *)
+type proc = private {
+  mutable section : section;
+  mutable prog : unit Prog.t;  (** The entry, CS or exit program. *)
+  mutable recovery : Lock_intf.resume Prog.t;  (** The program in [Recovery]. *)
+  mutable left : int;  (** Super-passages to complete, the current one included. *)
+  mutable crashes : int;
+  mutable cs_entries : int;
+}
+
+type t
+
+val create :
+  n:int ->
+  width:int ->
+  model:Rme_memory.Rmr.model ->
+  superpassages:int ->
+  cs:(pid:int -> attempt:int -> unit Prog.t) option ->
+  Lock_intf.factory ->
+  t
+(** Builds the memory, then the lock, then the ["cs-cell"], in that
+    order, so Harness and Machine number locations alike. Processes
+    start in the remainder. [cs] is the critical-section body, given the
+    0-based super-passage index; [None] is assumption (A2): one write to
+    the cs-cell. *)
+
+val memory : t -> Rme_memory.Memory.t
+val rmr : t -> Rme_memory.Rmr.t
+val lock : t -> Lock_intf.instance
+val n : t -> int
+
+val procs : t -> proc array
+(** Indexed by pid; the same records for the life of [t]. *)
+
+val settle : t -> pid:int -> on_boundary:(int -> boundary -> unit) -> unit
+(** Resolve returned programs until the process is poised on a step or
+    rests in the remainder, calling [on_boundary pid b] at each boundary
+    crossed. A super-passage that ends rests in the remainder; the next
+    [settle] begins another if any is left. *)
+
+val poised_loc : t -> pid:int -> int
+(** The location of the poised operation, or [-1] if the process is not
+    poised. Allocates nothing. *)
+
+val poised_op : t -> pid:int -> Rme_memory.Op.t
+(** The poised operation. Raises [Invalid_argument] if not poised. *)
+
+val step : t -> pid:int -> bool
+(** Perform the poised operation; return whether it incurred an RMR.
+    Does not settle. Raises [Invalid_argument] if not poised. *)
+
+val crash : t -> pid:int -> unit
+(** Crash step. Does not settle first: a process whose program has
+    returned crashes before crossing the boundary. Raises
+    [Invalid_argument] in the remainder. *)
+
+val reset : t -> unit
+(** Back to the just-created state, without re-running the lock
+    constructor. *)
+
+type snapshot
+
+val snapshot : t -> snapshot
+val restore : t -> snapshot -> unit

@@ -9,18 +9,23 @@ let contains ~needle haystack =
   let rec loop i = i + nl <= hl && (String.sub haystack i nl = needle || loop (i + 1)) in
   loop 0
 
-(* Run [f] with stdout redirected to a temp file; return (result, output). *)
-let capture_stdout f =
+(* Run [f] with [fd] redirected to a temp file; return (result, output). *)
+let capture fd f =
   let file, oc = Filename.open_temp_file "rme_cli_test" ".out" in
   close_out oc;
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  Unix.dup2 fd Unix.stdout;
-  Unix.close fd;
+  let flush_outputs () =
+    Format.(pp_print_flush std_formatter ());
+    Format.(pp_print_flush err_formatter ());
+    flush_all ()
+  in
+  flush_outputs ();
+  let saved = Unix.dup fd in
+  let tmp = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 tmp fd;
+  Unix.close tmp;
   let restore () =
-    flush stdout;
-    Unix.dup2 saved Unix.stdout;
+    flush_outputs ();
+    Unix.dup2 saved fd;
     Unix.close saved
   in
   let v = Fun.protect ~finally:restore f in
@@ -31,7 +36,8 @@ let capture_stdout f =
   Sys.remove file;
   (v, out)
 
-let eval args = capture_stdout (fun () -> Cli.eval ~argv:(Array.of_list ("rme" :: args)) ())
+let eval args =
+  capture Unix.stdout (fun () -> Cli.eval ~argv:(Array.of_list ("rme" :: args)) ())
 
 let test_locks () =
   let code, out = eval [ "locks" ] in
@@ -67,6 +73,19 @@ let test_unknown_lock_rejected () =
   let code, _ = eval [ "simulate"; "--lock"; "nope" ] in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
 
+let test_out_of_range_width_rejected () =
+  let (code, out), err =
+    capture Unix.stderr (fun () -> eval [ "simulate"; "--lock"; "mcs"; "-w"; "63" ])
+  in
+  Alcotest.(check bool) "non-zero exit" true (code <> 0);
+  Alcotest.(check bool) "not an internal error (125)" true (code <> 125);
+  Alcotest.(check bool) "no internal error" false
+    (contains ~needle:"internal error" (out ^ err))
+
+let test_unknown_family_rejected () =
+  let (code, _), _ = capture Unix.stderr (fun () -> eval [ "lemma"; "--family"; "zzz" ]) in
+  Alcotest.(check int) "exit 1" 1 code
+
 let suite =
   ( "cli",
     [
@@ -77,4 +96,8 @@ let suite =
       Alcotest.test_case "unknown experiment rejected before any run" `Quick
         test_unknown_experiment_rejected_first;
       Alcotest.test_case "unknown lock rejected" `Quick test_unknown_lock_rejected;
+      Alcotest.test_case "out-of-range width rejected" `Quick
+        test_out_of_range_width_rejected;
+      Alcotest.test_case "unknown lemma family rejected" `Quick
+        test_unknown_family_rejected;
     ] )

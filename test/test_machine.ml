@@ -107,6 +107,58 @@ let test_all_complete_sequentially () =
       done)
     Rme_locks.Registry.all
 
+(* Harness and Machine run the same stepper, so replaying a crashy harness
+   trace on a machine must reproduce every step, every crash's section
+   and every per-process total. *)
+let prop_harness_machine_agree =
+  let module H = Rme_sim.Harness in
+  let module Trace = Rme_sim.Trace in
+  let locks = Array.of_list Rme_locks.Registry.recoverable in
+  QCheck.Test.make ~name:"harness and machine agree step for step" ~count:60
+    QCheck.(
+      quad (int_range 0 (Array.length locks - 1)) (int_range 2 4) (int_range 0 10_000)
+        bool)
+    (fun (li, n, seed, dsm) ->
+      let factory = locks.(li) and w = 16 in
+      let model = if dsm then Rmr.Dsm else Rmr.Cc in
+      let r =
+        H.run
+          {
+            (H.default_config ~n ~width:w model) with
+            policy = H.Random_policy seed;
+            crashes = H.Crash_prob { prob = 0.1; seed = seed + 1 };
+            allow_cs_crash = true;
+            max_crashes_per_process = 3;
+            record_trace = true;
+          }
+          factory
+      in
+      let m = M.create ~n ~width:w ~model factory in
+      let section_of = function
+        | M.In_entry -> Trace.In_entry
+        | M.In_cs -> Trace.In_cs
+        | M.In_exit -> Trace.In_exit
+        | M.In_recovery | M.Completed -> Trace.In_recovery
+      in
+      let agree_event = function
+        | Trace.Step { pid; loc; op; old_value; new_value; rmr; section = _ } ->
+            let i = M.step m ~pid in
+            i.M.loc = loc
+            && Op.name i.M.op = Op.name op
+            && i.M.old_value = old_value && i.M.new_value = new_value && i.M.rmr = rmr
+        | Trace.Crash { pid; section } ->
+            let ph = M.phase m ~pid in
+            M.crash m ~pid;
+            ph <> M.Completed && section_of ph = section
+      in
+      let events = Option.fold ~none:[] ~some:Trace.events r.H.trace in
+      List.for_all agree_event events
+      && Array.for_all
+           (fun (s : H.proc_stats) ->
+             M.total_rmrs m ~pid:s.H.pid = s.H.total_rmrs
+             && M.cs_entries m ~pid:s.H.pid = s.H.cs_entries)
+           r.H.procs)
+
 let suite =
   ( "machine",
     [
@@ -123,4 +175,5 @@ let suite =
       Alcotest.test_case "width checked" `Quick test_width_check;
       Alcotest.test_case "sequential completion, all locks" `Quick
         test_all_complete_sequentially;
+      Qc.to_alcotest prop_harness_machine_agree;
     ] )
