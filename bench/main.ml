@@ -1,7 +1,6 @@
-(* The benchmark harness: regenerates every experiment table (E1..E7,
-   one per reproduced claim of the paper — see DESIGN.md section 4) and
-   runs Bechamel timing suites over the simulator, the lemma solvers and
-   the adversary.
+(* The benchmark harness: regenerates every experiment table (E1..E8,
+   A1..A3, F1 — see DESIGN.md section 4) and runs Bechamel timing
+   suites over the simulator, the lemma solvers and the adversary.
 
    Usage:
      dune exec bench/main.exe                 # all experiments + timing
@@ -28,12 +27,16 @@ module Json = Rme_util.Json
 let probe_results : (string * float) list ref = ref []
 let experiment_results : (string * E.report) list ref = ref []
 
-let run_experiments (entries : E.entry list) =
+(* One engine for the whole invocation, so cells shared between the
+   selected experiments are computed once. *)
+let run_experiments ~jobs ~progress (entries : E.entry list) =
+  let engine = Engine.create ~jobs ~progress () in
   List.iter
     (fun (e : E.entry) ->
       Printf.printf "---- %s: %s ----\n%!" (String.uppercase_ascii e.E.id) e.E.descr;
-      experiment_results := (e.E.id, e.E.run ()) :: !experiment_results)
-    entries
+      experiment_results := (e.E.id, e.E.run engine) :: !experiment_results)
+    entries;
+  Engine.shutdown engine
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing: one probe per moving part, so the harness doubles
@@ -242,7 +245,10 @@ type opts = {
 let parse_opts args =
   let jobs_value v =
     match int_of_string_opt v with
-    | Some j -> j
+    | Some j when j >= 0 -> j
+    | Some j ->
+        Printf.eprintf "-j must be at least 0 (got %d)\n" j;
+        exit 1
     | None ->
         Printf.eprintf "invalid -j value %S\n" v;
         exit 1
@@ -266,8 +272,6 @@ let parse_opts args =
 
 let () =
   let o, args = parse_opts (Array.to_list Sys.argv |> List.tl) in
-  Engine.set_jobs o.jobs;
-  Engine.set_progress o.progress;
   (match args with
   | "compare" :: rest -> (
       match rest with
@@ -276,12 +280,12 @@ let () =
           prerr_endline "usage: bench compare OLD.json NEW.json";
           exit 1)
   | [] ->
-      run_experiments (Result.get_ok (E.select (List.map (fun (i, _, _) -> i) E.all)));
+      run_experiments ~jobs:o.jobs ~progress:o.progress E.all;
       run_timing ()
   | [ "time" ] -> run_timing ()
   | ids -> (
       match E.select ids with
-      | Ok entries -> run_experiments entries
+      | Ok entries -> run_experiments ~jobs:o.jobs ~progress:o.progress entries
       | Error e ->
           prerr_endline e;
           exit 1));

@@ -263,12 +263,16 @@ let lemma_cmd =
 
 let experiment jobs progress ids =
   let module E = Rme_experiments.Experiments in
-  let ids = if ids = [ "all" ] then List.map (fun (i, _, _) -> i) E.all else ids in
-  E.select ids
-  |> Result.map (fun entries ->
-         Engine.set_jobs jobs;
-         Engine.set_progress progress;
-         List.iter (fun (e : E.entry) -> ignore (e.E.run ())) entries)
+  let* () =
+    if jobs < 0 then Error (Printf.sprintf "--jobs must be at least 0 (got %d)" jobs)
+    else Ok ()
+  in
+  let ids = if ids = [ "all" ] then List.map (fun e -> e.E.id) E.all else ids in
+  let* entries = E.select ids in
+  let engine = Engine.create ~jobs ~progress () in
+  Fun.protect ~finally:(fun () -> Engine.shutdown engine) (fun () ->
+      List.iter (fun (e : E.entry) -> ignore (e.E.run engine)) entries);
+  Ok ()
 
 let experiment_cmd =
   let ids =

@@ -145,11 +145,11 @@ let compute_adv c =
 type counters = { computed : int; cached : int }
 
 type t = {
-  mutable pool : Pool.t;
+  pool : Pool.t;
   guard : Mutex.t;  (* protects the memos and the counters. *)
   memo : (key, cell_result) Hashtbl.t;
   adv_memo : (adv_key, adv_result) Hashtbl.t;
-  mutable progress : bool;
+  progress : bool;
   mutable n_computed : int;
   mutable n_cached : int;
 }
@@ -271,27 +271,3 @@ let prefetch_adv t cells =
 
 let get_adv t c = get_memo t t.adv_memo adv_key_of compute_adv c
 let map t f xs = Pool.map_list t.pool f xs
-
-(* ------------------------------------------------------------------ *)
-(* The process-wide default engine. *)
-
-let default_engine = ref None
-
-let default () =
-  match !default_engine with
-  | Some e -> e
-  | None ->
-      let e = create () in
-      default_engine := Some e;
-      e
-
-(* Swap the pool in place, so handles taken before the change keep
-   sharing the memo and counters with the default engine. *)
-let set_jobs j =
-  let e = default () in
-  if not (jobs e = j && j > 0) then begin
-    Pool.shutdown e.pool;
-    e.pool <- Pool.create ~jobs:j
-  end
-
-let set_progress b = (default ()).progress <- b

@@ -17,14 +17,6 @@ val create : ?jobs:int -> ?progress:bool -> unit -> t
 
 val jobs : t -> int
 val shutdown : t -> unit
-val default : unit -> t
-(** The engine experiments use when no [?engine] is passed. *)
-
-val set_jobs : int -> unit
-(** Swap the default engine's pool in place; every handle returned by
-    {!default} keeps its memos and counters and sees the new pool. *)
-
-val set_progress : bool -> unit
 
 (** {1 Trial cells} *)
 

@@ -8,17 +8,52 @@ module Rmr = Rme_memory.Rmr
 module Registry = Rme_locks.Registry
 module Bounds = Rme_core.Bounds
 module Hiding = Rme_core.Hiding
+module Km = Rme_locks.Katzan_morrison
 
 type outcome = Table.t list
 
-(* Every experiment decomposes into independent trial cells, prefetches
-   the whole batch through the engine (parallel across domains, memoised
-   by cell key), then formats its tables with [Engine.get] lookups in
-   the original enumeration order — so tables are bit-identical to a
-   sequential run, and cells shared between experiments are computed
-   once per process. *)
+(* Every table is described once, as rows of slots: literal text, or a
+   memo cell with a formatter that fills one or more columns from the
+   cell's result. [render] prefetches every slot's cell (one parallel
+   batch per cell kind), then fills the rows from the memo in table
+   order — so tables are bit-identical to a sequential run, a shown cell
+   is always a prefetched one, and cells shared between experiments are
+   computed once per engine. *)
 
-let engine_of = function Some e -> e | None -> Engine.default ()
+type slot =
+  | Text of string
+  | Trial of Engine.cell * (Engine.cell_result -> string list)
+  | Adv of Engine.adv_cell * (Engine.adv_result -> string list)
+
+type spec = { title : string; columns : string list; rows : slot list list }
+
+let render eng specs =
+  let slots = List.concat_map (fun s -> List.concat s.rows) specs in
+  Engine.prefetch eng
+    (List.filter_map (function Trial (c, _) -> Some c | _ -> None) slots);
+  Engine.prefetch_adv eng
+    (List.filter_map (function Adv (c, _) -> Some c | _ -> None) slots);
+  let fill = function
+    | Text s -> [ s ]
+    | Trial (c, f) -> f (Engine.get eng c)
+    | Adv (c, f) -> f (Engine.get_adv eng c)
+  in
+  List.map
+    (fun s ->
+      let t = Table.create ~title:s.title ~columns:s.columns in
+      List.iter (fun row -> Table.add_row t (List.concat_map fill row)) s.rows;
+      t)
+    specs
+
+let texts = List.map (fun s -> Text s)
+let int_text i = Text (string_of_int i)
+
+(* The most common slot: a trial cell's max RMRs per passage. *)
+let max_rmr c =
+  Trial
+    ( c,
+      fun r -> [ (if r.Engine.ok then string_of_int r.Engine.max_passage_rmr else "FAIL") ]
+    )
 
 (* ------------------------------------------------------------------ *)
 (* E1: the RMR landscape across algorithms (the measured version of the
@@ -38,167 +73,108 @@ let theory_of (factory : Lock_intf.factory) ~n ~w =
   | "epoch-mcs" -> "O(1) (system-wide)"
   | _ -> "?"
 
-let e1_lock_landscape ?engine ?(seed = 42) ?(width = 16) ?(ns = [ 2; 4; 8; 16; 32; 64 ]) () =
-  let eng = engine_of engine in
-  let cell ~model ~n factory =
-    Engine.cell ~superpassages:2 ~seed ~n ~width ~model factory
-  in
-  Engine.prefetch eng
-    (List.concat_map
+let e1_lock_landscape ~engine ?(seed = 42) ?(width = 16) ?(ns = [ 2; 4; 8; 16; 32; 64 ])
+    () =
+  let n_max = List.fold_left max 2 ns in
+  render engine
+    (List.map
        (fun model ->
-         List.concat_map
-           (fun (factory : Lock_intf.factory) ->
-             List.filter_map
-               (fun n ->
-                 if Lock_intf.supports factory ~n ~width then
-                   Some (cell ~model ~n factory)
-                 else None)
-               ns)
-           Registry.all)
-       Rmr.all_models);
-  List.map
-    (fun model ->
-      let t =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "E1 (%s): max RMRs per passage, crash-free, w=%d (rows: lock; \
-                cols: n)"
-               (Rmr.model_name model) width)
-          ~columns:
-            ("lock" :: List.map (fun n -> Printf.sprintf "n=%d" n) ns
-            @ [ "theory (largest n)" ])
-      in
-      List.iter
-        (fun (factory : Lock_intf.factory) ->
-          let cells =
-            List.map
-              (fun n ->
-                if Lock_intf.supports factory ~n ~width then begin
-                  let r = Engine.get eng (cell ~model ~n factory) in
-                  if r.Engine.ok then string_of_int r.Engine.max_passage_rmr
-                  else "FAIL"
-                end
-                else "n/a")
-              ns
-          in
-          let n_max = List.fold_left max 2 ns in
-          Table.add_row t
-            ((factory.Lock_intf.name :: cells)
-            @ [ theory_of factory ~n:n_max ~w:width ]))
-        Registry.all;
-      t)
-    Rmr.all_models
+         {
+           title =
+             Printf.sprintf
+               "E1 (%s): max RMRs per passage, crash-free, w=%d (rows: lock; cols: n)"
+               (Rmr.model_name model) width;
+           columns =
+             ("lock" :: List.map (Printf.sprintf "n=%d") ns) @ [ "theory (largest n)" ];
+           rows =
+             List.map
+               (fun (factory : Lock_intf.factory) ->
+                 (Text factory.Lock_intf.name
+                 :: List.map
+                      (fun n ->
+                        if Lock_intf.supports factory ~n ~width then
+                          max_rmr
+                            (Engine.cell ~superpassages:2 ~seed ~n ~width ~model factory)
+                        else Text "n/a")
+                      ns)
+                 @ [ Text (theory_of factory ~n:n_max ~w:width) ])
+               Registry.all;
+         })
+       Rmr.all_models)
 
 (* ------------------------------------------------------------------ *)
 (* E2: the word-size tradeoff of the Katzan–Morrison lock. *)
 
-let e2_word_size_tradeoff ?engine ?(seed = 7) ?(ns = [ 16; 64; 256; 1024 ])
+let e2_word_size_tradeoff ~engine ?(seed = 7) ?(ns = [ 16; 64; 256; 1024 ])
     ?(ws = [ 2; 4; 8; 16; 32; 62 ]) () =
-  let eng = engine_of engine in
-  let cell ~model ~n ~w =
-    Engine.cell ~superpassages:1 ~seed ~n ~width:w ~model
-      Rme_locks.Katzan_morrison.factory
-  in
-  Engine.prefetch eng
-    (List.concat_map
+  render engine
+    (List.map
        (fun model ->
-         List.concat_map (fun n -> List.map (fun w -> cell ~model ~n ~w) ws) ns)
-       Rmr.all_models);
-  List.map
-    (fun model ->
-      let t =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "E2 (%s): Katzan-Morrison max RMRs per passage vs word size \
-                (theory: ceil(log_w n) levels)"
-               (Rmr.model_name model))
-          ~columns:
-            ("n"
-            :: List.concat_map
-                 (fun w -> [ Printf.sprintf "w=%d" w; Printf.sprintf "lvls" ])
-                 ws)
-      in
-      List.iter
-        (fun n ->
-          let cells =
-            List.concat_map
-              (fun w ->
-                let r = Engine.get eng (cell ~model ~n ~w) in
-                let levels = Bounds.tree_levels ~n ~b:(min w n) in
-                [
-                  (if r.Engine.ok then string_of_int r.Engine.max_passage_rmr
-                   else "FAIL");
-                  string_of_int levels;
-                ])
-              ws
-          in
-          Table.add_row t (string_of_int n :: cells))
-        ns;
-      t)
-    Rmr.all_models
+         {
+           title =
+             Printf.sprintf
+               "E2 (%s): Katzan-Morrison max RMRs per passage vs word size (theory: \
+                ceil(log_w n) levels)"
+               (Rmr.model_name model);
+           columns =
+             "n" :: List.concat_map (fun w -> [ Printf.sprintf "w=%d" w; "lvls" ]) ws;
+           rows =
+             List.map
+               (fun n ->
+                 int_text n
+                 :: List.concat_map
+                      (fun w ->
+                        [
+                          max_rmr (Engine.cell ~seed ~n ~width:w ~model Km.factory);
+                          int_text (Bounds.tree_levels ~n ~b:(min w n));
+                        ])
+                      ws)
+               ns;
+         })
+       Rmr.all_models)
 
 (* ------------------------------------------------------------------ *)
 (* E3: rounds forced by the lower-bound adversary. *)
 
-let e3_adversary_bound ?engine ?(ns = [ 64; 256; 1024; 4096 ]) ?(ws = [ 4; 8; 16; 32 ]) () =
-  let eng = engine_of engine in
-  let cell ~model ~factory ~n ~w = Engine.adv_cell ~n ~width:w ~model factory in
-  Engine.prefetch_adv eng
+let e3_adversary_bound ~engine ?(ns = [ 64; 256; 1024; 4096 ]) ?(ws = [ 4; 8; 16; 32 ])
+    () =
+  let summary (r : Engine.adv_result) =
+    [
+      string_of_int r.Engine.rounds;
+      Printf.sprintf "%.1f" r.Engine.bound;
+      string_of_int r.Engine.survivors;
+    ]
+  in
+  render engine
     (List.concat_map
        (fun model ->
-         List.concat_map
+         List.map
            (fun (factory : Lock_intf.factory) ->
-             List.concat_map
-               (fun n ->
-                 List.filter_map
-                   (fun w ->
-                     if Lock_intf.supports factory ~n ~width:w then
-                       Some (cell ~model ~factory ~n ~w)
-                     else None)
-                   ws)
-               ns)
+             {
+               title =
+                 Printf.sprintf
+                   "E3 (%s, %s): adversary rounds (= RMRs forced on survivors) vs \
+                    Theorem 1 bound"
+                   factory.Lock_intf.name (Rmr.model_name model);
+               columns =
+                 "n"
+                 :: List.concat_map
+                      (fun w -> [ Printf.sprintf "w=%d" w; "bound"; "surv" ])
+                      ws;
+               rows =
+                 List.map
+                   (fun n ->
+                     int_text n
+                     :: List.concat_map
+                          (fun w ->
+                            if Lock_intf.supports factory ~n ~width:w then
+                              [ Adv (Engine.adv_cell ~n ~width:w ~model factory, summary) ]
+                            else texts [ "n/a"; "-"; "-" ])
+                          ws)
+                   ns;
+             })
            Registry.recoverable)
-       Rmr.all_models);
-  List.concat_map
-    (fun model ->
-      List.map
-        (fun (factory : Lock_intf.factory) ->
-          let t =
-            Table.create
-              ~title:
-                (Printf.sprintf
-                   "E3 (%s, %s): adversary rounds (= RMRs forced on survivors) \
-                    vs Theorem 1 bound"
-                   factory.Lock_intf.name (Rmr.model_name model))
-              ~columns:
-                ("n"
-                :: List.concat_map
-                     (fun w -> [ Printf.sprintf "w=%d" w; "bound"; "surv" ])
-                     ws)
-          in
-          List.iter
-            (fun n ->
-              let cells =
-                List.concat_map
-                  (fun w ->
-                    if Lock_intf.supports factory ~n ~width:w then begin
-                      let r = Engine.get_adv eng (cell ~model ~factory ~n ~w) in
-                      [
-                        string_of_int r.Engine.rounds;
-                        Printf.sprintf "%.1f" r.Engine.bound;
-                        string_of_int r.Engine.survivors;
-                      ]
-                    end
-                    else [ "n/a"; "-"; "-" ])
-                  ws
-              in
-              Table.add_row t (string_of_int n :: cells))
-            ns;
-          t)
-        Registry.recoverable)
-    Rmr.all_models
+       Rmr.all_models)
 
 (* ------------------------------------------------------------------ *)
 (* E4: the Process-Hiding Lemma with the paper's constants. *)
@@ -215,25 +191,14 @@ let e4_families : (string * (y:int -> Rme_core.Partite.edge -> int)) list =
         Array.fold_left (fun acc p -> acc lxor (p land 1)) y e);
   ]
 
-let e4_hiding_lemma ?engine ?(seed = 99) ?(m = 3) ?(trials = 50) () =
-  let eng = engine_of engine in
+let e4_hiding_lemma ~engine ?(seed = 99) ?(m = 3) ?(trials = 50) () =
   let p = Hiding.paper_params ~ell:1 ~delta:1.0 in
   let gsize = Hiding.min_group_size p in
   let groups = Array.init m (fun i -> Array.init gsize (fun j -> (i * gsize) + j)) in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "E4: Process-Hiding Lemma, paper constants (ell=1, delta=1, k=%d, \
-            subgroup=%d, groups of %d, m=%d); %d random discovery sets each"
-           p.Hiding.k p.Hiding.subgroup_size gsize m trials)
-      ~columns:
-        [ "operation family"; "solved"; "verify"; "min |I_D|"; "m/2"; "query verify" ]
-  in
   (* Each family is an independent solve + adversarial-query trial run
      (with its own RNG from [seed]): one parallel task per family. *)
   let rows =
-    Engine.map eng
+    Engine.map engine
       (fun (name, f) ->
         let sol = Hiding.solve p ~groups ~f ~y0:0 in
         let verified =
@@ -255,193 +220,174 @@ let e4_hiding_lemma ?engine ?(seed = 99) ?(m = 3) ?(trials = 50) () =
           min_id := min !min_id (List.length hs);
           if Hiding.verify_query sol ~f ~d hs <> Ok () then query_ok := false
         done;
-        [
-          name;
-          string_of_int (Array.length sol.Hiding.groups);
-          verified;
-          string_of_int !min_id;
-          Printf.sprintf "%.1f" (float_of_int m /. 2.0);
-          (if !query_ok then "ok" else "FAIL");
-        ])
+        texts
+          [
+            name;
+            string_of_int (Array.length sol.Hiding.groups);
+            verified;
+            string_of_int !min_id;
+            Printf.sprintf "%.1f" (float_of_int m /. 2.0);
+            (if !query_ok then "ok" else "FAIL");
+          ])
       e4_families
   in
-  List.iter (Table.add_row t) rows;
-  [ t ]
+  render engine
+    [
+      {
+        title =
+          Printf.sprintf
+            "E4: Process-Hiding Lemma, paper constants (ell=1, delta=1, k=%d, \
+             subgroup=%d, groups of %d, m=%d); %d random discovery sets each"
+            p.Hiding.k p.Hiding.subgroup_size gsize m trials;
+        columns =
+          [ "operation family"; "solved"; "verify"; "min |I_D|"; "m/2"; "query verify" ];
+        rows;
+      };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E5: recovery cost under increasing crash rates. *)
 
-let e5_crash_cost ?engine ?(seed = 5) ?(n = 8)
+let e5_crash_cost ~engine ?(seed = 5) ?(n = 8)
     ?(probs = [ 0.0; 0.01; 0.02; 0.05; 0.1; 0.2 ]) () =
-  let eng = engine_of engine in
   let superpassages = 4 in
-  let cell ~model ~factory ~prob =
-    Engine.cell ~superpassages
-      ~crashes:
-        (if prob = 0.0 then H.No_crashes
-         else H.Crash_prob { prob; seed = seed * 31 })
-      ~allow_cs_crash:true ~max_crashes:6 ~seed ~n ~width:16 ~model factory
+  (* RMRs per super-passage: the true cost of recovery — crashes split
+     super-passages into more (cheaper) passages, so the per-passage
+     mean alone understates the recovery overhead. *)
+  let cost (r : Engine.cell_result) =
+    if r.Engine.ok then
+      let work = r.Engine.total_rmrs - r.Engine.cs_entries in
+      [
+        Printf.sprintf "%.1f ~ %.1f /%d"
+          (float_of_int work /. float_of_int (n * superpassages))
+          r.Engine.mean_passage_rmr r.Engine.total_crashes;
+      ]
+    else [ "FAIL" ]
   in
-  Engine.prefetch eng
-    (List.concat_map
+  render engine
+    (List.map
        (fun model ->
-         List.concat_map
-           (fun (factory : Lock_intf.factory) ->
-             List.map (fun prob -> cell ~model ~factory ~prob) probs)
-           Registry.recoverable)
-       Rmr.all_models);
-  List.map
-    (fun model ->
-      let t =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "E5 (%s): recoverable locks under crashes, n=%d, w=16 (cells: \
-                mean RMRs per super-passage ~ mean per passage / crashes)"
-               (Rmr.model_name model) n)
-          ~columns:
-            ("lock"
-            :: List.map (fun p -> Printf.sprintf "p=%.2f" p) probs)
-      in
-      List.iter
-        (fun (factory : Lock_intf.factory) ->
-          let cells =
-            List.map
-              (fun prob ->
-                let r = Engine.get eng (cell ~model ~factory ~prob) in
-                if r.Engine.ok then begin
-                  (* RMRs per super-passage: the true cost of recovery —
-                     crashes split super-passages into more (cheaper)
-                     passages, so the per-passage mean alone understates
-                     the recovery overhead. *)
-                  let work = r.Engine.total_rmrs - r.Engine.cs_entries in
-                  let sps = n * superpassages in
-                  Printf.sprintf "%.1f ~ %.1f /%d"
-                    (float_of_int work /. float_of_int sps)
-                    r.Engine.mean_passage_rmr r.Engine.total_crashes
-                end
-                else "FAIL")
-              probs
-          in
-          Table.add_row t (factory.Lock_intf.name :: cells))
-        Registry.recoverable;
-      t)
-    Rmr.all_models
+         {
+           title =
+             Printf.sprintf
+               "E5 (%s): recoverable locks under crashes, n=%d, w=16 (cells: mean RMRs \
+                per super-passage ~ mean per passage / crashes)"
+               (Rmr.model_name model) n;
+           columns = "lock" :: List.map (Printf.sprintf "p=%.2f") probs;
+           rows =
+             List.map
+               (fun (factory : Lock_intf.factory) ->
+                 Text factory.Lock_intf.name
+                 :: List.map
+                      (fun prob ->
+                        let crashes =
+                          if prob = 0.0 then H.No_crashes
+                          else H.Crash_prob { prob; seed = seed * 31 }
+                        in
+                        Trial
+                          ( Engine.cell ~superpassages ~crashes ~allow_cs_crash:true
+                              ~max_crashes:6 ~seed ~n ~width:16 ~model factory,
+                            cost ))
+                      probs)
+               Registry.recoverable;
+         })
+       Rmr.all_models)
 
 (* ------------------------------------------------------------------ *)
 (* E6: CC vs DSM side by side. The seed and shape deliberately match
-   E1's n=32 column, so when both experiments run in one process every
+   E1's n=32 column, so when both experiments run on one engine every
    E6 cell is a memo-cache hit. *)
 
-let e6_model_comparison ?engine ?(seed = 42) ?(n = 32) () =
-  let eng = engine_of engine in
-  let cell ~model factory =
-    Engine.cell ~superpassages:2 ~seed ~n ~width:16 ~model factory
+let e6_model_comparison ~engine ?(seed = 42) ?(n = 32) () =
+  let max_mean (r : Engine.cell_result) =
+    if r.Engine.ok then
+      [
+        string_of_int r.Engine.max_passage_rmr;
+        Printf.sprintf "%.1f" r.Engine.mean_passage_rmr;
+      ]
+    else [ "FAIL"; "-" ]
   in
-  Engine.prefetch eng
-    (List.concat_map
-       (fun model ->
-         List.filter_map
-           (fun (factory : Lock_intf.factory) ->
-             if Lock_intf.supports factory ~n ~width:16 then
-               Some (cell ~model factory)
-             else None)
-           Registry.all)
-       Rmr.all_models);
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "E6: CC vs DSM, n=%d, w=16, crash-free (max / mean RMRs per passage)" n)
-      ~columns:[ "lock"; "CC max"; "CC mean"; "DSM max"; "DSM mean" ]
-  in
-  List.iter
-    (fun (factory : Lock_intf.factory) ->
-      let side model =
-        if Lock_intf.supports factory ~n ~width:16 then begin
-          let r = Engine.get eng (cell ~model factory) in
-          if r.Engine.ok then
-            ( string_of_int r.Engine.max_passage_rmr,
-              Printf.sprintf "%.1f" r.Engine.mean_passage_rmr )
-          else ("FAIL", "-")
-        end
-        else ("n/a", "-")
-      in
-      let cc_max, cc_mean = side Rmr.Cc in
-      let dsm_max, dsm_mean = side Rmr.Dsm in
-      Table.add_row t [ factory.Lock_intf.name; cc_max; cc_mean; dsm_max; dsm_mean ])
-    Registry.all;
-  [ t ]
+  render engine
+    [
+      {
+        title =
+          Printf.sprintf
+            "E6: CC vs DSM, n=%d, w=16, crash-free (max / mean RMRs per passage)" n;
+        columns = [ "lock"; "CC max"; "CC mean"; "DSM max"; "DSM mean" ];
+        rows =
+          List.map
+            (fun (factory : Lock_intf.factory) ->
+              Text factory.Lock_intf.name
+              :: List.concat_map
+                   (fun model ->
+                     if Lock_intf.supports factory ~n ~width:16 then
+                       [
+                         Trial
+                           ( Engine.cell ~superpassages:2 ~seed ~n ~width:16 ~model factory,
+                             max_mean );
+                       ]
+                     else texts [ "n/a"; "-" ])
+                   [ Rmr.Cc; Rmr.Dsm ])
+            Registry.all;
+      };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E7: the min(log_w n, log n / log log n) crossover. *)
 
-let e7_crossover ?engine ?(n = 65536) ?(ws = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48; 62 ]) () =
-  let eng = engine_of engine in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "E7: Theorem 1 crossover at n=%d (log2 n = %.0f): bound = \
-            min(log_w n, log n/log log n)"
-           n (Bounds.log_n ~n))
-      ~columns:[ "w"; "log_w n"; "log n/log log n"; "Theorem 1 bound"; "regime" ]
-  in
+let e7_crossover ~engine ?(n = 65536) ?(ws = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48; 62 ])
+    () =
   let lll = Bounds.log_over_loglog ~n in
-  List.iter
-    (fun w ->
-      let lwn = Bounds.km_upper ~n ~w in
-      let bound = Bounds.theorem1_lower ~n ~w in
-      Table.add_row t
-        [
-          string_of_int w;
-          Printf.sprintf "%.2f" lwn;
-          Printf.sprintf "%.2f" lll;
-          Printf.sprintf "%.2f" bound;
-          (if lwn <= lll then "word-size term" else "log/loglog term");
-        ])
-    ws;
   (* Measured companion: KM at a smaller n across the crossover. The
      seed matches E2, so the shared (n=1024, w) cells cache-hit. *)
   let n_meas = 1024 in
-  let ws_meas = [ 2; 4; 8; 10; 16; 32 ] in
-  let cell w =
-    Engine.cell ~superpassages:1 ~seed:7 ~n:n_meas ~width:w ~model:Rmr.Cc
-      Rme_locks.Katzan_morrison.factory
-  in
-  Engine.prefetch eng (List.map cell ws_meas);
-  let t2 =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "E7b: measured KM (CC) max passage RMRs across the crossover, n=%d"
-           n_meas)
-      ~columns:[ "w"; "measured max RMR"; "ceil(log_w n)"; "bound" ]
-  in
-  List.iter
-    (fun w ->
-      let r = Engine.get eng (cell w) in
-      Table.add_row t2
-        [
-          string_of_int w;
-          (if r.Engine.ok then string_of_int r.Engine.max_passage_rmr else "FAIL");
-          Printf.sprintf "%.0f" (Bounds.km_upper ~n:n_meas ~w);
-          Printf.sprintf "%.2f" (Bounds.theorem1_lower ~n:n_meas ~w);
-        ])
-    ws_meas;
-  [ t; t2 ]
+  render engine
+    [
+      {
+        title =
+          Printf.sprintf
+            "E7: Theorem 1 crossover at n=%d (log2 n = %.0f): bound = min(log_w n, log \
+             n/log log n)"
+            n (Bounds.log_n ~n);
+        columns = [ "w"; "log_w n"; "log n/log log n"; "Theorem 1 bound"; "regime" ];
+        rows =
+          List.map
+            (fun w ->
+              let lwn = Bounds.km_upper ~n ~w in
+              texts
+                [
+                  string_of_int w;
+                  Printf.sprintf "%.2f" lwn;
+                  Printf.sprintf "%.2f" lll;
+                  Printf.sprintf "%.2f" (Bounds.theorem1_lower ~n ~w);
+                  (if lwn <= lll then "word-size term" else "log/loglog term");
+                ])
+            ws;
+      };
+      {
+        title =
+          Printf.sprintf "E7b: measured KM (CC) max passage RMRs across the crossover, n=%d"
+            n_meas;
+        columns = [ "w"; "measured max RMR"; "ceil(log_w n)"; "bound" ];
+        rows =
+          List.map
+            (fun w ->
+              [
+                int_text w;
+                max_rmr (Engine.cell ~seed:7 ~n:n_meas ~width:w ~model:Rmr.Cc Km.factory);
+                Text (Printf.sprintf "%.0f" (Bounds.km_upper ~n:n_meas ~w));
+                Text (Printf.sprintf "%.2f" (Bounds.theorem1_lower ~n:n_meas ~w));
+              ])
+            [ 2; 4; 8; 10; 16; 32 ];
+      };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E8: the system-wide crash separation (paper conclusion / [11], [14]):
    under simultaneous crashes with epoch support, O(1) RMRs per passage
    are possible — the lower bound inherently needs individual crashes. *)
 
-let e8_system_wide ?engine ?(seed = 3) ?(ns = [ 4; 8; 16; 32; 64 ]) () =
-  let eng = engine_of engine in
-  let cell ~crashes ~n =
-    Engine.cell ~superpassages:3 ~crashes ~allow_cs_crash:true ~seed ~n ~width:16
-      ~model:Rmr.Cc Rme_locks.Epoch_mcs.factory
-  in
+let e8_system_wide ~engine ?(seed = 3) ?(ns = [ 4; 8; 16; 32; 64 ]) () =
   let rows =
     [
       ("epoch-mcs, crash-free", H.No_crashes);
@@ -449,80 +395,62 @@ let e8_system_wide ?engine ?(seed = 3) ?(ns = [ 4; 8; 16; 32; 64 ]) () =
       ("epoch-mcs, 5 system crashes", H.System_crash_script [ 5; 30; 80; 160; 300 ]);
     ]
   in
-  Engine.prefetch eng
-    (List.concat_map
-       (fun (_, crashes) -> List.map (fun n -> cell ~crashes ~n) ns)
-       rows);
-  let t =
-    Table.create
-      ~title:
-        "E8: system-wide crash model — epoch-MCS max RMRs per passage stays \
-         O(1) in n despite crashes (vs Theorem 1's growth under individual \
-         crashes)"
-      ~columns:
-        ("lock / crashes"
-        :: List.map (fun n -> Printf.sprintf "n=%d" n) ns)
-  in
-  List.iter
-    (fun (name, crashes) ->
-      let cells =
-        List.map
-          (fun n ->
-            let r = Engine.get eng (cell ~crashes ~n) in
-            if r.Engine.ok then string_of_int r.Engine.max_passage_rmr else "FAIL")
-          ns
-      in
-      Table.add_row t (name :: cells))
-    rows;
-  (* Companion: the individual-crash adversary bound at the same n. *)
-  let bound_row =
-    "Theorem 1 bound (individual crashes)"
-    :: List.map
-         (fun n -> Printf.sprintf "%.1f" (Bounds.theorem1_lower ~n ~w:16))
-         ns
-  in
-  Table.add_row t bound_row;
-  [ t ]
+  render engine
+    [
+      {
+        title =
+          "E8: system-wide crash model — epoch-MCS max RMRs per passage stays O(1) in n \
+           despite crashes (vs Theorem 1's growth under individual crashes)";
+        columns = "lock / crashes" :: List.map (Printf.sprintf "n=%d") ns;
+        rows =
+          List.map
+            (fun (name, crashes) ->
+              Text name
+              :: List.map
+                   (fun n ->
+                     max_rmr
+                       (Engine.cell ~superpassages:3 ~crashes ~allow_cs_crash:true ~seed ~n
+                          ~width:16 ~model:Rmr.Cc Rme_locks.Epoch_mcs.factory))
+                   ns)
+            rows
+          (* Companion: the individual-crash adversary bound at the same n. *)
+          @ [
+              texts
+                ("Theorem 1 bound (individual crashes)"
+                :: List.map
+                     (fun n -> Printf.sprintf "%.1f" (Bounds.theorem1_lower ~n ~w:16))
+                     ns);
+            ];
+      };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* A1: ablation — Katzan–Morrison tree arity below the word size. The
    design choice b = Θ(w) is what converts word width into fewer levels;
    forcing smaller arity at the same w gives strictly more levels. *)
 
-let a1_arity_ablation ?engine ?(seed = 9) ?(n = 256) ?(arities = [ 2; 4; 8; 16; 32 ]) () =
-  let eng = engine_of engine in
-  let cell ~model b =
-    Engine.cell ~superpassages:1 ~seed ~n ~width:32 ~model
-      (Rme_locks.Katzan_morrison.factory_with_arity b)
-  in
-  Engine.prefetch eng
-    (List.concat_map
-       (fun b -> List.map (fun model -> cell ~model b) Rmr.all_models)
-       arities);
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "A1 (ablation): KM tree arity at fixed w=32, n=%d — arity below \
-            the word size wastes the word (max RMRs per passage)"
-           n)
-      ~columns:[ "arity b"; "levels"; "CC max"; "DSM max" ]
-  in
-  List.iter
-    (fun b ->
-      let side model =
-        let r = Engine.get eng (cell ~model b) in
-        if r.Engine.ok then string_of_int r.Engine.max_passage_rmr else "FAIL"
-      in
-      Table.add_row t
-        [
-          string_of_int b;
-          string_of_int (Bounds.tree_levels ~n ~b);
-          side Rmr.Cc;
-          side Rmr.Dsm;
-        ])
-    arities;
-  [ t ]
+let a1_arity_ablation ~engine ?(seed = 9) ?(n = 256) ?(arities = [ 2; 4; 8; 16; 32 ]) () =
+  render engine
+    [
+      {
+        title =
+          Printf.sprintf
+            "A1 (ablation): KM tree arity at fixed w=32, n=%d — arity below the word \
+             size wastes the word (max RMRs per passage)"
+            n;
+        columns = [ "arity b"; "levels"; "CC max"; "DSM max" ];
+        rows =
+          List.map
+            (fun b ->
+              [ int_text b; int_text (Bounds.tree_levels ~n ~b) ]
+              @ List.map
+                  (fun model ->
+                    max_rmr
+                      (Engine.cell ~seed ~n ~width:32 ~model (Km.factory_with_arity b)))
+                  [ Rmr.Cc; Rmr.Dsm ])
+            arities;
+      };
+    ]
 
 (* A2: ablation — the adversary's contention threshold k (the paper's
    w^d). Larger k merges more processes per hiding group: rounds shrink
@@ -530,40 +458,31 @@ let a1_arity_ablation ?engine ?(seed = 9) ?(n = 256) ?(arities = [ 2; 4; 8; 16; 
    bound. At w=16 the first column, k=17, is the default threshold —
    the same cell E3 computes. *)
 
-let a2_k_ablation ?engine ?(n = 1024) ?(w = 16) ?(ks = [ 17; 24; 32; 64; 128 ]) () =
-  let eng = engine_of engine in
-  let cell ~factory k = Engine.adv_cell ~k ~n ~width:w ~model:Rmr.Cc factory in
-  Engine.prefetch_adv eng
-    (List.concat_map
-       (fun (factory : Lock_intf.factory) ->
-         if Lock_intf.supports factory ~n ~width:w then
-           List.map (fun k -> cell ~factory k) ks
-         else [])
-       Registry.recoverable);
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "A2 (ablation): adversary contention threshold k at n=%d, w=%d \
-            (rounds forced; Theorem 1 bound %.2f)"
-           n w
-           (Bounds.theorem1_lower ~n ~w))
-      ~columns:
-        ("lock" :: List.map (fun k -> Printf.sprintf "k=%d" k) ks)
-  in
-  List.iter
-    (fun (factory : Lock_intf.factory) ->
-      let cells =
-        List.map
-          (fun k ->
-            if Lock_intf.supports factory ~n ~width:w then
-              string_of_int (Engine.get_adv eng (cell ~factory k)).Engine.rounds
-            else "n/a")
-          ks
-      in
-      Table.add_row t (factory.Lock_intf.name :: cells))
-    Registry.recoverable;
-  [ t ]
+let a2_k_ablation ~engine ?(n = 1024) ?(w = 16) ?(ks = [ 17; 24; 32; 64; 128 ]) () =
+  render engine
+    [
+      {
+        title =
+          Printf.sprintf
+            "A2 (ablation): adversary contention threshold k at n=%d, w=%d (rounds forced; \
+             Theorem 1 bound %.2f)"
+            n w (Bounds.theorem1_lower ~n ~w);
+        columns = "lock" :: List.map (Printf.sprintf "k=%d") ks;
+        rows =
+          List.map
+            (fun (factory : Lock_intf.factory) ->
+              Text factory.Lock_intf.name
+              :: List.map
+                   (fun k ->
+                     if Lock_intf.supports factory ~n ~width:w then
+                       Adv
+                         ( Engine.adv_cell ~k ~n ~width:w ~model:Rmr.Cc factory,
+                           fun r -> [ string_of_int r.Engine.rounds ] )
+                     else Text "n/a")
+                   ks)
+            Registry.recoverable;
+      };
+    ]
 
 (* A3: ablation — contention adaptivity. Katzan–Morrison's full
    algorithm is adaptive: O(min(k, log_w n)) for k concurrent
@@ -572,142 +491,135 @@ let a2_k_ablation ?engine ?(n = 1024) ?(w = 16) ?(ks = [ 17; 24; 32; 64; 128 ]) 
    every level. This ablation measures that gap honestly. The contended
    cells share E2's (n=256, w) sweep. *)
 
-let a3_adaptivity ?engine ?(n = 256) ?(ws = [ 4; 8; 16; 32 ]) () =
-  let eng = engine_of engine in
-  let contended w =
-    Engine.cell ~superpassages:1 ~seed:7 ~n ~width:w ~model:Rmr.Cc
-      Rme_locks.Katzan_morrison.factory
-  in
-  Engine.prefetch eng (List.map contended ws);
+let a3_adaptivity ~engine ?(n = 256) ?(ws = [ 4; 8; 16; 32 ]) () =
   let solos =
-    Engine.map eng
+    Engine.map engine
       (fun w ->
-        let m =
-          Rme_core.Machine.create ~n ~width:w ~model:Rmr.Cc
-            Rme_locks.Katzan_morrison.factory
-        in
-        let ok =
-          Rme_core.Machine.run_to_completion m ~pid:0 ~cap:100_000
-            ~on_step:(fun _ -> ())
-        in
+        let m = Rme_core.Machine.create ~n ~width:w ~model:Rmr.Cc Km.factory in
+        let ok = Rme_core.Machine.run_to_completion m ~pid:0 ~cap:100_000 ~on_step:ignore in
         assert ok;
         (* exclude the single CS step (a write: 1 RMR) *)
         Rme_core.Machine.total_rmrs m ~pid:0 - 1)
       ws
   in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "A3 (ablation): contention adaptivity at n=%d (CC) — our KM core \
-            pays ceil(log_w n) levels even solo; the full algorithm of [19] \
-            would pay O(min(k, log_w n))"
-           n)
-      ~columns:[ "w"; "solo passage RMRs"; "contended max RMRs"; "levels" ]
-  in
-  List.iter2
-    (fun w solo ->
-      let r = Engine.get eng (contended w) in
-      Table.add_row t
-        [
-          string_of_int w;
-          string_of_int solo;
-          (if r.Engine.ok then string_of_int r.Engine.max_passage_rmr else "FAIL");
-          string_of_int (Bounds.tree_levels ~n ~b:(min w n));
-        ])
-    ws solos;
-  [ t ]
+  render engine
+    [
+      {
+        title =
+          Printf.sprintf
+            "A3 (ablation): contention adaptivity at n=%d (CC) — our KM core pays \
+             ceil(log_w n) levels even solo; the full algorithm of [19] would pay \
+             O(min(k, log_w n))"
+            n;
+        columns = [ "w"; "solo passage RMRs"; "contended max RMRs"; "levels" ];
+        rows =
+          List.map2
+            (fun w solo ->
+              [
+                int_text w;
+                int_text solo;
+                max_rmr (Engine.cell ~seed:7 ~n ~width:w ~model:Rmr.Cc Km.factory);
+                int_text (Bounds.tree_levels ~n ~b:(min w n));
+              ])
+            ws solos;
+      };
+    ]
 
 (* F1: fairness. The RME literature studies FCFS and starvation-freedom
    as extended properties (paper §1.2, "ignoring any extended
    properties"); the harness measures them as bypass counts: how many
    critical sections others completed between a request and its grant. *)
 
-let f1_fairness ?engine ?(seed = 31) ?(n = 8) ?(sp = 6) () =
-  let eng = engine_of engine in
-  let cell factory =
-    Engine.cell ~superpassages:sp ~seed ~n ~width:16 ~model:Rmr.Cc factory
+let f1_fairness ~engine ?(seed = 31) ?(n = 8) ?(sp = 6) () =
+  let bypass (r : Engine.cell_result) =
+    let worst = r.Engine.max_bypass in
+    [ string_of_int worst; (if worst <= (2 * n) - 2 then "yes" else "no") ]
   in
-  Engine.prefetch eng
-    (List.filter_map
-       (fun (factory : Lock_intf.factory) ->
-         if Lock_intf.supports factory ~n ~width:16 then Some (cell factory)
-         else None)
-       Registry.all);
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "F1: fairness — max CS entries by others between request and grant \
-            (n=%d, %d super-passages, random schedule, CC)"
-           n sp)
-      ~columns:[ "lock"; "max bypass"; "doorway-FIFO (bypass <= 2n-2)" ]
-  in
-  List.iter
-    (fun (factory : Lock_intf.factory) ->
-      if Lock_intf.supports factory ~n ~width:16 then begin
-        let r = Engine.get eng (cell factory) in
-        let worst = r.Engine.max_bypass in
-        Table.add_row t
-          [
-            factory.Lock_intf.name;
-            string_of_int worst;
-            (if worst <= (2 * n) - 2 then "yes" else "no");
-          ]
-      end)
-    Registry.all;
-  [ t ]
+  render engine
+    [
+      {
+        title =
+          Printf.sprintf
+            "F1: fairness — max CS entries by others between request and grant (n=%d, %d \
+             super-passages, random schedule, CC)"
+            n sp;
+        columns = [ "lock"; "max bypass"; "doorway-FIFO (bypass <= 2n-2)" ];
+        rows =
+          List.filter_map
+            (fun (factory : Lock_intf.factory) ->
+              if Lock_intf.supports factory ~n ~width:16 then
+                Some
+                  [
+                    Text factory.Lock_intf.name;
+                    Trial
+                      ( Engine.cell ~superpassages:sp ~seed ~n ~width:16 ~model:Rmr.Cc
+                          factory,
+                        bypass );
+                  ]
+              else None)
+            Registry.all;
+      };
+    ]
 
 (* ------------------------------------------------------------------ *)
-
-let all =
-  [
-    ("e1", "RMR landscape across lock algorithms", fun () -> e1_lock_landscape ());
-    ("e2", "Katzan-Morrison word-size tradeoff", fun () -> e2_word_size_tradeoff ());
-    ("e3", "lower-bound adversary vs Theorem 1", fun () -> e3_adversary_bound ());
-    ("e4", "Process-Hiding Lemma (paper constants)", fun () -> e4_hiding_lemma ());
-    ("e5", "crash-recovery cost", fun () -> e5_crash_cost ());
-    ("e6", "CC vs DSM", fun () -> e6_model_comparison ());
-    ("e7", "min(log_w n, log/loglog) crossover", fun () -> e7_crossover ());
-    ("e8", "system-wide crash separation (epoch-MCS)", fun () -> e8_system_wide ());
-    ("a1", "ablation: KM tree arity vs word size", fun () -> a1_arity_ablation ());
-    ("a2", "ablation: adversary contention threshold k", fun () -> a2_k_ablation ());
-    ("a3", "ablation: contention adaptivity of the KM core", fun () -> a3_adaptivity ());
-    ("f1", "fairness: bypass counts per lock", fun () -> f1_fairness ());
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Running experiments by id, shared by [rme experiment] and the bench
-   harness: check every id first, then time each run and print its
+(* The catalogue, shared by [rme experiment] and the bench harness: each
+   entry times its experiment on the caller's engine and prints its
    tables and the counters line. *)
 
 type report = { wall_s : float; computed : int; cached : int }
-type entry = { id : string; descr : string; run : unit -> report }
+type entry = { id : string; descr : string; run : Engine.t -> report }
 
-let run_printed id f =
-  let eng = Engine.default () in
-  let c0 = Engine.counters eng in
-  let t0 = Unix.gettimeofday () in
-  List.iter Table.print (f ());
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let c1 = Engine.counters eng in
-  let r =
-    {
-      wall_s;
-      computed = c1.Engine.computed - c0.Engine.computed;
-      cached = c1.Engine.cached - c0.Engine.cached;
-    }
+let entry id descr tables =
+  let run eng =
+    let c0 = Engine.counters eng in
+    let t0 = Unix.gettimeofday () in
+    List.iter Table.print (tables eng);
+    let wall_s = Unix.gettimeofday () -. t0 in
+    let c1 = Engine.counters eng in
+    let r =
+      {
+        wall_s;
+        computed = c1.Engine.computed - c0.Engine.computed;
+        cached = c1.Engine.cached - c0.Engine.cached;
+      }
+    in
+    Printf.printf "(%s completed in %.1fs; j=%d; cells: %d computed, %d cached)\n\n%!" id
+      wall_s (Engine.jobs eng) r.computed r.cached;
+    r
   in
-  Printf.printf "(%s completed in %.1fs; j=%d; cells: %d computed, %d cached)\n\n%!" id
-    wall_s (Engine.jobs eng) r.computed r.cached;
-  r
+  { id; descr; run }
+
+let all =
+  [
+    entry "e1" "RMR landscape across lock algorithms" (fun engine ->
+        e1_lock_landscape ~engine ());
+    entry "e2" "Katzan-Morrison word-size tradeoff" (fun engine ->
+        e2_word_size_tradeoff ~engine ());
+    entry "e3" "lower-bound adversary vs Theorem 1" (fun engine ->
+        e3_adversary_bound ~engine ());
+    entry "e4" "Process-Hiding Lemma (paper constants)" (fun engine ->
+        e4_hiding_lemma ~engine ());
+    entry "e5" "crash-recovery cost" (fun engine -> e5_crash_cost ~engine ());
+    entry "e6" "CC vs DSM" (fun engine -> e6_model_comparison ~engine ());
+    entry "e7" "min(log_w n, log/loglog) crossover" (fun engine ->
+        e7_crossover ~engine ());
+    entry "e8" "system-wide crash separation (epoch-MCS)" (fun engine ->
+        e8_system_wide ~engine ());
+    entry "a1" "ablation: KM tree arity vs word size" (fun engine ->
+        a1_arity_ablation ~engine ());
+    entry "a2" "ablation: adversary contention threshold k" (fun engine ->
+        a2_k_ablation ~engine ());
+    entry "a3" "ablation: contention adaptivity of the KM core" (fun engine ->
+        a3_adaptivity ~engine ());
+    entry "f1" "fairness: bypass counts per lock" (fun engine -> f1_fairness ~engine ());
+  ]
 
 let select ids =
   let found, unknown =
     List.partition_map
       (fun id ->
-        match List.find_opt (fun (i, _, _) -> i = id) all with
-        | Some (id, descr, f) -> Left { id; descr; run = (fun () -> run_printed id f) }
+        match List.find_opt (fun e -> e.id = id) all with
+        | Some e -> Left e
         | None -> Right (Printf.sprintf "%S" id))
       ids
   in
@@ -717,4 +629,4 @@ let select ids =
       (Printf.sprintf "unknown experiment%s %s (available: %s)"
          (if List.length unknown > 1 then "s" else "")
          (String.concat ", " unknown)
-         (String.concat ", " (List.map (fun (i, _, _) -> i) all)))
+         (String.concat ", " (List.map (fun e -> e.id) all)))

@@ -16,16 +16,21 @@
     - E5: crash-recovery cost — per-passage RMRs as the crash rate grows.
     - E6: CC vs DSM — the bounds hold in both models.
     - E7: the [min(log_w n, log n/log log n)] crossover at [w ~ log n].
+    - E8: the system-wide crash separation (epoch-MCS).
+    - A1: ablation — KM tree arity below the word size.
+    - A2: ablation — the adversary's contention threshold.
+    - A3: ablation — solo vs contended passage cost of the KM core.
+    - F1: fairness — worst bypass count per lock.
 
     Every function is deterministic given [seed] and returns printable
     tables.
 
-    Each experiment decomposes into independent trial cells and runs
-    them through an {!Engine} (pass [?engine], or the process-wide
-    {!Engine.default} is used): cells are computed across the engine's
-    domain pool and memoised, and the tables are assembled by key
-    lookup in canonical order — bit-identical output at any [-j],
-    with cells shared between experiments computed only once. *)
+    Each experiment describes its tables once, as rows whose slots are
+    text or trial/adversary cells, and renders them over the [engine]
+    it is given: every cell is computed across the engine's domain pool
+    and memoised, then the rows are filled by key lookup in table order
+    — bit-identical output at any [-j], with cells shared between
+    experiments run on one engine computed only once. *)
 
 type outcome = Rme_util.Table.t list
 
@@ -34,65 +39,66 @@ val e4_families : (string * (y:int -> Rme_core.Partite.edge -> int)) list
     Lemma with, as [f_y] functions on step tuples. *)
 
 val e1_lock_landscape :
-  ?engine:Engine.t -> ?seed:int -> ?width:int -> ?ns:int list -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?width:int -> ?ns:int list -> unit -> outcome
 
 val e2_word_size_tradeoff :
-  ?engine:Engine.t -> ?seed:int -> ?ns:int list -> ?ws:int list -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?ns:int list -> ?ws:int list -> unit -> outcome
 
 val e3_adversary_bound :
-  ?engine:Engine.t -> ?ns:int list -> ?ws:int list -> unit -> outcome
+  engine:Engine.t -> ?ns:int list -> ?ws:int list -> unit -> outcome
 
 val e4_hiding_lemma :
-  ?engine:Engine.t -> ?seed:int -> ?m:int -> ?trials:int -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?m:int -> ?trials:int -> unit -> outcome
 
 val e5_crash_cost :
-  ?engine:Engine.t -> ?seed:int -> ?n:int -> ?probs:float list -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?n:int -> ?probs:float list -> unit -> outcome
 
-val e6_model_comparison : ?engine:Engine.t -> ?seed:int -> ?n:int -> unit -> outcome
+val e6_model_comparison : engine:Engine.t -> ?seed:int -> ?n:int -> unit -> outcome
 (** Deliberately shaped (seed 42, n=32, w=16, 2 super-passages) to reuse
     E1's n=32 cells from the shared memo cache. *)
 
-val e7_crossover : ?engine:Engine.t -> ?n:int -> ?ws:int list -> unit -> outcome
+val e7_crossover : engine:Engine.t -> ?n:int -> ?ws:int list -> unit -> outcome
 (** The measured E7b companion (KM, CC, n=1024, seed 7) reuses E2's
     cells for the word sizes both sweep. *)
 
-val e8_system_wide : ?engine:Engine.t -> ?seed:int -> ?ns:int list -> unit -> outcome
+val e8_system_wide : engine:Engine.t -> ?seed:int -> ?ns:int list -> unit -> outcome
 (** The system-wide crash separation: epoch-MCS stays O(1) per passage
     under simultaneous crashes (paper conclusion; Golab–Hendler [11]). *)
 
 val a1_arity_ablation :
-  ?engine:Engine.t -> ?seed:int -> ?n:int -> ?arities:int list -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?n:int -> ?arities:int list -> unit -> outcome
 (** Ablation: forcing the KM tree arity below the word size. *)
 
 val a2_k_ablation :
-  ?engine:Engine.t -> ?n:int -> ?w:int -> ?ks:int list -> unit -> outcome
+  engine:Engine.t -> ?n:int -> ?w:int -> ?ks:int list -> unit -> outcome
 (** Ablation: the adversary's contention threshold (the paper's w^d).
     The default-threshold column shares E3's adversary cells. *)
 
-val a3_adaptivity : ?engine:Engine.t -> ?n:int -> ?ws:int list -> unit -> outcome
+val a3_adaptivity : engine:Engine.t -> ?n:int -> ?ws:int list -> unit -> outcome
 (** Ablation: solo vs contended passage cost of the KM core (the full
     algorithm of [19] is additionally contention-adaptive; ours is
     not — a documented simplification). The contended cells share E2's
     n=256 sweep. *)
 
 val f1_fairness :
-  ?engine:Engine.t -> ?seed:int -> ?n:int -> ?sp:int -> unit -> outcome
+  engine:Engine.t -> ?seed:int -> ?n:int -> ?sp:int -> unit -> outcome
 (** Fairness: worst bypass count per lock (queue locks are FIFO; TAS and
     tree locks are not). *)
 
-val all : (string * string * (unit -> outcome)) list
-(** [(id, description, run)] for every experiment, in order. *)
-
 type report = { wall_s : float; computed : int; cached : int }
 (** One printed run: its wall clock, and the trial and adversary cells
-    the default engine computed and served from its memo meanwhile. *)
+    its engine computed and served from its memo meanwhile. *)
 
-type entry = { id : string; descr : string; run : unit -> report }
+type entry = { id : string; descr : string; run : Engine.t -> report }
+(** [run engine] runs the experiment on [engine], prints its tables and
+    the line
+    [(<id> completed in <s>s; j=<jobs>; cells: <c> computed, <m> cached)]
+    to stdout, and returns the report. *)
+
+val all : entry list
+(** Every experiment, in order. *)
 
 val select : string list -> (entry list, string) result
 (** [select ids] checks every id against {!all} before anything runs,
-    so an unknown id fails fast. Each entry's [run] runs the experiment
-    on {!Engine.default}, prints its tables and the line
-    [(<id> completed in <s>s; j=<jobs>; cells: <c> computed, <m> cached)]
-    to stdout, and returns the report. The error names the unknown ids
-    and lists the available ones. *)
+    so an unknown id fails fast. The error names the unknown ids and
+    lists the available ones. *)

@@ -63,6 +63,22 @@ let test_experiment_e1_parallel () =
   Alcotest.(check bool) "prints counters" true (contains ~needle:"cells:" out);
   Alcotest.(check bool) "reports j=2" true (contains ~needle:"j=2" out)
 
+let test_experiments_share_one_engine () =
+  (* E6's cells are E1's: run in one invocation, E6 is served entirely
+     from the memo E1 filled. *)
+  let code, out = eval [ "experiment"; "e1"; "e6"; "-j"; "2" ] in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check bool) "e6 computes nothing" true
+    (contains ~needle:"cells: 0 computed, 22 cached" out)
+
+let test_negative_jobs_rejected () =
+  let (code, out), err =
+    capture Unix.stderr (fun () -> eval [ "experiment"; "--jobs=-3"; "e8" ])
+  in
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check bool) "runs nothing" false (contains ~needle:"completed in" out);
+  Alcotest.(check bool) "names the flag" true (contains ~needle:"--jobs" err)
+
 let test_unknown_experiment_rejected_first () =
   let code, out = eval [ "experiment"; "e1"; "zzz" ] in
   Alcotest.(check int) "exit 1" 1 code;
@@ -93,6 +109,10 @@ let suite =
       Alcotest.test_case "simulate" `Quick test_simulate;
       Alcotest.test_case "adversary" `Quick test_adversary;
       Alcotest.test_case "experiment e1 -j 2" `Quick test_experiment_e1_parallel;
+      Alcotest.test_case "experiment e1 e6 shares one engine" `Quick
+        test_experiments_share_one_engine;
+      Alcotest.test_case "experiment rejects negative -j" `Quick
+        test_negative_jobs_rejected;
       Alcotest.test_case "unknown experiment rejected before any run" `Quick
         test_unknown_experiment_rejected_first;
       Alcotest.test_case "unknown lock rejected" `Quick test_unknown_lock_rejected;

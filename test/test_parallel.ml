@@ -213,43 +213,6 @@ let test_e6_shares_e1_cells () =
       Alcotest.(check bool) "e6 hits the cache" true
         (c1.Engine.cached > c0.Engine.cached))
 
-(* ---------------- -j changes keep the memo ---------------- *)
-
-let test_set_jobs_keeps_memo () =
-  (* Regression: [set_jobs] used to rebuild the default engine from
-     scratch, forfeiting every computed cell. The memo (and counters)
-     must survive a mid-process -j change. *)
-  Engine.set_jobs 1;
-  let e1 = Engine.default () in
-  Engine.prefetch e1 [ mk_cell 101; mk_cell 102 ];
-  let c1 = Engine.counters e1 in
-  Engine.set_jobs 2;
-  let e2 = Engine.default () in
-  Alcotest.(check int) "jobs changed" 2 (Engine.jobs e2);
-  Alcotest.(check bool) "counters carried over" true
-    ((Engine.counters e2).Engine.computed = c1.Engine.computed);
-  Engine.prefetch e2 [ mk_cell 101; mk_cell 102 ];
-  let c2 = Engine.counters e2 in
-  Alcotest.(check int) "memo carried over: nothing recomputed" c1.Engine.computed
-    c2.Engine.computed;
-  Alcotest.(check int) "served from the carried memo" (c1.Engine.cached + 2)
-    c2.Engine.cached;
-  Engine.set_jobs 1
-
-let test_set_jobs_swaps_pool_in_place () =
-  (* Regression: [set_jobs] used to install a copy of the default
-     engine, leaving earlier [default ()] handles on the shut-down pool
-     with frozen counters. *)
-  Engine.set_jobs 1;
-  let before = Engine.default () in
-  let c0 = (Engine.counters before).Engine.computed in
-  Engine.set_jobs 2;
-  Engine.prefetch (Engine.default ()) [ mk_cell 201; mk_cell 202 ];
-  Alcotest.(check int) "earlier handle sees the jobs change" 2 (Engine.jobs before);
-  Alcotest.(check int) "earlier handle sees the new cells" (c0 + 2)
-    (Engine.counters before).Engine.computed;
-  Engine.set_jobs 1
-
 let suite =
   ( "parallel",
     [
@@ -265,10 +228,6 @@ let suite =
         test_pool_chunks_contiguous;
       Alcotest.test_case "pool: chunked exception propagates" `Quick
         test_pool_chunked_exception;
-      Alcotest.test_case "engine: set_jobs keeps the memo cache" `Quick
-        test_set_jobs_keeps_memo;
-      Alcotest.test_case "engine: set_jobs swaps the pool in place" `Quick
-        test_set_jobs_swaps_pool_in_place;
       Alcotest.test_case "engine: deadlocked cell memoised as timed out" `Quick
         test_deadlocked_cell_times_out;
       Alcotest.test_case "engine: memo counters" `Quick test_memo_counters;

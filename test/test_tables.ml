@@ -4,17 +4,19 @@
    number in these tables fails here. *)
 
 module E = Rme_experiments.Experiments
+module Engine = Rme_experiments.Engine
 module Table = Rme_util.Table
 
 let render () =
+  let engine = Engine.create () in
   [
-    E.e1_lock_landscape ();
-    E.e3_adversary_bound ~ns:[ 64; 256 ] ~ws:[ 4; 8 ] ();
-    E.e5_crash_cost ();
-    E.e6_model_comparison ();
-    E.e8_system_wide ();
-    E.a1_arity_ablation ();
-    E.f1_fairness ();
+    E.e1_lock_landscape ~engine ();
+    E.e3_adversary_bound ~engine ~ns:[ 64; 256 ] ~ws:[ 4; 8 ] ();
+    E.e5_crash_cost ~engine ();
+    E.e6_model_comparison ~engine ();
+    E.e8_system_wide ~engine ();
+    E.a1_arity_ablation ~engine ();
+    E.f1_fairness ~engine ();
   ]
   |> List.concat_map (List.map (fun t -> Table.render t ^ "\n"))
   |> String.concat ""
