@@ -26,6 +26,7 @@ let () =
       Test_schedule.suite;
       Test_experiments.suite;
       Test_tables.suite;
+      Test_trace.suite;
       Test_parallel.suite;
       Test_resilience.suite;
       Test_cli.suite;
