@@ -42,14 +42,14 @@ let width = 16
    the lock is what makes the count-read/reserve pair safe — which is
    the point of the example. *)
 let build_log_cs memory =
-  let count = Memory.alloc memory ~name:"log.count" ~init:0 in
+  let count = Memory.alloc memory ~init:0 in
   let slots =
-    Memory.alloc_array memory ~name:"log.slot" ~init:0
+    Memory.alloc_array memory ~init:0
       ~len:(n * appends_per_process)
   in
-  let done_ = Memory.alloc_array memory ~name:"log.done" ~init:0 ~len:n in
-  let reserved = Memory.alloc_array memory ~name:"log.reserved" ~init:0 ~len:n in
-  let rsv_for = Memory.alloc_array memory ~name:"log.rsv_for" ~init:0 ~len:n in
+  let done_ = Memory.alloc_array memory ~init:0 ~len:n in
+  let reserved = Memory.alloc_array memory ~init:0 ~len:n in
+  let rsv_for = Memory.alloc_array memory ~init:0 ~len:n in
   let append ~pid ~attempt =
     let req = attempt + 1 in
     let* k = Prog.read done_.(pid) in

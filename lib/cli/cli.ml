@@ -213,34 +213,16 @@ let lemma ell delta m family seed trials =
            (String.concat ", " (List.map fst fs)))
   in
   let p = Hiding.paper_params ~ell ~delta in
-  let gsize = Hiding.min_group_size p in
   Printf.printf "params: ell=%d delta=%.1f k=%d subgroup=%d group-size=%d m=%d\n"
-    ell delta p.Hiding.k p.Hiding.subgroup_size gsize m;
-  let groups = Array.init m (fun i -> Array.init gsize (fun j -> (i * gsize) + j)) in
-  let sol = Hiding.solve p ~groups ~f ~y0:0 in
-  let* () = Result.map_error (( ^ ) "solve: FAILED ") (Hiding.verify sol ~f) in
+    ell delta p.Hiding.k p.Hiding.subgroup_size (Hiding.min_group_size p) m;
+  let r = Rme_experiments.Experiments.hiding_trial p ~m ~f ~seed ~trials in
+  let* () = Result.map_error (( ^ ) "solve: FAILED ") r.verified in
   print_endline "solve: ok (all lemma clauses verified)";
-  let rng = Rme_util.Splitmix.create seed in
-  let v = Hiding.all_v sol in
-  let budget = int_of_float (delta *. float_of_int (Intset.cardinal v)) in
-  let pool = Array.concat (Array.to_list groups) in
-  let rec queries i min_id =
-    if i > trials then Ok min_id
-    else begin
-      Rme_util.Splitmix.shuffle rng pool;
-      let d =
-        Array.sub pool 0 (Rme_util.Splitmix.int rng (budget + 1))
-        |> Array.fold_left (fun acc x -> Intset.add x acc) Intset.empty
-      in
-      let hs = Hiding.query sol ~d in
-      match Hiding.verify_query sol ~f ~d hs with
-      | Ok () -> queries (i + 1) (min min_id (List.length hs))
-      | Error e -> Error ("query: FAILED " ^ e)
-    end
+  let* () =
+    match r.query_error with Some e -> Error ("query: FAILED " ^ e) | None -> Ok ()
   in
-  let* min_id = queries 1 max_int in
   Printf.printf "%d random discovery sets: min |I_D| = %d (needs >= %.1f)\n" trials
-    min_id
+    r.min_hidden
     (float_of_int m /. 2.0);
   Ok ()
 

@@ -226,7 +226,7 @@ let run config factory =
   let clean = ref true in
   let replay () =
     if not (!clean && Intset.equal !removed !committed_removed) then begin
-      Schedule.replay_into scratch ctx
+      Schedule.replay scratch ctx
         ~keep:(fun p -> not (Intset.mem p !removed))
         committed;
       total_checked := !total_checked + scratch.Schedule.checked
@@ -254,17 +254,16 @@ let run config factory =
       in
       if not (Intset.is_empty vis) then Some vis else None
     in
-    let push_step pid hidden_as (info : Machine.step_info) =
+    let push_step pid hidden_as (s : Rme_sim.Trace.step) =
       ignore
         (Vec.push directives
            ( Schedule.D_step { pid; hidden_as },
-             Schedule.R_step { loc = info.Machine.loc; old_value = info.Machine.old_value }
-           ))
+             Schedule.R_step { loc = s.loc; old_value = s.old_value } ))
     in
     let complete_with_checks pid ~exempt =
       let ok, count =
-        Schedule.do_complete play ctx ~pid ~on_step:(fun info ->
-            match discovery_check ~observer:pid ~loc:info.Machine.loc ~exempt with
+        Schedule.do_complete play ctx ~pid ~on_step:(fun (s : Rme_sim.Trace.step) ->
+            match discovery_check ~observer:pid ~loc:s.loc ~exempt with
             | Some vis -> raise (Restart vis)
             | None -> ())
       in
@@ -299,7 +298,7 @@ let run config factory =
         done;
         if !taken > 0 then
           ignore (Vec.push directives (Schedule.D_local pid, Schedule.R_local !taken));
-        if Machine.phase play.Schedule.m ~pid = Machine.In_cs then
+        if Machine.phase play.Schedule.m ~pid = Rme_sim.Trace.Cs then
           cs_ready := pid :: !cs_ready)
       actives;
     (* Processes poised on their critical-section step are finished
@@ -520,7 +519,7 @@ let run config factory =
           (fun pid ->
             let info = Schedule.do_step play ~pid ~hidden_as:[] in
             push_step pid [] info;
-            if Machine.phase play.Schedule.m ~pid = Machine.In_cs then begin
+            if Machine.phase play.Schedule.m ~pid = Rme_sim.Trace.Cs then begin
               let ok, count = complete_with_checks pid ~exempt:Intset.empty in
               if not ok then raise (Restart (Intset.singleton pid));
               ignore
@@ -629,7 +628,7 @@ let run config factory =
      processes dropped at that commit, whose cache effects the committed
      execution included, so its RMR totals are not the committed ones.) *)
   if Vec.length committed > 0 then begin
-    Schedule.replay_into scratch ctx
+    Schedule.replay scratch ctx
       ~keep:(fun p -> not (Intset.mem p !removed))
       committed;
     total_checked := !total_checked + scratch.Schedule.checked

@@ -4,16 +4,6 @@ module Rmr = Rme_memory.Rmr
 module Lock_intf = Rme_sim.Lock_intf
 module Stepper = Rme_sim.Stepper
 
-type phase = In_entry | In_cs | In_exit | In_recovery | Completed
-
-type step_info = {
-  loc : Memory.loc;
-  op : Op.t;
-  old_value : int;
-  new_value : int;
-  rmr : bool;
-}
-
 type t = Stepper.t
 
 let settle t ~pid = Stepper.settle t ~pid ~on_boundary:(fun _ _ -> ())
@@ -25,14 +15,14 @@ let begin_all t =
     settle t ~pid
   done
 
-let create ~n ~width ~model factory =
+let create ?trace ~n ~width ~model factory =
   if not (Lock_intf.supports factory ~n ~width) then
     invalid_arg
       (Printf.sprintf "Machine.create: lock %s needs width >= %d for n = %d"
          factory.Lock_intf.name
          (factory.Lock_intf.min_width ~n)
          n);
-  let t = Stepper.create ~n ~width ~model ~superpassages:1 ~cs:None factory in
+  let t = Stepper.create ?trace ~n ~width ~model ~superpassages:1 ~cs:None factory in
   begin_all t;
   t
 
@@ -42,14 +32,9 @@ let n = Stepper.n
 
 let phase t ~pid =
   settle t ~pid;
-  match (Stepper.procs t).(pid).section with
-  | Stepper.Entry -> In_entry
-  | Stepper.Cs -> In_cs
-  | Stepper.Exit -> In_exit
-  | Stepper.Recovery -> In_recovery
-  | Stepper.Remainder -> Completed
+  (Stepper.procs t).(pid).section
 
-let completed t ~pid = phase t ~pid = Completed
+let completed t ~pid = phase t ~pid = Stepper.Remainder
 
 let peek t ~pid =
   settle t ~pid;
@@ -67,25 +52,10 @@ let poised_rmr t ~pid =
        ~is_read:(Op.is_read (Stepper.poised_op t ~pid))
 
 let step t ~pid =
-  settle t ~pid;
-  let loc = Stepper.poised_loc t ~pid in
-  if loc < 0 then invalid_arg "Machine.step: process already completed";
-  let op = Stepper.poised_op t ~pid in
-  let old_value = Memory.value (memory t) loc in
-  let rmr = Stepper.step t ~pid in
-  { loc; op; old_value; new_value = Memory.value (memory t) loc; rmr }
+  if completed t ~pid then invalid_arg "Machine.step: process already completed";
+  Stepper.step_record t ~pid
 
 let crash = Stepper.crash
-
-let run_while_local t ~pid ~cap =
-  let rec loop taken =
-    if taken < cap && (not (completed t ~pid)) && not (poised_rmr t ~pid) then begin
-      ignore (step t ~pid);
-      loop (taken + 1)
-    end
-    else taken
-  in
-  loop 0
 
 let run_to_completion t ~pid ~cap ~on_step =
   let rec loop taken =

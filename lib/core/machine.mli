@@ -4,32 +4,31 @@
     RMR-incurring step). The adversary peeks at poised operations, runs
     chosen steps and crash steps, and runs processes to completion —
     the moves of the proof's schedule construction. Every process starts
-    poised at the top of its entry section. *)
+    poised at the top of its entry section.
 
-type phase = In_entry | In_cs | In_exit | In_recovery | Completed
-
-type step_info = {
-  loc : Rme_memory.Memory.loc;
-  op : Rme_memory.Op.t;
-  old_value : int;
-  new_value : int;
-  rmr : bool;
-}
+    A machine is a stepper: its sections and step records are
+    {!Rme_sim.Trace}'s, and a trace attached at {!create} receives its
+    events exactly as a harness run's does. *)
 
 type t
 
 val create :
+  ?trace:Rme_sim.Trace.t ->
   n:int ->
   width:int ->
   model:Rme_memory.Rmr.model ->
   Rme_sim.Lock_intf.factory ->
   t
+(** [trace], if given, records every step and crash step
+    ({!Rme_sim.Stepper.create}). *)
 
 val memory : t -> Rme_memory.Memory.t
 val rmr : t -> Rme_memory.Rmr.t
 val n : t -> int
 
-val phase : t -> pid:int -> phase
+val phase : t -> pid:int -> Rme_sim.Trace.section
+(** The section the process is in, resolving pending transitions
+    first; [Remainder] once it has completed. *)
 
 val completed : t -> pid:int -> bool
 
@@ -40,7 +39,7 @@ val peek : t -> pid:int -> (Rme_memory.Memory.loc * Rme_memory.Op.t) option
 val poised_rmr : t -> pid:int -> bool
 (** Whether the poised operation would incur an RMR right now. *)
 
-val step : t -> pid:int -> step_info
+val step : t -> pid:int -> Rme_sim.Trace.step
 (** Execute the poised operation. Raises [Invalid_argument] on a
     completed process. *)
 
@@ -48,13 +47,8 @@ val crash : t -> pid:int -> unit
 (** Crash step ({!Rme_sim.Stepper.crash}). Pending phase transitions
     are not resolved first. *)
 
-val run_while_local : t -> pid:int -> cap:int -> int
-(** Execute steps of [pid] as long as they would {e not} incur an RMR
-    (the setup phase of a round), at most [cap] of them; returns how many
-    were taken. Stops early when the process completes or becomes poised
-    on an RMR-incurring step. *)
-
-val run_to_completion : t -> pid:int -> cap:int -> on_step:(step_info -> unit) -> bool
+val run_to_completion :
+  t -> pid:int -> cap:int -> on_step:(Rme_sim.Trace.step -> unit) -> bool
 (** Run [pid] until its super-passage completes (entry, one CS step,
     exit), calling [on_step] on every shared-memory step. Returns [false]
     if the cap was exhausted first (the process is blocked on someone). *)

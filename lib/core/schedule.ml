@@ -1,5 +1,6 @@
 module Intset = Rme_util.Intset
 module Op = Rme_memory.Op
+module Trace = Rme_sim.Trace
 
 type context = {
   n : int;
@@ -31,13 +32,13 @@ let diverged fmt = Printf.ksprintf (fun m -> raise (Diverged m)) fmt
 
 type play = {
   m : Machine.t;
-  mutable visible : (int, Intset.t) Hashtbl.t;
+  visible : (int, Intset.t) Hashtbl.t;
   mutable checked : int;
 }
 
-let fresh_play ctx =
+let fresh_play ?trace ctx =
   {
-    m = Machine.create ~n:ctx.n ~width:ctx.width ~model:ctx.model ctx.factory;
+    m = Machine.create ?trace ~n:ctx.n ~width:ctx.width ~model:ctx.model ctx.factory;
     visible = Hashtbl.create 256;
     checked = 0;
   }
@@ -45,49 +46,43 @@ let fresh_play ctx =
 let visible_at play loc =
   Option.value ~default:Intset.empty (Hashtbl.find_opt play.visible loc)
 
-let update_visible play ~pid ~loc ~op ~old_value =
-  match op with
+let update_visible play (s : Trace.step) =
+  match s.op with
   | Op.Read -> ()
-  | Op.Write _ | Op.Fas _ -> Hashtbl.replace play.visible loc (Intset.singleton pid)
+  | Op.Write _ | Op.Fas _ -> Hashtbl.replace play.visible s.loc (Intset.singleton s.pid)
   | Op.Cas { expected; _ } ->
-      if old_value = expected then
-        Hashtbl.replace play.visible loc (Intset.singleton pid)
+      if s.old_value = expected then
+        Hashtbl.replace play.visible s.loc (Intset.singleton s.pid)
   | Op.Faa _ | Op.Rmw _ ->
-      Hashtbl.replace play.visible loc (Intset.add pid (visible_at play loc))
+      Hashtbl.replace play.visible s.loc (Intset.add s.pid (visible_at play s.loc))
 
 let do_local play ~pid =
-  let info = Machine.step play.m ~pid in
-  if info.Machine.rmr then
-    diverged "local step of p%d incurred an RMR" pid;
-  update_visible play ~pid ~loc:info.Machine.loc ~op:info.Machine.op
-    ~old_value:info.Machine.old_value;
-  info
+  let s = Machine.step play.m ~pid in
+  if s.rmr then diverged "local step of p%d incurred an RMR" pid;
+  update_visible play s;
+  s
 
 let do_step play ~pid ~hidden_as =
-  let info = Machine.step play.m ~pid in
+  let s = Machine.step play.m ~pid in
   (match hidden_as with
-  | [] ->
-      update_visible play ~pid ~loc:info.Machine.loc ~op:info.Machine.op
-        ~old_value:info.Machine.old_value
+  | [] -> update_visible play s
   | v ->
       (* Officially, the crash-bound A-processes produced this value. *)
-      Hashtbl.replace play.visible info.Machine.loc
+      Hashtbl.replace play.visible s.loc
         (List.fold_left (fun acc p -> Intset.add p acc) Intset.empty v));
-  info
+  s
 
 let do_complete play ctx ~pid ~on_step =
   let count = ref 0 in
   let ok =
-    Machine.run_to_completion play.m ~pid ~cap:ctx.completion_cap
-      ~on_step:(fun info ->
+    Machine.run_to_completion play.m ~pid ~cap:ctx.completion_cap ~on_step:(fun s ->
         incr count;
-        update_visible play ~pid ~loc:info.Machine.loc ~op:info.Machine.op
-          ~old_value:info.Machine.old_value;
-        on_step info)
+        update_visible play s;
+        on_step s)
   in
   (ok, !count)
 
-let exec_replay play ctx ?(on_event = fun ~pid:_ _ -> ()) (d, r) =
+let exec_replay play ctx (d, r) =
   match (d, r) with
   | D_local pid, R_local expected ->
       let taken = ref 0 in
@@ -99,8 +94,7 @@ let exec_replay play ctx ?(on_event = fun ~pid:_ _ -> ()) (d, r) =
             if Machine.poised_rmr play.m ~pid || !taken >= expected then
               continue := false
             else begin
-              let info = do_local play ~pid in
-              on_event ~pid info;
+              ignore (do_local play ~pid);
               incr taken
             end
       done;
@@ -109,17 +103,14 @@ let exec_replay play ctx ?(on_event = fun ~pid:_ _ -> ()) (d, r) =
           expected;
       play.checked <- play.checked + 1
   | D_step { pid; hidden_as }, R_step { loc; old_value } ->
-      let info = do_step play ~pid ~hidden_as in
-      on_event ~pid info;
-      if info.Machine.loc <> loc || info.Machine.old_value <> old_value then
-        diverged "replay: p%d observed (R%d, %d), expected (R%d, %d)" pid
-          info.Machine.loc info.Machine.old_value loc old_value;
+      let s = do_step play ~pid ~hidden_as in
+      if s.loc <> loc || s.old_value <> old_value then
+        diverged "replay: p%d observed (R%d, %d), expected (R%d, %d)" pid s.loc
+          s.old_value loc old_value;
       play.checked <- play.checked + 1
   | D_crash pid, R_crash -> Machine.crash play.m ~pid
   | D_complete pid, R_complete expected ->
-      let ok, count =
-        do_complete play ctx ~pid ~on_step:(fun info -> on_event ~pid info)
-      in
+      let ok, count = do_complete play ctx ~pid ~on_step:ignore in
       if not ok then diverged "replay: p%d did not complete" pid;
       if count <> expected then
         diverged "replay: p%d completed in %d steps, expected %d" pid count
@@ -131,39 +122,13 @@ let exec_replay play ctx ?(on_event = fun ~pid:_ _ -> ()) (d, r) =
   | D_complete _, (R_local _ | R_step _ | R_crash) ->
       diverged "replay: directive/record mismatch"
 
-let replay ctx ?(keep = fun _ -> true) ?on_event directives =
-  let play = fresh_play ctx in
-  Array.iter
-    (fun dr ->
-      if keep (pid_of_directive (fst dr)) then exec_replay play ctx ?on_event dr)
-    directives;
-  play
-
 let reset_play play =
   Machine.reset play.m;
   Hashtbl.reset play.visible;
   play.checked <- 0
 
-let replay_into play ctx ?(keep = fun _ -> true) ?on_event directives =
+let replay play ctx ?(keep = fun _ -> true) directives =
   reset_play play;
   Rme_util.Vec.iter
-    (fun dr ->
-      if keep (pid_of_directive (fst dr)) then exec_replay play ctx ?on_event dr)
+    (fun dr -> if keep (pid_of_directive (fst dr)) then exec_replay play ctx dr)
     directives
-
-type play_snapshot = {
-  ps_machine : Machine.snapshot;
-  ps_visible : (int, Intset.t) Hashtbl.t;
-}
-
-let snapshot_play play =
-  {
-    ps_machine = Machine.snapshot play.m;
-    ps_visible = Hashtbl.copy play.visible;
-  }
-
-let restore_play play s =
-  Machine.restore play.m s.ps_machine;
-  (* The snapshot's table stays pristine: hand the play a copy. *)
-  play.visible <- Hashtbl.copy s.ps_visible;
-  play.checked <- 0

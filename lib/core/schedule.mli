@@ -46,65 +46,42 @@ exception Diverged of string
     still learn about. *)
 type play = {
   m : Machine.t;
-  mutable visible : (int, Rme_util.Intset.t) Hashtbl.t;
+  visible : (int, Rme_util.Intset.t) Hashtbl.t;
   mutable checked : int;  (** record assertions verified *)
 }
 
-val fresh_play : context -> play
+val fresh_play : ?trace:Rme_sim.Trace.t -> context -> play
+(** A play on a new machine; [trace], if given, records every step and
+    crash step of it ({!Machine.create}), and is emptied on every
+    {!reset_play}. *)
 
 val visible_at : play -> int -> Rme_util.Intset.t
 
-val do_local : play -> pid:int -> Machine.step_info
+val do_local : play -> pid:int -> Rme_sim.Trace.step
 (** One setup-phase step; raises [Diverged] if it incurs an RMR. *)
 
-val do_step : play -> pid:int -> hidden_as:int list -> Machine.step_info
+val do_step : play -> pid:int -> hidden_as:int list -> Rme_sim.Trace.step
 
 val do_complete :
   play ->
   context ->
   pid:int ->
-  on_step:(Machine.step_info -> unit) ->
+  on_step:(Rme_sim.Trace.step -> unit) ->
   bool * int
 (** Run to completion under the context's cap; returns (completed,
     steps). Updates visibility for every step. *)
-
-val exec_replay :
-  play ->
-  context ->
-  ?on_event:(pid:int -> Machine.step_info -> unit) ->
-  directive * record ->
-  unit
-(** Re-execute one recorded directive, asserting its record. *)
-
-val replay :
-  context ->
-  ?keep:(int -> bool) ->
-  ?on_event:(pid:int -> Machine.step_info -> unit) ->
-  (directive * record) array ->
-  play
-(** Replay a whole schedule from a fresh machine, skipping directives of
-    processes for which [keep] is false (default: keep everyone). *)
 
 val reset_play : play -> unit
 (** Return the play to its just-created state in place ([Machine.reset]
     plus an empty visibility map), without building a new machine. *)
 
-val replay_into :
+val replay :
   play ->
   context ->
   ?keep:(int -> bool) ->
-  ?on_event:(pid:int -> Machine.step_info -> unit) ->
   (directive * record) Rme_util.Vec.t ->
   unit
-(** [replay] into an existing play: resets it, then re-executes the kept
-    directives, asserting every record ([play.checked] counts them).
-    Reads the committed schedule directly, with no array copy. *)
-
-type play_snapshot
-(** A play at a point in time: machine snapshot plus visibility map. *)
-
-val snapshot_play : play -> play_snapshot
-
-val restore_play : play -> play_snapshot -> unit
-(** Restore the machine and visibility map. [checked] is reset to 0 —
-    a restore verifies nothing; only executed replays count. *)
+(** Reset the play, then re-execute the directives of the processes for
+    which [keep] holds (default: everyone), asserting every record
+    ([play.checked] counts them). Raises [Diverged] on the first
+    mismatch. *)

@@ -1,5 +1,8 @@
 module Intset = Rme_util.Intset
+module Vec = Rme_util.Vec
 module Memory = Rme_memory.Memory
+module Op = Rme_memory.Op
+module Trace = Rme_sim.Trace
 module Rmr = Rme_memory.Rmr
 module Cache = Rme_memory.Cache
 
@@ -26,11 +29,26 @@ let subsets set =
     (fun acc e -> acc @ List.map (fun s -> Intset.add e s) acc)
     [ Intset.empty ] elems
 
-type column_obs = {
-  col : Intset.t;
-  values : int array;
-  checked : int;
+type column_obs = { col : Intset.t; values : int array }
+
+(* What (I3)/(I9) compare between a column and the maximal schedule.
+   Poised operations are compared by location and operation name:
+   arbitrary RMW operations carry closures, which are not structurally
+   comparable. *)
+type proc_state = {
+  phase : Trace.section;
+  poised : (int * string) option;
+  rmrs : int;
+  cache : Intset.t option;
 }
+
+let proc_state m p =
+  {
+    phase = Machine.phase m ~pid:p;
+    poised = Option.map (fun (loc, op) -> (loc, Op.name op)) (Machine.peek m ~pid:p);
+    rmrs = Machine.total_rmrs m ~pid:p;
+    cache = Option.map (fun c -> Cache.valid_set c ~pid:p) (Rmr.cache (Machine.rmr m));
+  }
 
 let check ?(max_actives = 10) (sched : Adversary.committed_schedule) =
   let ctx = sched.Adversary.ctx in
@@ -41,55 +59,37 @@ let check ?(max_actives = 10) (sched : Adversary.committed_schedule) =
   let rounds_checked = ref 0 in
   let columns_checked = ref 0 in
   let assertions = ref 0 in
+  (* Every column of every round replays on this one play; its trace
+     holds the events of the last replay only. *)
+  let trace = Trace.create () in
+  let play = Schedule.fresh_play ~trace ctx in
+  let m = play.Schedule.m in
+  let mem = Machine.memory m in
   List.iteri
     (fun idx meta ->
       let round = idx + 1 in
       let active = meta.Adversary.meta_active in
       let finished = meta.Adversary.meta_finished in
-      let removed = meta.Adversary.meta_removed in
       if Intset.cardinal active <= max_actives then begin
         incr rounds_checked;
-        let prefix = Array.sub sched.Adversary.directives 0 meta.Adversary.boundary in
-        ignore removed;
+        let prefix =
+          Vec.of_array (Array.sub sched.Adversary.directives 0 meta.Adversary.boundary)
+        in
+        let run_column col =
+          Schedule.replay play ctx ~keep:(fun p -> Intset.mem p col) prefix
+        in
         (* Maximal column first. *)
         let s_max = Intset.union active finished in
-        let run_column col =
-          let i8_events = ref [] in
-          let play =
-            Schedule.replay ctx
-              ~keep:(fun p -> Intset.mem p col)
-              ~on_event:(fun ~pid info -> i8_events := (pid, info.Machine.loc) :: !i8_events)
-              prefix
-          in
-          (play, !i8_events)
-        in
         match run_column s_max with
         | exception Schedule.Diverged d ->
             violate ~round ~invariant:"I3" ~column:s_max
               (Printf.sprintf "maximal replay diverged: %s" d)
-        | play_max, _ ->
-            let mem_max = Machine.memory play_max.Schedule.m in
-            let max_values = Memory.snapshot mem_max in
+        | () ->
+            let max_values = Memory.snapshot mem in
             let num_locs = Array.length max_values in
-            let last_acc =
-              Array.init num_locs (fun l -> Memory.last_accessor mem_max l)
-            in
-            let max_phase p = Machine.phase play_max.Schedule.m ~pid:p in
-            (* Compare poised operations by location and operation name:
-               arbitrary RMW operations carry closures, which are not
-               structurally comparable. *)
-            let peek_key m p =
-              Option.map
-                (fun (loc, op) -> (loc, Rme_memory.Op.name op))
-                (Machine.peek m ~pid:p)
-            in
-            let max_peek p = peek_key play_max.Schedule.m p in
-            let max_rmrs p = Machine.total_rmrs play_max.Schedule.m ~pid:p in
-            let max_cache p =
-              match Rmr.cache (Machine.rmr play_max.Schedule.m) with
-              | Some c -> Some (Cache.valid_set c ~pid:p)
-              | None -> None
-            in
+            let last_acc = Array.init num_locs (fun l -> Memory.last_accessor mem l) in
+            let max_state = Hashtbl.create 16 in
+            Intset.iter (fun p -> Hashtbl.replace max_state p (proc_state m p)) active;
             let observations = ref [] in
             List.iter
               (fun t ->
@@ -99,21 +99,22 @@ let check ?(max_actives = 10) (sched : Adversary.committed_schedule) =
                 | exception Schedule.Diverged d ->
                     violate ~round ~invariant:"I3" ~column:col
                       (Printf.sprintf "replay diverged: %s" d)
-                | play, i8_events ->
+                | () ->
                     assertions := !assertions + play.Schedule.checked;
-                    let m = play.Schedule.m in
                     (* I8 (DSM): owner-exclusive access to active-owned
                        objects, in every column. *)
                     if ctx.Schedule.model = Rmr.Dsm then
-                      List.iter
-                        (fun (pid, loc) ->
-                          match Memory.owner (Machine.memory m) loc with
-                          | Some o when Intset.mem o active && o <> pid ->
-                              violate ~round ~invariant:"I8" ~column:col
-                                (Printf.sprintf "p%d accessed R%d owned by active p%d"
-                                   pid loc o)
-                          | Some _ | None -> ())
-                        i8_events;
+                      Trace.iter
+                        (function
+                          | Trace.Step { pid; loc; _ } -> (
+                              match Memory.owner mem loc with
+                              | Some o when Intset.mem o active && o <> pid ->
+                                  violate ~round ~invariant:"I8" ~column:col
+                                    (Printf.sprintf "p%d accessed R%d owned by active p%d"
+                                       pid loc o)
+                              | Some _ | None -> ())
+                          | Trace.Crash _ -> ())
+                        trace;
                     (* I4 / I6 / I7 / I10 / I3 / I9, per kept process. *)
                     Intset.iter
                       (fun p ->
@@ -134,38 +135,31 @@ let check ?(max_actives = 10) (sched : Adversary.committed_schedule) =
                           violate ~round ~invariant:"I7" ~column:col
                             (Printf.sprintf "unfinished p%d entered the CS" p);
                         if Intset.mem p t then begin
-                          if Machine.total_rmrs m ~pid:p < round then
+                          let st = proc_state m p and mx = Hashtbl.find max_state p in
+                          if st.rmrs < round then
                             violate ~round ~invariant:"I10" ~column:col
-                              (Printf.sprintf "active p%d has %d RMRs in round %d"
-                                 p
-                                 (Machine.total_rmrs m ~pid:p)
-                                 round);
-                          if Machine.phase m ~pid:p <> max_phase p then
+                              (Printf.sprintf "active p%d has %d RMRs in round %d" p
+                                 st.rmrs round);
+                          if st.phase <> mx.phase then
                             violate ~round ~invariant:"I3" ~column:col
                               (Printf.sprintf "p%d phase differs from maximal" p);
-                          if peek_key m p <> max_peek p then
+                          if st.poised <> mx.poised then
                             violate ~round ~invariant:"I3" ~column:col
                               (Printf.sprintf "p%d poised op differs from maximal" p);
-                          if Machine.total_rmrs m ~pid:p <> max_rmrs p then
+                          if st.rmrs <> mx.rmrs then
                             violate ~round ~invariant:"I9" ~column:col
                               (Printf.sprintf "p%d RMR count differs from maximal" p);
-                          match (Rmr.cache (Machine.rmr m), max_cache p) with
-                          | Some c, Some vmax ->
-                              if not (Intset.equal (Cache.valid_set c ~pid:p) vmax)
-                              then
+                          match (st.cache, mx.cache) with
+                          | Some c, Some cmax ->
+                              if not (Intset.equal c cmax) then
                                 violate ~round ~invariant:"I9" ~column:col
                                   (Printf.sprintf "p%d cache set differs from maximal"
                                      p)
-                          | None, None -> ()
-                          | Some _, None | None, Some _ -> ()
+                          | None, None | Some _, None | None, Some _ -> ()
                         end)
                       col;
                     observations :=
-                      {
-                        col;
-                        values = Memory.snapshot (Machine.memory m);
-                        checked = play.Schedule.checked;
-                      }
+                      { col; values = Memory.snapshot mem }
                       :: !observations)
               (subsets active);
             (* I5: per object, column values must take at most two forms:

@@ -191,43 +191,58 @@ let e4_families : (string * (y:int -> Rme_core.Partite.edge -> int)) list =
         Array.fold_left (fun acc p -> acc lxor (p land 1)) y e);
   ]
 
+type hiding_trial = {
+  solution : Hiding.t;
+  verified : (unit, string) result;
+  min_hidden : int;
+  query_error : string option;
+}
+
+let hiding_trial p ~m ~f ~seed ~trials =
+  let gsize = Hiding.min_group_size p in
+  let groups = Array.init m (fun i -> Array.init gsize (fun j -> (i * gsize) + j)) in
+  let solution = Hiding.solve p ~groups ~f ~y0:0 in
+  let rng = Splitmix.create seed in
+  let v = Hiding.all_v solution in
+  let budget = int_of_float (p.Hiding.delta *. float_of_int (Intset.cardinal v)) in
+  let pool = Array.concat (Array.to_list groups) in
+  let min_hidden = ref max_int and query_error = ref None in
+  for _ = 1 to trials do
+    Splitmix.shuffle rng pool;
+    let d =
+      Array.sub pool 0 (Splitmix.int rng (budget + 1))
+      |> Array.fold_left (fun acc x -> Intset.add x acc) Intset.empty
+    in
+    let hs = Hiding.query solution ~d in
+    min_hidden := min !min_hidden (List.length hs);
+    match (Hiding.verify_query solution ~f ~d hs, !query_error) with
+    | Error e, None -> query_error := Some e
+    | Ok (), _ | Error _, Some _ -> ()
+  done;
+  {
+    solution;
+    verified = Hiding.verify solution ~f;
+    min_hidden = !min_hidden;
+    query_error = !query_error;
+  }
+
 let e4_hiding_lemma ~engine ?(seed = 99) ?(m = 3) ?(trials = 50) () =
   let p = Hiding.paper_params ~ell:1 ~delta:1.0 in
   let gsize = Hiding.min_group_size p in
-  let groups = Array.init m (fun i -> Array.init gsize (fun j -> (i * gsize) + j)) in
   (* Each family is an independent solve + adversarial-query trial run
      (with its own RNG from [seed]): one parallel task per family. *)
   let rows =
     Engine.map engine
       (fun (name, f) ->
-        let sol = Hiding.solve p ~groups ~f ~y0:0 in
-        let verified =
-          match Hiding.verify sol ~f with Ok () -> "ok" | Error e -> "FAIL: " ^ e
-        in
-        let rng = Splitmix.create seed in
-        let v = Hiding.all_v sol in
-        let budget = int_of_float (p.Hiding.delta *. float_of_int (Intset.cardinal v)) in
-        let pool = Array.concat (Array.to_list groups) in
-        let min_id = ref max_int in
-        let query_ok = ref true in
-        for _ = 1 to trials do
-          Splitmix.shuffle rng pool;
-          let d =
-            Array.sub pool 0 (Splitmix.int rng (budget + 1))
-            |> Array.fold_left (fun acc x -> Intset.add x acc) Intset.empty
-          in
-          let hs = Hiding.query sol ~d in
-          min_id := min !min_id (List.length hs);
-          if Hiding.verify_query sol ~f ~d hs <> Ok () then query_ok := false
-        done;
+        let r = hiding_trial p ~m ~f ~seed ~trials in
         texts
           [
             name;
-            string_of_int (Array.length sol.Hiding.groups);
-            verified;
-            string_of_int !min_id;
+            string_of_int (Array.length r.solution.Hiding.groups);
+            (match r.verified with Ok () -> "ok" | Error e -> "FAIL: " ^ e);
+            string_of_int r.min_hidden;
             Printf.sprintf "%.1f" (float_of_int m /. 2.0);
-            (if !query_ok then "ok" else "FAIL");
+            (if r.query_error = None then "ok" else "FAIL");
           ])
       e4_families
   in

@@ -38,6 +38,25 @@ val e4_families : (string * (y:int -> Rme_core.Partite.edge -> int)) list
 (** The operation families experiment E4 exercises the Process-Hiding
     Lemma with, as [f_y] functions on step tuples. *)
 
+type hiding_trial = {
+  solution : Rme_core.Hiding.t;
+  verified : (unit, string) result;  (** {!Rme_core.Hiding.verify}. *)
+  min_hidden : int;  (** Least [|I_D|] over the discovery sets. *)
+  query_error : string option;  (** The first query that failed to verify. *)
+}
+
+val hiding_trial :
+  Rme_core.Hiding.params ->
+  m:int ->
+  f:(y:int -> Rme_core.Partite.edge -> int) ->
+  seed:int ->
+  trials:int ->
+  hiding_trial
+(** Solve a Process-Hiding instance of [m] groups of the minimum size,
+    then query it with [trials] random discovery sets within the
+    [delta] budget, drawn from a generator seeded with [seed]: the
+    routine behind E4 and [rme lemma]. *)
+
 val e1_lock_landscape :
   engine:Engine.t -> ?seed:int -> ?width:int -> ?ns:int list -> unit -> outcome
 

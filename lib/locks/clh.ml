@@ -23,11 +23,11 @@ let make memory ~n =
            p is p's; the dummy and rotated cells migrate, so ownership is
            only the initial assignment (CLH is a CC-model lock). *)
         let owner = if i >= 1 && i <= n then Some (i - 1) else None in
-        Memory.alloc_named ?owner memory ~name:(fun () -> Printf.sprintf "clh.cell[%d]" i) ~init:0)
+        Memory.alloc ?owner memory ~init:0)
   in
   let t =
     {
-      tail = Memory.alloc memory ~name:"clh.tail" ~init:0;
+      tail = Memory.alloc memory ~init:0;
       cells;
       my_cell = Array.init n (fun p -> p + 1);
       pred_cell = Array.make n (n + 1);

@@ -24,31 +24,19 @@ type t = {
 let make memory ~n =
   let t =
     {
-      epoch = Memory.alloc memory ~name:"emcs.epoch" ~init:1;
-      reset_done = Memory.alloc memory ~name:"emcs.reset_done" ~init:1;
-      cleaner_for = Memory.alloc memory ~name:"emcs.cleaner_for" ~init:1;
-      owner = Memory.alloc memory ~name:"emcs.owner" ~init:0;
-      tail = Memory.alloc memory ~name:"emcs.tail" ~init:nil;
+      epoch = Memory.alloc memory ~init:1;
+      reset_done = Memory.alloc memory ~init:1;
+      cleaner_for = Memory.alloc memory ~init:1;
+      owner = Memory.alloc memory ~init:0;
+      tail = Memory.alloc memory ~init:nil;
       locked =
-        Array.init n (fun p ->
-            Memory.alloc_named memory ~owner:p
-              ~name:(fun () -> Printf.sprintf "emcs.locked[%d]" p)
-              ~init:0);
+        Array.init n (fun p -> Memory.alloc memory ~owner:p ~init:0);
       next =
-        Array.init n (fun p ->
-            Memory.alloc_named memory ~owner:p
-              ~name:(fun () -> Printf.sprintf "emcs.next[%d]" p)
-              ~init:nil);
+        Array.init n (fun p -> Memory.alloc memory ~owner:p ~init:nil);
       status =
-        Array.init n (fun p ->
-            Memory.alloc_named memory ~owner:p
-              ~name:(fun () -> Printf.sprintf "emcs.status[%d]" p)
-              ~init:st_idle);
+        Array.init n (fun p -> Memory.alloc memory ~owner:p ~init:st_idle);
       detached =
-        Array.init n (fun p ->
-            Memory.alloc_named memory ~owner:p
-              ~name:(fun () -> Printf.sprintf "emcs.detached[%d]" p)
-              ~init:0);
+        Array.init n (fun p -> Memory.alloc memory ~owner:p ~init:0);
     }
   in
   (* Bring the queue up to date with the current epoch: elect one

@@ -74,28 +74,16 @@ let make_with_arity ~arity memory ~n =
   let nodes =
     Array.init levels (fun k ->
         let count = ((n + (pow.(k) * b) - 1) / (pow.(k) * b)) in
-        Array.init count (fun j ->
+        Array.init count (fun _ ->
             {
-              mask =
-                Memory.alloc_named memory ~name:(fun () -> Printf.sprintf "km.mask[%d][%d]" k j)
-                  ~init:0;
-              owner =
-                Memory.alloc_named memory ~name:(fun () -> Printf.sprintf "km.owner[%d][%d]" k j)
-                  ~init:0;
+              mask = Memory.alloc memory ~init:0;
+              owner = Memory.alloc memory ~init:0;
               who =
-                Array.init b (fun s ->
-                    Array.init pid_chunks (fun c ->
-                        Memory.alloc_named memory
-                          ~name:(fun () -> Printf.sprintf "km.who[%d][%d][%d].%d" k j s c)
-                          ~init:0));
+                Array.init b (fun _ -> Memory.alloc_array memory ~init:0 ~len:pid_chunks);
             }))
   in
-  let per_proc name init =
-    Array.init n (fun p ->
-        Array.init levels (fun k ->
-            Memory.alloc_named memory ~owner:p
-              ~name:(fun () -> Printf.sprintf "km.%s[%d][%d]" name p k)
-              ~init))
+  let per_proc init =
+    Array.init n (fun p -> Memory.alloc_array memory ~owner:p ~init ~len:levels)
   in
   let t =
     {
@@ -106,13 +94,10 @@ let make_with_arity ~arity memory ~n =
       pid_chunks;
       nodes;
       pstatus =
-        Array.init n (fun p ->
-            Memory.alloc_named memory ~owner:p
-              ~name:(fun () -> Printf.sprintf "km.pstatus[%d]" p)
-              ~init:st_idle);
-      succ = per_proc "succ" succ_unset;
-      xdone = per_proc "xdone" 0;
-      bell = per_proc "bell" 0;
+        Array.init n (fun p -> Memory.alloc memory ~owner:p ~init:st_idle);
+      succ = per_proc succ_unset;
+      xdone = per_proc 0;
+      bell = per_proc 0;
     }
   in
   let node t ~pid ~k = t.nodes.(k).(node_of t ~pid ~k) in

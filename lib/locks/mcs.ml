@@ -16,15 +16,11 @@ type t = {
 let make memory ~n =
   let t =
     {
-      tail = Memory.alloc memory ~name:"mcs.tail" ~init:nil;
+      tail = Memory.alloc memory ~init:nil;
       locked =
-        Array.init n (fun p ->
-            Memory.alloc_named memory ~owner:p ~name:(fun () -> Printf.sprintf "mcs.locked[%d]" p)
-              ~init:0);
+        Array.init n (fun p -> Memory.alloc memory ~owner:p ~init:0);
       next =
-        Array.init n (fun p ->
-            Memory.alloc_named memory ~owner:p ~name:(fun () -> Printf.sprintf "mcs.next[%d]" p)
-              ~init:nil);
+        Array.init n (fun p -> Memory.alloc memory ~owner:p ~init:nil);
     }
   in
   let entry ~pid =

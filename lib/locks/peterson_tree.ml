@@ -13,15 +13,8 @@ let make memory ~n =
   let t =
     {
       flag =
-        Array.init (nodes + 1) (fun node ->
-            Array.init 2 (fun side ->
-                Memory.alloc_named memory
-                  ~name:(fun () -> Printf.sprintf "peterson.flag[%d][%d]" node side)
-                  ~init:0));
-      victim =
-        Array.init (nodes + 1) (fun node ->
-            Memory.alloc_named memory ~name:(fun () -> Printf.sprintf "peterson.victim[%d]" node)
-              ~init:0);
+        Array.init (nodes + 1) (fun _ -> Memory.alloc_array memory ~init:0 ~len:2);
+      victim = Memory.alloc_array memory ~init:0 ~len:(nodes + 1);
     }
   in
   (* Two-process Peterson acquisition at one node. The wait tests two

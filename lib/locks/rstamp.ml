@@ -24,12 +24,9 @@ let release ~me =
 let make memory ~n =
   let t =
     {
-      lock_word = Memory.alloc memory ~name:"rstamp.lock" ~init:0;
+      lock_word = Memory.alloc memory ~init:0;
       status =
-        Array.init n (fun p ->
-            Memory.alloc_named memory ~owner:p
-              ~name:(fun () -> Printf.sprintf "rstamp.status[%d]" p)
-              ~init:st_idle);
+        Array.init n (fun p -> Memory.alloc memory ~owner:p ~init:st_idle);
     }
   in
   let entry ~pid =

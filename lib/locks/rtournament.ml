@@ -17,12 +17,9 @@ let make memory ~n =
   let t =
     {
       node =
-        Array.init (num + 1) (fun i ->
-            Memory.alloc_named memory ~name:(fun () -> Printf.sprintf "rtour.node[%d]" i) ~init:0);
+Memory.alloc_array memory ~init:0 ~len:(num + 1);
       status =
-        Array.init n (fun p ->
-            Memory.alloc_named memory ~owner:p ~name:(fun () -> Printf.sprintf "rtour.status[%d]" p)
-              ~init:st_idle);
+        Array.init n (fun p -> Memory.alloc memory ~owner:p ~init:st_idle);
     }
   in
   (* Index (exclusive) of the top of the contiguous held segment of

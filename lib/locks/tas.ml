@@ -6,7 +6,7 @@ open Prog.Infix
 type t = { bit : Memory.loc }
 
 let make memory ~n:_ =
-  let bit = Memory.alloc memory ~name:"tas.bit" ~init:0 in
+  let bit = Memory.alloc memory ~init:0 in
   let t = { bit } in
   let rec acquire () =
     let* _ = Prog.await t.bit (fun v -> v = 0) in

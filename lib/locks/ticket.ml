@@ -14,8 +14,8 @@ type t = {
 let make memory ~n =
   let t =
     {
-      next = Memory.alloc memory ~name:"ticket.next" ~init:0;
-      serving = Memory.alloc memory ~name:"ticket.serving" ~init:0;
+      next = Memory.alloc memory ~init:0;
+      serving = Memory.alloc memory ~init:0;
       width = Memory.width memory;
       my_ticket = Array.make n 0;
     }

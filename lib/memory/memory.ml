@@ -4,13 +4,9 @@ module Vec = Rme_util.Vec
 type loc = int
 
 (* [last_accessor] uses -1 for "never accessed" so [apply] stays
-   allocation-free; the option view is built only on query. [name] is a
-   thunk so allocation sites can defer the [Printf.sprintf] formatting —
-   lock constructors mint thousands of cells at large [n], and the name
-   is only ever read by pretty-printers. *)
+   allocation-free; the option view is built only on query. *)
 type cell = {
   owner : int option;
-  name : unit -> string;
   init : int;
   mutable value : int;
   mutable last_accessor : int;
@@ -26,24 +22,17 @@ let width t = t.width
 
 let num_locs t = Vec.length t.cells
 
-let alloc_named ?owner t ~name ~init =
+let alloc ?owner t ~init =
   let init = Bitword.truncate ~width:t.width init in
-  Vec.push t.cells { owner; name; init; value = init; last_accessor = -1 }
+  Vec.push t.cells { owner; init; value = init; last_accessor = -1 }
 
-let alloc ?owner ?(name = "loc") t ~init =
-  alloc_named ?owner t ~name:(fun () -> name) ~init
-
-let alloc_array ?owner ?(name = "arr") t ~init ~len =
-  Array.init len (fun i ->
-      alloc_named ?owner t ~name:(fun () -> Printf.sprintf "%s[%d]" name i) ~init)
+let alloc_array ?owner t ~init ~len = Array.init len (fun _ -> alloc ?owner t ~init)
 
 let cell t loc = Vec.get t.cells loc
 
 let value t loc = (cell t loc).value
 
 let owner t loc = (cell t loc).owner
-
-let loc_name t loc = (cell t loc).name ()
 
 let last_accessor t loc =
   let a = (cell t loc).last_accessor in
@@ -59,12 +48,6 @@ let apply t ~pid loc op =
 let peek_next_value t loc op = Op.next_value ~width:t.width op (value t loc)
 
 let snapshot t = Array.init (num_locs t) (fun i -> (cell t i).value)
-
-let full_snapshot t =
-  Array.init (num_locs t) (fun i ->
-      let c = cell t i in
-      ( c.value,
-        if c.last_accessor < 0 then None else Some c.last_accessor ))
 
 let reset_values t =
   Vec.iter

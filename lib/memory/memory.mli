@@ -29,25 +29,16 @@ val width : t -> int
 
 val num_locs : t -> int
 
-val alloc : ?owner:int -> ?name:string -> t -> init:int -> loc
+val alloc : ?owner:int -> t -> init:int -> loc
 (** Allocate one location. [init] is truncated to the word width. *)
 
-val alloc_named : ?owner:int -> t -> name:(unit -> string) -> init:int -> loc
-(** [alloc] with a lazily formatted name: the thunk runs only when
-    [loc_name] is queried (pretty-printing), never on the allocation or
-    access paths. Lock constructors that mint many cells should use
-    this rather than paying a [Printf.sprintf] per cell up front. *)
-
-val alloc_array : ?owner:int -> ?name:string -> t -> init:int -> len:int -> loc array
-(** Allocate [len] locations sharing a name prefix (names formatted
-    lazily, as with [alloc_named]). *)
+val alloc_array : ?owner:int -> t -> init:int -> len:int -> loc array
+(** Allocate [len] consecutive locations. *)
 
 val value : t -> loc -> int
 (** Current stored value (no RMR bookkeeping — simulator internal). *)
 
 val owner : t -> loc -> int option
-
-val loc_name : t -> loc -> string
 
 val last_accessor : t -> loc -> int option
 (** The process that last applied any operation via [apply], or [None] if
@@ -65,9 +56,6 @@ val peek_next_value : t -> loc -> Op.t -> int
 val snapshot : t -> int array
 (** Values of all locations, for replay comparison. Does not include
     accessor metadata. *)
-
-val full_snapshot : t -> (int * int option) array
-(** Values and last accessors of all locations. *)
 
 val reset_values : t -> unit
 (** Restore every location to its initial value and clear accessor

@@ -56,7 +56,7 @@ let check ~n ~width ~model ~owner trace =
               loc rmr expected_rmr;
           (* Mutual exclusion and critical-section re-entry. *)
           (match section with
-          | Trace.In_cs -> (
+          | Trace.Cs -> (
               match !holder with
               | Some q when q <> pid ->
                   error
@@ -64,9 +64,8 @@ let check ~n ~width ~model ~owner trace =
                      section"
                     !index pid q
               | Some _ | None -> holder := Some pid)
-          | Trace.In_exit ->
-              if !holder = Some pid then holder := None
-          | Trace.In_entry | Trace.In_recovery -> ())
+          | Trace.Exit -> if !holder = Some pid then holder := None
+          | Trace.Remainder | Trace.Entry | Trace.Recovery -> ())
       | Trace.Crash { pid; section = _ } -> (
           match cache with Some c -> Cache.drop_process c ~pid | None -> ()));
       incr index)

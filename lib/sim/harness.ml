@@ -90,12 +90,6 @@ type proc = {
   mutable p_spin_val : int;
 }
 
-let trace_section = function
-  | Stepper.Entry | Stepper.Remainder -> Trace.In_entry (* Remainder: unreachable *)
-  | Stepper.Cs -> Trace.In_cs
-  | Stepper.Exit -> Trace.In_exit
-  | Stepper.Recovery -> Trace.In_recovery
-
 let validate config (factory : Lock_intf.factory) =
   if not (Lock_intf.supports factory ~n:config.n ~width:config.width) then
     invalid_arg
@@ -116,13 +110,13 @@ let validate config (factory : Lock_intf.factory) =
 
 let run config (factory : Lock_intf.factory) =
   validate config factory;
+  let trace = if config.record_trace then Some (Trace.create ()) else None in
   let st =
-    Stepper.create ~n:config.n ~width:config.width ~model:config.model
+    Stepper.create ?trace ~n:config.n ~width:config.width ~model:config.model
       ~superpassages:config.superpassages ~cs:config.cs factory
   in
   let memory = Stepper.memory st and rmr = Stepper.rmr st in
   let sprocs = Stepper.procs st in
-  let trace = if config.record_trace then Some (Trace.create ()) else None in
   let violations = ref [] in
   let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   (* [holder] is the logical lock holder: set when a process first enters
@@ -256,33 +250,19 @@ let run config (factory : Lock_intf.factory) =
         | _ :: _ | [] -> false)
   in
   let do_crash pid =
-    let section = trace_section sprocs.(pid).section in
     end_passage pid;
     Stepper.crash st ~pid;
-    (match trace with
-    | Some t -> Trace.record t (Trace.Crash { pid; section })
-    | None -> ());
     begin_passage pid;
     procs.(pid).p_spin_loc <- -1
   in
-  let trace_step ~pid ~loc ~op ~old_value ~rmr section =
-    match trace with
-    | Some t ->
-        let new_value = Memory.value memory loc in
-        Trace.record t
-          (Trace.Step { pid; loc; op; old_value; new_value; rmr; section })
-    | None -> ()
-  in
-  (* Perform the poised operation of [pid], with CS-RMR accounting,
-     tracing and stutter detection. *)
+  (* Perform the poised operation of [pid], with CS-RMR accounting and
+     stutter detection. *)
   let execute pid =
     let p = procs.(pid) in
     let section = sprocs.(pid).section in
     let loc = Stepper.poised_loc st ~pid and op = Stepper.poised_op st ~pid in
-    let old_value = Memory.value memory loc in
     let rmr = Stepper.step st ~pid in
     if rmr && section = Stepper.Cs then p.p_cs_rmrs <- p.p_cs_rmrs + 1;
-    trace_step ~pid ~loc ~op ~old_value ~rmr (trace_section section);
     if
       Op.is_read op
       && Stepper.poised_loc st ~pid = loc
@@ -386,20 +366,7 @@ let run config (factory : Lock_intf.factory) =
   in
   let do_system_crash () =
     incr sys_crashes;
-    (match (Stepper.lock st).Lock_intf.system_epoch with
-    | Some epoch ->
-        (* The system's epoch increment is a real non-read operation on
-           shared memory: it invalidates cache copies (processes in the
-           remainder may hold one) and appears in the trace. It is
-           attributed to no process's RMR count. *)
-        let old = Memory.apply memory ~pid:0 epoch (Op.Faa 1) in
-        (match Rmr.cache rmr with
-        | Some c ->
-            ignore (Rme_memory.Cache.access c ~pid:0 ~loc:epoch ~is_read:false)
-        | None -> ());
-        trace_step ~pid:0 ~loc:epoch ~op:(Op.Faa 1) ~old_value:old ~rmr:true
-          Trace.In_recovery
-    | None -> ());
+    Stepper.epoch_step st;
     for pid = 0 to config.n - 1 do
       settle pid;
       match sprocs.(pid).section with

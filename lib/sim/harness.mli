@@ -10,7 +10,11 @@
     the exit protocol. The one critical-section step each process performs
     (assumption (A2)) is excluded from the passage's RMR count, since the
     paper measures the RMR complexity of the mutual exclusion protocol
-    itself. *)
+    itself.
+
+    The harness performs no step itself and builds no event: with
+    [record_trace], it attaches a {!Trace.t} to its {!Stepper}, which
+    records every step, crash step and system epoch increment. *)
 
 type policy =
   | Round_robin
@@ -101,7 +105,7 @@ type result = {
   max_passage_rmr : int;  (** Maximum over all passages of all processes. *)
   mean_passage_rmr : float;
   total_crashes : int;
-  trace : Trace.t option;
+  trace : Trace.t option;  (** Every event, when [record_trace] is set. *)
   memory : Rme_memory.Memory.t;
   model : Rme_memory.Rmr.model;
 }

@@ -2,7 +2,8 @@ module Memory = Rme_memory.Memory
 module Op = Rme_memory.Op
 module Rmr = Rme_memory.Rmr
 
-type section = Remainder | Entry | Cs | Exit | Recovery
+type section = Trace.section = Remainder | Entry | Cs | Exit | Recovery
+type step = Trace.step
 type boundary = Begin_superpassage | Enter_cs | Leave_cs | End_superpassage
 
 type proc = {
@@ -21,6 +22,7 @@ type t = {
   cs : pid:int -> attempt:int -> unit Prog.t;
   superpassages : int;
   procs : proc array;
+  trace : Trace.t option;
 }
 
 let fresh superpassages =
@@ -33,21 +35,20 @@ let fresh superpassages =
     cs_entries = 0;
   }
 
-let create ~n ~width ~model ~superpassages ~cs (factory : Lock_intf.factory) =
+let create ?trace ~n ~width ~model ~superpassages ~cs (factory : Lock_intf.factory) =
   let memory = Memory.create ~width in
   let lock = factory.make memory ~n in
-  let cs_loc = Memory.alloc memory ~name:"cs-cell" ~init:0 in
+  let cs_loc = Memory.alloc memory ~init:0 in
   let cs =
     match cs with
     | Some body -> body
     | None -> fun ~pid ~attempt:_ -> Prog.write cs_loc (pid land 1)
   in
   let procs = Array.init n (fun _ -> fresh superpassages) in
-  { memory; rmr = Rmr.create model ~n; lock; cs; superpassages; procs }
+  { memory; rmr = Rmr.create model ~n; lock; cs; superpassages; procs; trace }
 
 let memory t = t.memory
 let rmr t = t.rmr
-let lock t = t.lock
 let n t = Array.length t.procs
 let procs t = t.procs
 
@@ -103,7 +104,18 @@ let record t ~pid loc op =
   Rmr.record t.rmr ~pid ~loc ~owner:(Memory.owner t.memory loc)
     ~is_read:(Op.is_read op)
 
-let step t ~pid =
+let emit t event = match t.trace with Some tr -> Trace.record tr event | None -> ()
+
+(* Emit a step whose operation has just been applied. *)
+let emit_step t ~pid section loc op old_value rmr : step =
+  let new_value = Memory.value t.memory loc in
+  let s = { Trace.pid; loc; op; old_value; new_value; rmr; section } in
+  emit t (Trace.Step s);
+  s
+
+(* Apply the poised operation and resume the program with the value it
+   read; return whether it incurred an RMR. *)
+let apply_poised t ~pid =
   let p = t.procs.(pid) in
   match (p.section, p.prog, p.recovery) with
   | (Entry | Cs | Exit), Prog.Step (loc, op, k), _ ->
@@ -118,15 +130,37 @@ let step t ~pid =
       rmr
   | (Remainder | Entry | Cs | Exit | Recovery), _, _ -> not_poised "Stepper.step"
 
+let step_record t ~pid =
+  let section = t.procs.(pid).section in
+  let loc = poised_loc t ~pid and op = poised_op t ~pid in
+  let old_value = Memory.value t.memory loc in
+  let rmr = apply_poised t ~pid in
+  emit_step t ~pid section loc op old_value rmr
+
+let step t ~pid =
+  match t.trace with None -> apply_poised t ~pid | Some _ -> (step_record t ~pid).rmr
+
 let crash t ~pid =
   let p = t.procs.(pid) in
   if p.section = Remainder then
     invalid_arg "Stepper.crash: process is in the remainder section";
+  emit t (Trace.Crash { pid; section = p.section });
   p.crashes <- p.crashes + 1;
   Rmr.on_crash t.rmr ~pid;
   p.section <- Recovery;
   p.prog <- Prog.Return ();
   p.recovery <- t.lock.recover ~pid
+
+let epoch_step t =
+  match t.lock.system_epoch with
+  | Some loc ->
+      let op = Op.Faa 1 in
+      let old = Memory.apply t.memory ~pid:0 loc op in
+      (match Rmr.cache t.rmr with
+      | Some c -> ignore (Rme_memory.Cache.access c ~pid:0 ~loc ~is_read:false)
+      | None -> ());
+      ignore (emit_step t ~pid:0 Recovery loc op old true)
+  | None -> ()
 
 let assign p q =
   p.section <- q.section;
@@ -139,6 +173,7 @@ let assign p q =
 let reset t =
   Memory.reset_values t.memory;
   Rmr.reset t.rmr;
+  Option.iter Trace.clear t.trace;
   Array.iter (fun p -> assign p (fresh t.superpassages)) t.procs
 
 (* Programs are immutable values ([Prog.t] is a pure free monad), so a

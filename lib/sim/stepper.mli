@@ -7,9 +7,15 @@
     [Rmr.record]. A crash discards the process's continuation (all its
     local state), drops its CC cache and starts the lock's [recover],
     whose answer ({!Lock_intf.resume}) decides where the process
-    resumes. *)
+    resumes. The system's epoch increment on a system-wide crash is a
+    step too ({!epoch_step}).
 
-type section = Remainder | Entry | Cs | Exit | Recovery
+    The stepper is also the only source of {!Trace} events: every step
+    and crash step is recorded into the optional trace fixed at
+    {!create}. With no trace, a step allocates nothing. *)
+
+type section = Trace.section = Remainder | Entry | Cs | Exit | Recovery
+type step = Trace.step
 
 type boundary =
   | Begin_superpassage  (** Remainder to [entry]. *)
@@ -32,6 +38,7 @@ type proc = private {
 type t
 
 val create :
+  ?trace:Trace.t ->
   n:int ->
   width:int ->
   model:Rme_memory.Rmr.model ->
@@ -47,7 +54,6 @@ val create :
 
 val memory : t -> Rme_memory.Memory.t
 val rmr : t -> Rme_memory.Rmr.t
-val lock : t -> Lock_intf.instance
 val n : t -> int
 
 val procs : t -> proc array
@@ -70,16 +76,28 @@ val step : t -> pid:int -> bool
 (** Perform the poised operation; return whether it incurred an RMR.
     Does not settle. Raises [Invalid_argument] if not poised. *)
 
+val step_record : t -> pid:int -> step
+(** [step], returning the step's record. *)
+
 val crash : t -> pid:int -> unit
 (** Crash step. Does not settle first: a process whose program has
     returned crashes before crossing the boundary. Raises
     [Invalid_argument] in the remainder. *)
 
+val epoch_step : t -> unit
+(** The system's increment of the lock's [system_epoch] counter, if it
+    has one, at a system-wide crash: a real [Faa 1] on shared memory
+    that invalidates CC cache copies but is charged to no process's RMR
+    count. It is emitted as a step of process 0 in [Recovery], flagged
+    as an RMR. *)
+
 val reset : t -> unit
 (** Back to the just-created state, without re-running the lock
-    constructor. *)
+    constructor. The attached trace, if any, is emptied. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
+
 val restore : t -> snapshot -> unit
+(** Leaves the attached trace as it is. *)

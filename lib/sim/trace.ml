@@ -1,25 +1,26 @@
 module Vec = Rme_util.Vec
 module Op = Rme_memory.Op
 
-type section = In_entry | In_cs | In_exit | In_recovery
+type section = Remainder | Entry | Cs | Exit | Recovery
 
 let section_name = function
-  | In_entry -> "entry"
-  | In_cs -> "cs"
-  | In_exit -> "exit"
-  | In_recovery -> "recovery"
+  | Remainder -> "remainder"
+  | Entry -> "entry"
+  | Cs -> "cs"
+  | Exit -> "exit"
+  | Recovery -> "recovery"
 
-type event =
-  | Step of {
-      pid : int;
-      loc : Rme_memory.Memory.loc;
-      op : Op.t;
-      old_value : int;
-      new_value : int;
-      rmr : bool;
-      section : section;
-    }
-  | Crash of { pid : int; section : section }
+type step = {
+  pid : int;
+  loc : Rme_memory.Memory.loc;
+  op : Op.t;
+  old_value : int;
+  new_value : int;
+  rmr : bool;
+  section : section;
+}
+
+type event = Step of step | Crash of { pid : int; section : section }
 
 type t = event Vec.t
 
@@ -27,9 +28,9 @@ let create () = Vec.create ()
 
 let record t e = ignore (Vec.push t e)
 
-let length = Vec.length
+let clear = Vec.clear
 
-let get = Vec.get
+let length = Vec.length
 
 let events t = Array.to_list (Vec.to_array t)
 

@@ -1,33 +1,38 @@
-(** Execution traces.
+(** Execution events and traces: the one description of a step, a crash
+    step and a section that the simulator, the adversary's machine and
+    the offline {!Checker} share.
 
-    The scheduler can record every event of a run: each shared-memory step
-    (with its pre/post values and whether it incurred an RMR) and each
-    crash step. Traces feed the lower-bound adversary's replay machinery
-    and the schedule-table invariant checkers, and make failing tests
-    debuggable. *)
+    {!Stepper} records every event of a run into an optional [t]:
+    shared-memory steps (with their pre/post values and whether they
+    incurred an RMR) and crash steps. Traces feed the offline checker
+    and the schedule-table checks, and make failing tests debuggable. *)
 
-type section = In_entry | In_cs | In_exit | In_recovery
+(** Where a process is: [Remainder] between super-passages (and once all
+    are done), otherwise in one of the lock's sections or the critical
+    section. Events never carry [Remainder]. *)
+type section = Remainder | Entry | Cs | Exit | Recovery
 
 val section_name : section -> string
 
-type event =
-  | Step of {
-      pid : int;
-      loc : Rme_memory.Memory.loc;
-      op : Rme_memory.Op.t;
-      old_value : int;
-      new_value : int;
-      rmr : bool;
-      section : section;
-    }
-  | Crash of { pid : int; section : section }
+(** One shared-memory step. *)
+type step = {
+  pid : int;
+  loc : Rme_memory.Memory.loc;
+  op : Rme_memory.Op.t;
+  old_value : int;
+  new_value : int;
+  rmr : bool;
+  section : section;
+}
+
+type event = Step of step | Crash of { pid : int; section : section }
 
 type t
 
 val create : unit -> t
 val record : t -> event -> unit
+val clear : t -> unit
 val length : t -> int
-val get : t -> int -> event
 val events : t -> event list
 val iter : (event -> unit) -> t -> unit
 val pid_of_event : event -> int

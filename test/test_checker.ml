@@ -125,7 +125,7 @@ let test_injected_cs_step_caught () =
         (fun e ->
           Trace.record t' e;
           match e with
-          | Trace.Step ({ section = Trace.In_cs; pid; _ } as s) when not !injected ->
+          | Trace.Step ({ section = Trace.Cs; pid; _ } as s) when not !injected ->
               injected := true;
               Trace.record t'
                 (Trace.Step
@@ -229,6 +229,48 @@ let prop_differential_rmr_totals =
           r.H.ok && checker_ok && trace_rmrs = charged)
         Rmr.all_models)
 
+(* The adversary's end-of-run witness, re-checked independently: replay
+   the committed schedule without the processes the last round had
+   removed, record the stepper's events and run the checker over them.
+   The witness omits the directives of processes dropped at the last
+   commit, so only the rules are checked here, not RMR totals against
+   the adversary's stats. *)
+let test_adversary_witness_validates () =
+  let module A = Rme_core.Adversary in
+  let module S = Rme_core.Schedule in
+  let module Intset = Rme_util.Intset in
+  List.iter
+    (fun (factory : Rme_sim.Lock_intf.factory) ->
+      List.iter
+        (fun model ->
+          List.iter
+            (fun n ->
+              let w = max 8 (factory.min_width ~n) in
+              let r = A.run (A.default_config ~n ~width:w model) factory in
+              let sched = r.A.schedule in
+              let removed =
+                List.fold_left (fun _ m -> m.A.meta_removed) Intset.empty sched.A.metas
+              in
+              let trace = Trace.create () in
+              let play = S.fresh_play ~trace sched.A.ctx in
+              S.replay play sched.A.ctx
+                ~keep:(fun p -> not (Intset.mem p removed))
+                (Rme_util.Vec.of_array sched.A.directives);
+              let memory = Rme_core.Machine.memory play.S.m in
+              let rep =
+                C.check ~n ~width:w ~model ~owner:(Rme_memory.Memory.owner memory) trace
+              in
+              let name =
+                Printf.sprintf "%s n=%d %s" factory.name n (Rmr.model_name model)
+              in
+              if Trace.length trace = 0 then Alcotest.failf "%s: empty witness" name;
+              if not (C.ok rep) then
+                Alcotest.failf "%s: checker errors: %s" name
+                  (String.concat "; " rep.C.errors))
+            [ 8; 64 ])
+        Rmr.all_models)
+    Rme_locks.Registry.recoverable
+
 let suite =
   ( "checker",
     [
@@ -240,6 +282,8 @@ let suite =
       Alcotest.test_case "tampered RMR flag caught" `Quick test_tampered_rmr_caught;
       Alcotest.test_case "injected CS step caught" `Quick test_injected_cs_step_caught;
       Alcotest.test_case "report counts" `Quick test_report_counts;
+      Alcotest.test_case "adversary witness validates" `Quick
+        test_adversary_witness_validates;
       Qc.to_alcotest prop_checker_agrees;
       Qc.to_alcotest prop_differential_rmr_totals;
     ] )

@@ -16,7 +16,7 @@ let broken_lock =
     min_width = (fun ~n:_ -> 1);
     make =
       (fun memory ~n:_ ->
-        let scratch = Memory.alloc memory ~name:"broken.scratch" ~init:0 in
+        let scratch = Memory.alloc memory ~init:0 in
         {
           Lock_intf.entry = (fun ~pid -> Prog.write scratch (pid land 1));
           exit = (fun ~pid -> Prog.write scratch (pid land 1));
@@ -33,7 +33,7 @@ let stuck_lock =
     min_width = (fun ~n:_ -> 1);
     make =
       (fun memory ~n:_ ->
-        let never = Memory.alloc memory ~name:"stuck.never" ~init:0 in
+        let never = Memory.alloc memory ~init:0 in
         {
           Lock_intf.entry =
             (fun ~pid:_ -> Prog.map ignore (Prog.await never (fun v -> v = 1)));
@@ -210,8 +210,8 @@ let test_trace_recorded () =
 
 let test_trace_filter () =
   let t = Rme_sim.Trace.create () in
-  Rme_sim.Trace.record t (Rme_sim.Trace.Crash { pid = 0; section = Rme_sim.Trace.In_entry });
-  Rme_sim.Trace.record t (Rme_sim.Trace.Crash { pid = 1; section = Rme_sim.Trace.In_exit });
+  Rme_sim.Trace.record t (Rme_sim.Trace.Crash { pid = 0; section = Rme_sim.Trace.Entry });
+  Rme_sim.Trace.record t (Rme_sim.Trace.Crash { pid = 1; section = Rme_sim.Trace.Exit });
   let t' = Rme_sim.Trace.filter_pids t ~keep:(fun p -> p = 1) in
   Alcotest.(check int) "filtered" 1 (Rme_sim.Trace.length t')
 

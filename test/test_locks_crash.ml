@@ -125,7 +125,7 @@ let test_cs_crash_reentry () =
           Rme_sim.Trace.iter
             (fun e ->
               (match e with
-              | Rme_sim.Trace.Step { pid = 0; section = Rme_sim.Trace.In_cs; _ } ->
+              | Rme_sim.Trace.Step { pid = 0; section = Rme_sim.Trace.Cs; _ } ->
                   if !cs_step = None then cs_step := Some !idx
               | _ -> ());
               incr idx)

@@ -3,13 +3,14 @@
 module M = Rme_core.Machine
 module Rmr = Rme_memory.Rmr
 module Op = Rme_memory.Op
+module Trace = Rme_sim.Trace
 
 let mk ?(n = 4) ?(w = 16) ?(model = Rmr.Cc) factory = M.create ~n ~width:w ~model factory
 
 let test_initial_phase () =
   let m = mk Rme_locks.Rcas.factory in
   for p = 0 to 3 do
-    Alcotest.(check bool) "in entry" true (M.phase m ~pid:p = M.In_entry);
+    Alcotest.(check bool) "in entry" true (M.phase m ~pid:p = Trace.Entry);
     Alcotest.(check bool) "poised" true (M.peek m ~pid:p <> None)
   done
 
@@ -19,7 +20,7 @@ let test_peek_then_step_consistent () =
   | None -> Alcotest.fail "not poised"
   | Some (loc, _op) ->
       let info = M.step m ~pid:0 in
-      Alcotest.(check int) "same loc" loc info.M.loc
+      Alcotest.(check int) "same loc" loc info.Trace.loc
 
 let test_run_to_completion_solo () =
   let m = mk ~n:1 Rme_locks.Rcas.factory in
@@ -35,11 +36,11 @@ let test_blocked_completion () =
   let m = mk ~n:2 Rme_locks.Rcas.factory in
   (* run p0 until it is in the CS *)
   let guard = ref 0 in
-  while M.phase m ~pid:0 <> M.In_cs && !guard < 100 do
+  while M.phase m ~pid:0 <> Trace.Cs && !guard < 100 do
     ignore (M.step m ~pid:0);
     incr guard
   done;
-  Alcotest.(check bool) "p0 in CS" true (M.phase m ~pid:0 = M.In_cs);
+  Alcotest.(check bool) "p0 in CS" true (M.phase m ~pid:0 = Trace.Cs);
   let ok = M.run_to_completion m ~pid:1 ~cap:500 ~on_step:(fun _ -> ()) in
   Alcotest.(check bool) "p1 blocked" false ok
 
@@ -48,7 +49,7 @@ let test_crash_resets_continuation () =
   ignore (M.step m ~pid:0);
   M.crash m ~pid:0;
   Alcotest.(check int) "crash counted" 1 (M.crashes m ~pid:0);
-  Alcotest.(check bool) "in recovery" true (M.phase m ~pid:0 = M.In_recovery);
+  Alcotest.(check bool) "in recovery" true (M.phase m ~pid:0 = Trace.Recovery);
   (* Recovery must lead back to a completable state. *)
   let ok = M.run_to_completion m ~pid:0 ~cap:1000 ~on_step:(fun _ -> ()) in
   Alcotest.(check bool) "completes after crash" true ok
@@ -63,22 +64,6 @@ let test_crash_drops_cache () =
   (* Totals survive the crash; the cache does not (observable via
      poised_rmr on the lock word read in recovery, which is remote again). *)
   Alcotest.(check int) "totals kept" rmrs_before (M.total_rmrs m ~pid:0)
-
-let test_run_while_local_dsm () =
-  (* In DSM, rcas's first entry step (own status word) is local; the
-     await read of the shared lock word is remote. *)
-  let m = mk ~n:2 ~model:Rmr.Dsm Rme_locks.Rcas.factory in
-  let taken = M.run_while_local m ~pid:0 ~cap:100 in
-  Alcotest.(check int) "one local step" 1 taken;
-  Alcotest.(check bool) "now poised on RMR" true (M.poised_rmr m ~pid:0);
-  Alcotest.(check int) "no RMRs incurred" 0 (M.total_rmrs m ~pid:0)
-
-let test_run_while_local_cc () =
-  (* In CC, every write is remote: the status write is already an RMR. *)
-  let m = mk ~n:2 ~model:Rmr.Cc Rme_locks.Rcas.factory in
-  let taken = M.run_while_local m ~pid:0 ~cap:100 in
-  Alcotest.(check int) "no local steps" 0 taken;
-  Alcotest.(check bool) "poised on RMR" true (M.poised_rmr m ~pid:0)
 
 let test_step_on_completed_rejected () =
   let m = mk ~n:1 Rme_locks.Rcas.factory in
@@ -112,7 +97,6 @@ let test_all_complete_sequentially () =
    and every per-process total. *)
 let prop_harness_machine_agree =
   let module H = Rme_sim.Harness in
-  let module Trace = Rme_sim.Trace in
   let locks = Array.of_list Rme_locks.Registry.recoverable in
   QCheck.Test.make ~name:"harness and machine agree step for step" ~count:60
     QCheck.(
@@ -134,22 +118,17 @@ let prop_harness_machine_agree =
           factory
       in
       let m = M.create ~n ~width:w ~model factory in
-      let section_of = function
-        | M.In_entry -> Trace.In_entry
-        | M.In_cs -> Trace.In_cs
-        | M.In_exit -> Trace.In_exit
-        | M.In_recovery | M.Completed -> Trace.In_recovery
-      in
       let agree_event = function
-        | Trace.Step { pid; loc; op; old_value; new_value; rmr; section = _ } ->
-            let i = M.step m ~pid in
-            i.M.loc = loc
-            && Op.name i.M.op = Op.name op
-            && i.M.old_value = old_value && i.M.new_value = new_value && i.M.rmr = rmr
+        | Trace.Step s ->
+            let i = M.step m ~pid:s.pid in
+            i.loc = s.loc
+            && Op.name i.op = Op.name s.op
+            && i.old_value = s.old_value && i.new_value = s.new_value && i.rmr = s.rmr
+            && i.section = s.section
         | Trace.Crash { pid; section } ->
             let ph = M.phase m ~pid in
             M.crash m ~pid;
-            ph <> M.Completed && section_of ph = section
+            ph <> Trace.Remainder && ph = section
       in
       let events = Option.fold ~none:[] ~some:Trace.events r.H.trace in
       List.for_all agree_event events
@@ -168,8 +147,6 @@ let suite =
       Alcotest.test_case "blocked completion hits cap" `Quick test_blocked_completion;
       Alcotest.test_case "crash resets continuation" `Quick test_crash_resets_continuation;
       Alcotest.test_case "crash keeps RMR totals" `Quick test_crash_drops_cache;
-      Alcotest.test_case "run_while_local (DSM)" `Quick test_run_while_local_dsm;
-      Alcotest.test_case "run_while_local (CC)" `Quick test_run_while_local_cc;
       Alcotest.test_case "step after completion rejected" `Quick
         test_step_on_completed_rejected;
       Alcotest.test_case "width checked" `Quick test_width_check;

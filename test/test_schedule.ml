@@ -9,13 +9,19 @@ module T = Rme_core.Schedule_table
 module Rmr = Rme_memory.Rmr
 module Intset = Rme_util.Intset
 
+(* Replay a committed schedule on a new play. *)
+let replay ?keep ctx directives =
+  let play = S.fresh_play ctx in
+  S.replay play ctx ?keep (Rme_util.Vec.of_array directives);
+  play
+
 let committed () =
   let cfg = { (A.default_config ~n:8 ~width:16 Rmr.Cc) with A.k = 4 } in
   (A.run cfg Rme_locks.Rcas.factory).A.schedule
 
 let test_full_replay_consistent () =
   let sched = committed () in
-  let play = S.replay sched.A.ctx sched.A.directives in
+  let play = replay sched.A.ctx sched.A.directives in
   Alcotest.(check bool) "assertions performed" true (play.S.checked > 0)
 
 let test_filtered_replay_consistent () =
@@ -31,7 +37,7 @@ let test_filtered_replay_consistent () =
   | [] -> Alcotest.fail "no actives"
   | z :: _ ->
       let keep p = Intset.mem p (Intset.remove z keepable) in
-      let play = S.replay sched.A.ctx ~keep sched.A.directives in
+      let play = replay sched.A.ctx ~keep sched.A.directives in
       Alcotest.(check bool) "filtered replay ok" true (play.S.checked > 0)
 
 let test_tampered_record_diverges () =
@@ -53,7 +59,7 @@ let test_tampered_record_diverges () =
       directives.(i) <- (d, S.R_step { loc; old_value = old_value + 1 });
       Alcotest.(check bool) "diverges" true
         (try
-           ignore (S.replay sched.A.ctx directives);
+           ignore (replay sched.A.ctx directives);
            false
          with S.Diverged _ -> true)
 
@@ -75,7 +81,7 @@ let test_tampered_directive_diverges () =
          later record (or complete inconsistently). *)
       Alcotest.(check bool) "diverges or reports" true
         (try
-           ignore (S.replay sched.A.ctx directives);
+           ignore (replay sched.A.ctx directives);
            true (* a crash of an inactive-by-then process may be benign *)
          with S.Diverged _ -> true))
 
@@ -125,10 +131,10 @@ let test_visible_tracking () =
   (* Step p0 once (rcas entry: status write) and check visibility. *)
   let info = S.do_step play ~pid:0 ~hidden_as:[] in
   Alcotest.(check bool) "writer visible" true
-    (Intset.mem 0 (S.visible_at play info.Rme_core.Machine.loc));
+    (Intset.mem 0 (S.visible_at play info.Rme_sim.Trace.loc));
   (* A hidden step attributes visibility to the alphas instead. *)
   let info2 = S.do_step play ~pid:1 ~hidden_as:[ 0 ] in
-  let vis = S.visible_at play info2.Rme_core.Machine.loc in
+  let vis = S.visible_at play info2.Rme_sim.Trace.loc in
   Alcotest.(check bool) "hidden stepper invisible" true (not (Intset.mem 1 vis));
   Alcotest.(check bool) "alphas visible" true (Intset.mem 0 vis)
 
