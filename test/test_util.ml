@@ -47,6 +47,61 @@ let test_splitmix_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* The stream is pinned, not just self-consistent: for a few seeds, the
+   first outputs of [next], [int] and [float], a [copy] taken mid-stream,
+   the first outputs of a [split] child, and the parent's next output
+   after the split. Any change to the state representation must keep
+   every value. *)
+let splitmix_pinned =
+  [
+    ( 0,
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ],
+      [ 611; 686; 522 ],
+      [ 0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ],
+      4532161160992623299L,
+      [ -719732798981248245L; -1286135607070441235L ],
+      -884877559730491226L );
+    ( 1,
+      [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L ],
+      [ 58; 190; 512 ],
+      [ 0x1.c133d8d9ae6c7p-1; 0x1.0bcf761e244fp-1 ],
+      5266705631892356520L,
+      [ 6585853074390227385L; -3361085452020680612L ],
+      -3800091893662914666L );
+    ( 42,
+      [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ],
+      [ 941; 812; 265 ],
+      [ 0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1 ],
+      6270620877612482005L,
+      [ -9193056862055361949L; 6972244089387533079L ],
+      -7037763681458882642L );
+    ( -7,
+      [ 7790691224305936752L; 8829294814793142954L; -1715519743840680431L ],
+      [ 472; 788; 265 ],
+      [ 0x1.19eba71f5850bp-1; 0x1.b4b0d3e2abdp-8 ],
+      519180555181236417L,
+      [ 4241452195532470496L; -579669275341328222L ],
+      7396466289114802521L );
+  ]
+
+let test_splitmix_pinned_stream () =
+  List.iter
+    (fun (seed, nexts, ints, floats, copied, split_nexts, after) ->
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      let g = Splitmix.create seed in
+      List.iter (fun v -> Alcotest.(check int64) (name "next") v (Splitmix.next g)) nexts;
+      List.iter (fun v -> Alcotest.(check int) (name "int") v (Splitmix.int g 1000)) ints;
+      List.iter
+        (fun v -> Alcotest.(check (float 0.)) (name "float") v (Splitmix.float g))
+        floats;
+      Alcotest.(check int64) (name "copy") copied (Splitmix.next (Splitmix.copy g));
+      let child = Splitmix.split g in
+      List.iter
+        (fun v -> Alcotest.(check int64) (name "split") v (Splitmix.next child))
+        split_nexts;
+      Alcotest.(check int64) (name "after split") after (Splitmix.next g))
+    splitmix_pinned
+
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
   let rec loop i = i + nl <= hl && (String.sub haystack i nl = needle || loop (i + 1)) in
@@ -116,6 +171,7 @@ let suite =
       Alcotest.test_case "splitmix float range" `Quick test_splitmix_float_range;
       Alcotest.test_case "splitmix copy" `Quick test_splitmix_copy_independent;
       Alcotest.test_case "splitmix shuffle permutes" `Quick test_splitmix_shuffle_permutation;
+      Alcotest.test_case "splitmix pinned stream" `Quick test_splitmix_pinned_stream;
       Alcotest.test_case "table renders" `Quick test_table_render;
       Alcotest.test_case "table arity checked" `Quick test_table_wrong_arity;
       Alcotest.test_case "vec basics" `Quick test_vec_basic;
