@@ -73,6 +73,27 @@ let bechamel_tests () =
         (Rme_core.Machine.run_to_completion m ~pid:p ~cap:10_000 ~on_step:(fun _ -> ()))
     done
   in
+  (* The CC access stream of one KM super-passage at n = 1024, w = 4,
+     replayed through a fresh cache: every process reads dozens of
+     locations spread over ~21k, the footprint the n <= 64 probes miss. *)
+  let cache_stream_run =
+    let module Trace = Rme_sim.Trace in
+    let n = 1024 in
+    let cfg =
+      { (H.default_config ~n ~width:4 Rmr.Cc) with H.superpassages = 1; record_trace = true }
+    in
+    let r = H.run cfg Rme_locks.Katzan_morrison.factory in
+    let events = Trace.events (Option.get r.H.trace) |> Array.of_list in
+    let module Cache = Rme_memory.Cache in
+    fun () ->
+      let c = Cache.create ~n in
+      Array.iter
+        (function
+          | Trace.Step { pid; loc; op; _ } ->
+              ignore (Cache.access c ~pid ~loc ~is_read:(Rme_memory.Op.is_read op))
+          | Trace.Crash { pid; _ } -> Cache.drop_process c ~pid)
+        events
+  in
   [
     Test.make ~name:"harness: mcs n=8 CC"
       (Staged.stage (harness_run Rme_locks.Mcs.factory 8 Rmr.Cc));
@@ -88,6 +109,7 @@ let bechamel_tests () =
       (Staged.stage (adversary_run Rme_locks.Katzan_morrison.factory 64));
     Test.make ~name:"lemma5: complete 3^4" (Staged.stage lemma5_run);
     Test.make ~name:"machine: 8 km completions" (Staged.stage machine_completion);
+    Test.make ~name:"cache: km n=1024 CC stream" (Staged.stage cache_stream_run);
   ]
 
 let pp_ns x =

@@ -1,5 +1,4 @@
 module Intset = Rme_util.Intset
-module Bitset = Rme_util.Bitset
 
 (* Generation/epoch stamping. A copy held by [pid] of [loc] is
    represented by the stamp [(epochs.(pid) lsl gen_bits) lor gens.(loc)]
@@ -7,27 +6,26 @@ module Bitset = Rme_util.Bitset
    expression. Bumping [gens.(loc)] (any non-read) or [epochs.(pid)]
    (a crash) therefore invalidates in O(1) without touching stamps.
 
-   Stamps live in fixed 256-slot pages allocated on first install and
-   initialised to -1 (never a valid stamp, since counters are
-   non-negative). [present.(pid)] tracks pages that may hold live
-   stamps: installs add to it, and only [clear]/[copy_into] — which
-   wipe a page back to all -1 — remove from it, so every valid stamp
-   is inside a present page and [valid_set] scans nothing else. *)
+   Stamps live in one open-addressing table per pid, created on the
+   pid's first read: slot [i] is the pair [tbl.(2i)] (a location, or -1
+   when empty) and [tbl.(2i+1)] (its stamp). Probing is linear from a
+   hashed home slot over a power-of-two capacity. Entries are never
+   deleted one by one — an invalidated copy just keeps a stale stamp —
+   so probes need no tombstones. A table doubles when half full, and
+   the rehash drops stale entries, so its size follows the copies the
+   pid has held rather than the locations that exist. *)
 
-let page_bits = 8
-let page_size = 1 lsl page_bits
-let page_mask = page_size - 1
 let gen_bits = 31
 let gen_mask = (1 lsl gen_bits) - 1
-let empty_page : int array = [||]
+let empty_table : int array = [||]
+let min_slots = 8
 
 type t = {
   n : int;
   epochs : int array; (* pid -> crash epoch *)
   mutable gens : int array; (* loc -> write generation *)
-  mutable num_locs : int; (* locations ever accessed *)
-  rows : int array array array; (* pid -> page index -> stamp page *)
-  present : Bitset.t array; (* pid -> pages possibly holding live stamps *)
+  tables : int array array; (* pid -> interleaved (loc, stamp) slots *)
+  used : int array; (* pid -> occupied slots of its table *)
 }
 
 let create ~n =
@@ -35,9 +33,8 @@ let create ~n =
     n;
     epochs = Array.make n 0;
     gens = Array.make 64 0;
-    num_locs = 0;
-    rows = Array.make n ([||] : int array array);
-    present = Array.init n (fun _ -> Bitset.create ~capacity:32);
+    tables = Array.make n empty_table;
+    used = Array.make n 0;
   }
 
 let n t = t.n
@@ -48,62 +45,85 @@ let ensure_loc t loc =
     let gens = Array.make cap 0 in
     Array.blit t.gens 0 gens 0 (Array.length t.gens);
     t.gens <- gens
-  end;
-  if loc >= t.num_locs then t.num_locs <- loc + 1
+  end
+
+let[@inline] home loc mask =
+  let h = loc * 0x9E3779B1 in
+  (h lxor (h lsr 15)) land mask
+
+(* Index (into [tbl]) of the slot holding [loc], or of the empty slot
+   where it would go. [tbl] is non-empty and at most half full, so the
+   probe stops. *)
+let[@inline] find tbl loc =
+  let mask = (Array.length tbl lsr 1) - 1 in
+  let i = ref (home loc mask) in
+  while
+    let k = Array.unsafe_get tbl (2 * !i) in
+    k <> loc && k <> -1
+  do
+    i := (!i + 1) land mask
+  done;
+  2 * !i
+
+(* Store an entry for [loc], known to be absent, in a table with room. *)
+let insert_absent tbl loc stamp =
+  let j = find tbl loc in
+  tbl.(j) <- loc;
+  tbl.(j + 1) <- stamp
+
+let[@inline] stamp_of t ~pid ~loc = (t.epochs.(pid) lsl gen_bits) lor t.gens.(loc)
+
+(* Move [pid]'s valid entries into a fresh table of [slots] slots,
+   dropping stale ones. *)
+let rehash t ~pid ~slots =
+  let old = t.tables.(pid) in
+  let tbl = Array.make (2 * slots) (-1) in
+  let kept = ref 0 in
+  for i = 0 to (Array.length old lsr 1) - 1 do
+    let loc = old.(2 * i) in
+    if loc >= 0 && old.((2 * i) + 1) = stamp_of t ~pid ~loc then begin
+      insert_absent tbl loc old.((2 * i) + 1);
+      incr kept
+    end
+  done;
+  t.tables.(pid) <- tbl;
+  t.used.(pid) <- !kept
 
 let has_copy t ~pid ~loc =
   loc < Array.length t.gens
   &&
-  let row = t.rows.(pid) in
-  let pi = loc lsr page_bits in
-  pi < Array.length row
+  let tbl = t.tables.(pid) in
+  tbl != empty_table
   &&
-  let page = Array.unsafe_get row pi in
-  page != empty_page
-  && Array.unsafe_get page (loc land page_mask)
-     = (t.epochs.(pid) lsl gen_bits) lor t.gens.(loc)
+  let j = find tbl loc in
+  Array.unsafe_get tbl j = loc
+  && Array.unsafe_get tbl (j + 1) = stamp_of t ~pid ~loc
 
-(* Install slow path: grow the page row and/or materialise the page.
-   Pages wiped by [clear] stay allocated (all -1) and are reused here. *)
-let install t ~pid ~pi ~off ~stamp =
-  let row = t.rows.(pid) in
-  let row =
-    if pi < Array.length row then row
-    else begin
-      let cap = max (pi + 1) (2 * max 4 (Array.length row)) in
-      let row' = Array.make cap empty_page in
-      Array.blit row 0 row' 0 (Array.length row);
-      t.rows.(pid) <- row';
-      row'
-    end
-  in
-  let page = row.(pi) in
-  let page =
-    if page != empty_page then page
-    else begin
-      let p = Array.make page_size (-1) in
-      row.(pi) <- p;
-      p
-    end
-  in
-  page.(off) <- stamp;
-  Bitset.add t.present.(pid) pi
+(* Install slow path: a first read creates the table, and a table at
+   half load doubles after the new entry goes in. *)
+let install_new t ~pid ~loc ~stamp =
+  if t.tables.(pid) == empty_table then t.tables.(pid) <- Array.make (2 * min_slots) (-1);
+  let tbl = t.tables.(pid) in
+  insert_absent tbl loc stamp;
+  let used = t.used.(pid) + 1 in
+  t.used.(pid) <- used;
+  let slots = Array.length tbl lsr 1 in
+  if 2 * used > slots then rehash t ~pid ~slots:(2 * slots)
 
 let access t ~pid ~loc ~is_read =
   ensure_loc t loc;
   if is_read then begin
-    let stamp = (t.epochs.(pid) lsl gen_bits) lor t.gens.(loc) in
-    let pi = loc lsr page_bits in
-    let off = loc land page_mask in
-    let row = t.rows.(pid) in
-    if
-      pi < Array.length row
-      &&
-      let page = Array.unsafe_get row pi in
-      page != empty_page && Array.unsafe_get page off = stamp
-    then false
+    let stamp = stamp_of t ~pid ~loc in
+    let tbl = t.tables.(pid) in
+    let j = if tbl == empty_table then -1 else find tbl loc in
+    if j >= 0 && Array.unsafe_get tbl j = loc then begin
+      (* A held location: free if the copy is valid, else refresh it. *)
+      let valid = Array.unsafe_get tbl (j + 1) = stamp in
+      if not valid then Array.unsafe_set tbl (j + 1) stamp;
+      not valid
+    end
     else begin
-      install t ~pid ~pi ~off ~stamp;
+      install_new t ~pid ~loc ~stamp;
       true
     end
   end
@@ -117,28 +137,21 @@ let drop_process t ~pid = t.epochs.(pid) <- t.epochs.(pid) + 1
 
 let valid_set t ~pid =
   let acc = ref Intset.empty in
-  let row = t.rows.(pid) in
-  let epoch_part = t.epochs.(pid) lsl gen_bits in
-  Bitset.iter
-    (fun pi ->
-      let page = row.(pi) in
-      let base = pi lsl page_bits in
-      let hi = min page_size (t.num_locs - base) in
-      for off = 0 to hi - 1 do
-        if Array.unsafe_get page off = epoch_part lor t.gens.(base + off) then
-          acc := Intset.add (base + off) !acc
-      done)
-    t.present.(pid);
+  let tbl = t.tables.(pid) in
+  for i = 0 to (Array.length tbl lsr 1) - 1 do
+    let loc = tbl.(2 * i) in
+    if loc >= 0 && tbl.((2 * i) + 1) = stamp_of t ~pid ~loc then
+      acc := Intset.add loc !acc
+  done;
   !acc
 
 let clear t =
   Array.fill t.epochs 0 t.n 0;
   Array.fill t.gens 0 (Array.length t.gens) 0;
-  t.num_locs <- 0;
   for pid = 0 to t.n - 1 do
-    let row = t.rows.(pid) in
-    Bitset.iter (fun pi -> Array.fill row.(pi) 0 page_size (-1)) t.present.(pid);
-    Bitset.clear t.present.(pid)
+    let tbl = t.tables.(pid) in
+    if t.used.(pid) > 0 then Array.fill tbl 0 (Array.length tbl) (-1);
+    t.used.(pid) <- 0
   done
 
 let copy_into ~src ~dst =
@@ -150,42 +163,19 @@ let copy_into ~src ~dst =
     Array.blit src.gens 0 dst.gens 0 sg;
     Array.fill dst.gens sg (dg - sg) 0
   end;
-  dst.num_locs <- src.num_locs;
   for pid = 0 to src.n - 1 do
-    let sp = src.present.(pid) and dp = dst.present.(pid) in
-    (* Wipe pages live only in [dst]; pages live in both are fully
-       overwritten by the blit below. *)
-    Bitset.iter
-      (fun pi ->
-        if not (Bitset.mem sp pi) then
-          Array.fill dst.rows.(pid).(pi) 0 page_size (-1))
-      dp;
-    Bitset.iter
-      (fun pi ->
-        let srow = src.rows.(pid) in
-        let drow = dst.rows.(pid) in
-        let drow =
-          if pi < Array.length drow then drow
-          else begin
-            let cap = max (pi + 1) (2 * max 4 (Array.length drow)) in
-            let row' = Array.make cap empty_page in
-            Array.blit drow 0 row' 0 (Array.length drow);
-            dst.rows.(pid) <- row';
-            row'
-          end
-        in
-        let page = drow.(pi) in
-        let page =
-          if page != empty_page then page
-          else begin
-            let p = Array.make page_size (-1) in
-            drow.(pi) <- p;
-            p
-          end
-        in
-        Array.blit srow.(pi) 0 page 0 page_size)
-      sp;
-    Bitset.copy_into ~src:sp ~dst:dp
+    let s = src.tables.(pid) and d = dst.tables.(pid) in
+    let sl = Array.length s and dl = Array.length d in
+    if sl = dl then Array.blit s 0 d 0 sl
+    else if sl < dl then begin
+      (* Keep [dst]'s larger table: re-insert [src]'s entries into it. *)
+      Array.fill d 0 dl (-1);
+      for i = 0 to (sl lsr 1) - 1 do
+        if s.(2 * i) >= 0 then insert_absent d s.(2 * i) s.((2 * i) + 1)
+      done
+    end
+    else dst.tables.(pid) <- Array.copy s;
+    dst.used.(pid) <- src.used.(pid)
   done
 
 let copy t =

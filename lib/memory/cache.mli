@@ -10,15 +10,16 @@
     process's entire cache (its local state, of which the cache is part,
     is reset).
 
-    Representation: generation/epoch stamping over flat arrays, so the
-    three hot operations are O(1) and allocation-free in the steady
-    state. Each location carries a generation counter bumped by every
-    non-read (invalidating all copies at once); each pid carries an
-    epoch counter bumped by every crash (dropping its whole cache at
-    once). A copy is valid iff its recorded [(epoch, generation)] stamp
-    matches the current counters. Stamps live in lazily materialised
-    fixed-size pages per pid, with a {!Rme_util.Bitset} tracking which
-    pages hold live stamps so [valid_set] touches only those. *)
+    Representation: generation/epoch stamping, so the three hot
+    operations are O(1) and allocation-free in the steady state. Each
+    location carries a generation counter bumped by every non-read
+    (invalidating all copies at once); each pid carries an epoch counter
+    bumped by every crash (dropping its whole cache at once). A copy is
+    valid iff its recorded [(epoch, generation)] stamp matches the
+    current counters. Stamps live in one open-addressing table per pid,
+    keyed by location, created on the pid's first read and doubled at
+    half load, so a pid's footprint follows the copies it has held, not
+    the range of locations it touched. *)
 
 type t
 
@@ -45,11 +46,13 @@ val copy : t -> t
 (** Deep copy, for replay comparison. *)
 
 val copy_into : src:t -> dst:t -> unit
-(** Make [dst] equivalent to [src] in place, reusing [dst]'s pages.
+(** Make [dst] equivalent to [src] in place, reusing [dst]'s tables
+    where they are at least as large as [src]'s.
     The two must have the same [n]. *)
 
 val clear : t -> unit
-(** Reset to the all-empty state in place, keeping allocated pages. *)
+(** Reset to the all-empty state in place, keeping every table's
+    capacity. *)
 
 val equal_for : t -> t -> pid:int -> bool
 (** Whether the two states agree on [pid]'s valid set. *)

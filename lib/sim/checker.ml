@@ -1,13 +1,14 @@
 module Memory = Rme_memory.Memory
 module Op = Rme_memory.Op
 module Rmr = Rme_memory.Rmr
-module Cache = Rme_memory.Cache
+module Intset = Rme_util.Intset
 module Bitword = Rme_util.Bitword
 
 type report = {
   events : int;
   steps_checked : int;
   errors : string list;
+  rmrs : int array;
 }
 
 let ok r = r.errors = []
@@ -15,7 +16,12 @@ let ok r = r.errors = []
 let check ~n ~width ~model ~owner trace =
   let errors = ref [] in
   let error fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let cache = match model with Rmr.Cc -> Some (Cache.create ~n) | Rmr.Dsm -> None in
+  (* The CC rule, kept naively: each location maps to the pids holding
+     a valid copy of it. A read by a holder is free and any other read
+     joins the holders; a non-read empties them; a crash removes the
+     process from every set. *)
+  let copy_holders : (int, Intset.t) Hashtbl.t = Hashtbl.create 64 in
+  let rmrs = Array.make n 0 in
   let last_value : (int, int) Hashtbl.t = Hashtbl.create 64 in
   (* [holder]: the process entitled to the critical section — set by its
      first CS step, kept across crashes inside the CS (re-entry), cleared
@@ -45,12 +51,22 @@ let check ~n ~width ~model ~owner trace =
           Hashtbl.replace last_value loc new_value;
           (* RMR recomputation. *)
           let expected_rmr =
-            match (model, cache) with
-            | Rmr.Dsm, _ -> (
-                match owner loc with Some o -> o <> pid | None -> true)
-            | Rmr.Cc, Some c -> Cache.access c ~pid ~loc ~is_read:(Op.is_read op)
-            | Rmr.Cc, None -> assert false
+            match model with
+            | Rmr.Dsm -> ( match owner loc with Some o -> o <> pid | None -> true)
+            | Rmr.Cc ->
+                if Op.is_read op then begin
+                  let held =
+                    Option.value ~default:Intset.empty (Hashtbl.find_opt copy_holders loc)
+                  in
+                  Hashtbl.replace copy_holders loc (Intset.add pid held);
+                  not (Intset.mem pid held)
+                end
+                else begin
+                  Hashtbl.remove copy_holders loc;
+                  true
+                end
           in
+          if expected_rmr then rmrs.(pid) <- rmrs.(pid) + 1;
           if expected_rmr <> rmr then
             error "event %d: p%d on R%d flagged rmr=%b, rules say %b" !index pid
               loc rmr expected_rmr;
@@ -66,11 +82,11 @@ let check ~n ~width ~model ~owner trace =
               | Some _ | None -> holder := Some pid)
           | Trace.Exit -> if !holder = Some pid then holder := None
           | Trace.Remainder | Trace.Entry | Trace.Recovery -> ())
-      | Trace.Crash { pid; section = _ } -> (
-          match cache with Some c -> Cache.drop_process c ~pid | None -> ()));
+      | Trace.Crash { pid; section = _ } ->
+          Hashtbl.filter_map_inplace (fun _ held -> Some (Intset.remove pid held)) copy_holders);
       incr index)
     trace;
-  { events = !index; steps_checked = !steps; errors = List.rev !errors }
+  { events = !index; steps_checked = !steps; errors = List.rev !errors; rmrs }
 
 let check_result (r : Harness.result) =
   match r.Harness.trace with

@@ -27,6 +27,9 @@ type report = {
   events : int;
   steps_checked : int;
   errors : string list;
+  rmrs : int array;
+      (** RMRs per pid as the checker re-derives them, whatever the
+          trace's flags say. *)
 }
 
 val ok : report -> bool

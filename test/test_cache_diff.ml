@@ -4,8 +4,11 @@
    Both implementations replay the same random sequence of accesses,
    crashes, clears and deep copies; after every step the RMR verdict
    must agree, and the per-process valid sets must be extensionally
-   equal. Locations are drawn beyond one page (256) so the paged
-   representation's boundary and lazy-materialisation paths are hit. *)
+   equal. A narrow location mode clusters near 0, as real locks do; a
+   wide mode gives each pid hundreds of distinct locations up to 10^5,
+   so per-process tables rehash several times. Two fixed cases check
+   the representation's costs: warm hot paths allocate nothing, and the
+   footprint follows the copies held, not the locations touched. *)
 
 module Cache = Rme_memory.Cache
 module Reference = Cache_reference
@@ -29,15 +32,18 @@ let pp_op = function
 let print_scenario s =
   Printf.sprintf "n=%d; %s" s.n (String.concat "; " (List.map pp_op s.ops))
 
-(* Locations cluster near 0 (realistic contention) but occasionally
-   jump past the 256-entry page boundary, exercising page growth. *)
+(* Narrow mode: locations cluster near 0 (realistic contention) but
+   occasionally jump further out. *)
 let gen_loc =
   QCheck.Gen.(
     frequency [ (6, int_bound 15); (3, int_bound 300); (1, int_bound 1500) ])
 
-let gen_scenario =
+(* Wide mode: mostly fresh locations from a range of 10^5, with a few
+   hot ones so copies are also hit and invalidated. *)
+let gen_loc_wide = QCheck.Gen.(frequency [ (1, int_bound 15); (5, int_bound 100_000) ])
+
+let gen_ops ~n ~gen_loc ~len =
   QCheck.Gen.(
-    int_range 1 6 >>= fun n ->
     let gen_op =
       frequency
         [
@@ -50,9 +56,26 @@ let gen_scenario =
           (1, return Fork);
         ]
     in
-    list_size (int_bound 250) gen_op >>= fun ops -> return { n; ops })
+    list_size len gen_op)
+
+let gen_scenario =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun n ->
+    gen_ops ~n ~gen_loc ~len:(int_bound 250) >>= fun ops -> return { n; ops })
+
+(* 800 to 1500 ops over at most 2 pids, half of the runs without
+   clears, so a pid collects hundreds of copies. *)
+let gen_ops_wide ~n =
+  QCheck.Gen.(
+    gen_ops ~n ~gen_loc:gen_loc_wide ~len:(int_range 800 1500) >>= fun ops ->
+    bool >>= fun keep_clears ->
+    return (if keep_clears then ops else List.filter (fun op -> op <> Clear) ops))
+
+let gen_scenario_wide =
+  QCheck.Gen.(int_range 1 2 >>= fun n -> gen_ops_wide ~n >>= fun ops -> return { n; ops })
 
 let arb_scenario = QCheck.make ~print:print_scenario gen_scenario
+let arb_scenario_wide = QCheck.make ~print:print_scenario gen_scenario_wide
 
 let check_agreement ~step flat reference =
   for pid = 0 to Cache.n flat - 1 do
@@ -100,53 +123,140 @@ let prop_differential =
   QCheck.Test.make ~count:400 ~name:"flat cache =~ Hashtbl reference"
     arb_scenario run_scenario
 
+let prop_differential_wide =
+  QCheck.Test.make ~count:40 ~name:"flat cache =~ Hashtbl reference, wide locations"
+    arb_scenario_wide run_scenario
+
 (* copy_into must behave exactly like copy: overwrite a dirty dst of the
    same n with src's state, then both continue in lock-step. *)
+let copy_into_agrees (a, b) =
+  let src = Cache.create ~n:a.n and dst = Cache.create ~n:a.n in
+  let reference = Reference.create ~n:a.n in
+  let apply c r op =
+    match op with
+    | Access { pid; loc; is_read } ->
+        let verdict = Cache.access c ~pid ~loc ~is_read in
+        Option.iter
+          (fun r ->
+            if Reference.access r ~pid ~loc ~is_read <> verdict then
+              QCheck.Test.fail_reportf "copy_into: %s: RMR verdict differs" (pp_op op))
+          r
+    | Drop pid ->
+        Cache.drop_process c ~pid;
+        Option.iter (fun r -> Reference.drop_process r ~pid) r
+    | Clear ->
+        Cache.clear c;
+        Option.iter Reference.clear r
+    | Fork -> ()
+  in
+  (* Dirty dst with an unrelated history, then overwrite it. *)
+  List.iter (fun op -> apply dst None op) b.ops;
+  List.iter (fun op -> apply src (Some reference) op) a.ops;
+  Cache.copy_into ~src ~dst;
+  for pid = 0 to a.n - 1 do
+    if not (Cache.equal_for src dst ~pid) then
+      QCheck.Test.fail_reportf "copy_into: p%d differs from src" pid
+  done;
+  check_agreement ~step:(List.length a.ops) dst reference;
+  (* The overwritten dst keeps tracking the reference afterwards. *)
+  List.iteri
+    (fun i op ->
+      apply dst (Some reference) op;
+      check_agreement ~step:(List.length a.ops + i) dst reference)
+    b.ops;
+  true
+
 let prop_copy_into =
   QCheck.Test.make ~count:200 ~name:"Cache.copy_into reuses dst correctly"
     (QCheck.pair arb_scenario arb_scenario)
     (fun (a, b) ->
       QCheck.assume (a.n = b.n);
-      let src = Cache.create ~n:a.n and dst = Cache.create ~n:a.n in
-      let reference = Reference.create ~n:a.n in
-      let apply c r op =
-        match op with
-        | Access { pid; loc; is_read } ->
-            ignore (Cache.access c ~pid ~loc ~is_read);
-            Option.iter (fun r -> ignore (Reference.access r ~pid ~loc ~is_read)) r
-        | Drop pid ->
-            Cache.drop_process c ~pid;
-            Option.iter (fun r -> Reference.drop_process r ~pid) r
-        | Clear ->
-            Cache.clear c;
-            Option.iter Reference.clear r
-        | Fork -> ()
-      in
-      (* Dirty dst with an unrelated history, then overwrite it. *)
-      List.iter (fun op -> apply dst None op) b.ops;
-      List.iter (fun op -> apply src (Some reference) op) a.ops;
-      Cache.copy_into ~src ~dst;
-      for pid = 0 to a.n - 1 do
-        if not (Cache.equal_for src dst ~pid) then
-          QCheck.Test.fail_reportf "copy_into: p%d differs from src" pid;
-        if
-          not
-            (Intset.equal (Cache.valid_set dst ~pid)
-               (Reference.valid_set reference ~pid))
-        then QCheck.Test.fail_reportf "copy_into: p%d differs from reference" pid
-      done;
-      (* The overwritten dst keeps tracking the reference afterwards. *)
-      List.iter (fun op -> apply dst (Some reference) op) b.ops;
-      for pid = 0 to a.n - 1 do
-        if
-          not
-            (Intset.equal (Cache.valid_set dst ~pid)
-               (Reference.valid_set reference ~pid))
-        then
-          QCheck.Test.fail_reportf "copy_into: p%d diverges after overwrite" pid
-      done;
-      true)
+      copy_into_agrees (a, b))
+
+(* One side narrow and the other wide, in either order, so [dst]'s
+   tables are sometimes larger and sometimes smaller than [src]'s. *)
+let gen_mixed_pair =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun n ->
+    gen_ops ~n ~gen_loc ~len:(int_bound 250) >>= fun narrow_ops ->
+    gen_ops_wide ~n >>= fun wide_ops ->
+    bool >>= fun wide_src ->
+    let narrow = { n; ops = narrow_ops } and wide = { n; ops = wide_ops } in
+    return (if wide_src then (wide, narrow) else (narrow, wide)))
+
+let prop_copy_into_capacities =
+  QCheck.Test.make ~count:100 ~name:"Cache.copy_into across table capacities"
+    (QCheck.make
+       ~print:(fun (a, b) -> print_scenario a ^ "\n--- into ---\n" ^ print_scenario b)
+       gen_mixed_pair)
+    copy_into_agrees
+
+(* Words allocated by [f ()], net of the measurement itself. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  let after = Gc.minor_words () in
+  let baseline = Gc.minor_words () -. after in
+  after -. before -. baseline
+
+let test_hot_paths_allocate_nothing () =
+  let n = 8 and locs = 300 in
+  let c = Cache.create ~n in
+  (* Warm up: every pid reads every location, so tables reach their
+     final size and [gens] covers every location. *)
+  for pid = 0 to n - 1 do
+    for loc = 0 to locs - 1 do
+      ignore (Cache.access c ~pid ~loc ~is_read:true)
+    done
+  done;
+  let calls = 100_000 in
+  let rmrs = ref 0 in
+  let access () =
+    for i = 1 to calls do
+      if Cache.access c ~pid:(i mod n) ~loc:(i * 7 mod locs) ~is_read:(i mod 5 <> 0)
+      then incr rmrs
+    done
+  in
+  let has_copy () =
+    for i = 1 to calls do
+      if Cache.has_copy c ~pid:(i mod n) ~loc:(i * 11 mod locs) then incr rmrs
+    done
+  in
+  Alcotest.(check (float 0.)) "access: words over 10^5 warm calls" 0. (minor_words_of access);
+  Alcotest.(check (float 0.)) "has_copy: words over 10^5 warm calls" 0.
+    (minor_words_of has_copy);
+  Alcotest.(check bool) "calls did work" true (!rmrs > 0)
+
+(* 1024 pids each read 16 locations scattered over 20k: the footprint,
+   the per-location generations included, stays within a small number
+   of words per copy held. *)
+let test_footprint_follows_copies () =
+  let n = 1024 and per_pid = 16 and locs = 20_000 and words_per_copy = 16 in
+  let c = Cache.create ~n in
+  let rng = Rme_util.Splitmix.create 2024 in
+  for pid = 0 to n - 1 do
+    for _ = 1 to per_pid do
+      ignore (Cache.access c ~pid ~loc:(Rme_util.Splitmix.int rng locs) ~is_read:true)
+    done
+  done;
+  let copies = ref 0 in
+  for pid = 0 to n - 1 do
+    copies := !copies + Intset.cardinal (Cache.valid_set c ~pid)
+  done;
+  let words = Obj.reachable_words (Obj.repr c) in
+  if words > words_per_copy * !copies then
+    Alcotest.failf "%d reachable words for %d copies (bound %d per copy)" words !copies
+      words_per_copy
 
 let suite =
   ( "cache-diff",
-    [ Qc.to_alcotest prop_differential; Qc.to_alcotest prop_copy_into ] )
+    [
+      Qc.to_alcotest prop_differential;
+      Qc.to_alcotest prop_copy_into;
+      Qc.to_alcotest prop_differential_wide;
+      Qc.to_alcotest prop_copy_into_capacities;
+      Alcotest.test_case "warm access and has_copy allocate nothing" `Quick
+        test_hot_paths_allocate_nothing;
+      Alcotest.test_case "footprint follows copies held" `Quick
+        test_footprint_follows_copies;
+    ] )
