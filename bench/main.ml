@@ -23,18 +23,24 @@ module Table = Rme_util.Table
 module Json = Rme_util.Json
 
 (* Accumulated measurements for --json: probe name -> ns/run, and
-   per-experiment wall clock / cell counters, in execution order. *)
+   per-experiment wall clock / cell counters / minor words, in execution
+   order. *)
 let probe_results : (string * float) list ref = ref []
-let experiment_results : (string * E.report) list ref = ref []
+let experiment_results : (string * E.report * float option) list ref = ref []
 
 (* One engine for the whole invocation, so cells shared between the
-   selected experiments are computed once. *)
+   selected experiments are computed once. [Gc.minor_words] counts the
+   calling domain only, so an experiment's allocation is recorded only
+   when the engine computes every cell on it ([-j 1]). *)
 let run_experiments ~jobs ~progress (entries : E.entry list) =
   let engine = Engine.create ~jobs ~progress () in
   List.iter
     (fun (e : E.entry) ->
       Printf.printf "---- %s: %s ----\n%!" (String.uppercase_ascii e.E.id) e.E.descr;
-      experiment_results := (e.E.id, e.E.run engine) :: !experiment_results)
+      let w0 = Gc.minor_words () in
+      let report = e.E.run engine in
+      let words = if Engine.jobs engine = 1 then Some (Gc.minor_words () -. w0) else None in
+      experiment_results := (e.E.id, report, words) :: !experiment_results)
     entries;
   Engine.shutdown engine
 
@@ -158,14 +164,15 @@ let write_json file =
   in
   let experiments =
     List.rev_map
-      (fun (id, (r : E.report)) ->
+      (fun (id, (r : E.report), words) ->
         ( id,
           Json.Obj
-            [
-              ("wall_s", Json.Num r.E.wall_s);
-              ("cells_computed", Json.num_int r.E.computed);
-              ("cells_cached", Json.num_int r.E.cached);
-            ] ))
+            ([
+               ("wall_s", Json.Num r.E.wall_s);
+               ("cells_computed", Json.num_int r.E.computed);
+               ("cells_cached", Json.num_int r.E.cached);
+             ]
+            @ match words with Some w -> [ ("minor_words", Json.Num w) ] | None -> []) ))
       !experiment_results
   in
   let doc =

@@ -48,7 +48,7 @@ let narrate (factory : Rme_sim.Lock_intf.factory) =
     r.A.replay_checked_steps;
   (* Materialise the sigma_round table at a small n and check I1-I10. *)
   let small = A.run { (A.default_config ~n:8 ~width:16 Rmr.Cc) with A.k = 4 } factory in
-  let report = T.check ~max_actives:8 small.A.schedule in
+  let report = T.check small.A.schedule in
   Printf.printf "  => invariants at n=8: %s\n\n"
     (Format.asprintf "%a" T.pp_report report);
   float_of_int r.A.rounds_completed >= r.A.predicted_lower_bound && T.ok report

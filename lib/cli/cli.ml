@@ -98,6 +98,13 @@ let locks_cmd =
 
 let simulate lock n width model seed superpassages crash_prob cs_crash trace =
   let* () = check_size lock ~n ~width in
+  let* () =
+    if superpassages < 1 then
+      Error (Printf.sprintf "--superpassages must be at least 1 (got %d)" superpassages)
+    else if not (crash_prob >= 0.0 && crash_prob <= 1.0) then
+      Error (Printf.sprintf "--crash-prob must be in [0, 1] (got %g)" crash_prob)
+    else Ok ()
+  in
   let crashes =
     if crash_prob > 0.0 then H.Crash_prob { prob = crash_prob; seed = seed * 31 }
     else H.No_crashes
@@ -174,7 +181,7 @@ let adversary lock n width model k check rounds_detail =
           ri.A.newly_removed)
       r.A.rounds;
   if check then begin
-    let rep = T.check ~max_actives:10 r.A.schedule in
+    let rep = T.check r.A.schedule in
     Format.printf "invariant check: %a@." T.pp_report rep;
     if not (T.ok rep) then Error "invariant check failed" else Ok ()
   end

@@ -9,10 +9,12 @@ type config = {
   width : int;
   model : Rmr.model;
   k : int;
-  local_cap : int;
-  completion_cap : int;
-  max_rounds : int;
 }
+
+(* Setup-phase steps one process may take in a round before it counts
+   as locally stuck, and the most rounds a construction runs. *)
+let local_cap = 10_000
+let max_rounds = 200
 
 (* The contention threshold is the paper's k = w^d; any k > w works for
    the construction (a w-bit object offers only w "slots" worth of
@@ -20,16 +22,7 @@ type config = {
    per group the pigeonhole argument behind the Process-Hiding Lemma has
    room to operate, while groups of exactly w can be unhideable — e.g.
    w processes each FAA-ing a distinct bit). *)
-let default_config ~n ~width model =
-  {
-    n;
-    width;
-    model;
-    k = max 2 (width + 1);
-    local_cap = 10_000;
-    completion_cap = 100_000;
-    max_rounds = 200;
-  }
+let default_config ~n ~width model = { n; width; model; k = max 2 (width + 1) }
 
 type round_kind = Low_contention | High_read | High_hide
 
@@ -196,14 +189,7 @@ let find_hiding ~width ~y0 ~members ~forbidden =
 let run config factory =
   if config.k < 2 then invalid_arg "Adversary.run: k must be >= 2";
   let ctx =
-    {
-      Schedule.n = config.n;
-      width = config.width;
-      model = config.model;
-      factory;
-      local_cap = config.local_cap;
-      completion_cap = config.completion_cap;
-    }
+    { Schedule.n = config.n; width = config.width; model = config.model; factory }
   in
   let committed : (Schedule.directive * Schedule.record) Vec.t = Vec.create () in
   let metas = ref [] in
@@ -226,9 +212,7 @@ let run config factory =
   let clean = ref true in
   let replay () =
     if not (!clean && Intset.equal !removed !committed_removed) then begin
-      Schedule.replay scratch ctx
-        ~keep:(fun p -> not (Intset.mem p !removed))
-        committed;
+      Schedule.replay scratch ~keep:(fun p -> not (Intset.mem p !removed)) committed;
       total_checked := !total_checked + scratch.Schedule.checked
     end;
     (* The attempt about to run will mutate the scratch past the
@@ -262,7 +246,7 @@ let run config factory =
     in
     let complete_with_checks pid ~exempt =
       let ok, count =
-        Schedule.do_complete play ctx ~pid ~on_step:(fun (s : Rme_sim.Trace.step) ->
+        Schedule.do_complete play ~pid ~on_step:(fun (s : Rme_sim.Trace.step) ->
             match discovery_check ~observer:pid ~loc:s.loc ~exempt with
             | Some vis -> raise (Restart vis)
             | None -> ())
@@ -282,7 +266,7 @@ let run config factory =
               raise (Restart (Intset.singleton pid))
           | Some (loc, _op) ->
               if Machine.poised_rmr play.Schedule.m ~pid then continue := false
-              else if !taken >= config.local_cap then
+              else if !taken >= local_cap then
                 (* Locally stuck: waiting on a grant that will never come
                    inside this construction; drop the waiter. *)
                 raise (Restart (Intset.singleton pid))
@@ -539,7 +523,7 @@ let run config factory =
   let round_index = ref 0 in
   let continue = ref true in
   while
-    !continue && !round_index < config.max_rounds && Intset.cardinal !active >= 2
+    !continue && !round_index < max_rounds && Intset.cardinal !active >= 2
   do
     incr round_index;
     let active_before = Intset.cardinal !active in
@@ -628,9 +612,7 @@ let run config factory =
      processes dropped at that commit, whose cache effects the committed
      execution included, so its RMR totals are not the committed ones.) *)
   if Vec.length committed > 0 then begin
-    Schedule.replay scratch ctx
-      ~keep:(fun p -> not (Intset.mem p !removed))
-      committed;
+    Schedule.replay scratch ~keep:(fun p -> not (Intset.mem p !removed)) committed;
     total_checked := !total_checked + scratch.Schedule.checked
   end;
   let survivor_min_rmrs = !last_commit_min_rmrs in

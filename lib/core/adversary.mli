@@ -39,13 +39,12 @@ type config = {
   width : int;
   model : Rme_memory.Rmr.model;
   k : int;  (** contention threshold; the paper's [w^d]. *)
-  local_cap : int;  (** setup-phase step budget per process per round. *)
-  completion_cap : int;  (** step budget for a crash-and-complete run. *)
-  max_rounds : int;
 }
 
 val default_config : n:int -> width:int -> Rme_memory.Rmr.model -> config
-(** [k = max 2 w], generous caps. *)
+(** [k = max 2 (w + 1)]. Every run takes at most 200 rounds, 10,000
+    setup-phase steps per process per round and 100,000 steps per
+    crash-and-complete run. *)
 
 type round_kind = Low_contention | High_read | High_hide
 

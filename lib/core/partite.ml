@@ -4,20 +4,6 @@ type edge = int array
 
 type t = { parts : int array array; edges : edge list }
 
-let validate_edge parts e =
-  if Array.length e <> Array.length parts then
-    invalid_arg "Partite: edge arity differs from the number of parts";
-  Array.iteri
-    (fun i v ->
-      if not (Array.exists (fun x -> x = v) parts.(i)) then
-        invalid_arg
-          (Printf.sprintf "Partite: vertex %d is not in part %d" v i))
-    e
-
-let create ~parts ~edges =
-  List.iter (validate_edge parts) edges;
-  { parts; edges }
-
 let complete ~parts =
   let k = Array.length parts in
   let total =
@@ -42,16 +28,10 @@ let complete ~parts =
     { parts; edges = List.rev !acc }
   end
 
-let num_parts t = Array.length t.parts
-
-let num_edges t = List.length t.edges
-
 let vertices_of_edges edges =
   List.fold_left
     (fun acc e -> Array.fold_left (fun acc v -> Intset.add v acc) acc e)
     Intset.empty edges
-
-let sigma_z ~part ~z edges = List.filter (fun e -> e.(part) = z) edges
 
 let tail_key ~part e =
   let k = Array.length e in
@@ -71,8 +51,6 @@ let pi_z ~part ~z edges =
         end
       end)
     edges
-
-let filter_by_value t ~f ~value = List.filter (fun e -> f e = value) t.edges
 
 let group_by_value edges ~f =
   let tbl = Hashtbl.create 16 in

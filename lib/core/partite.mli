@@ -17,38 +17,24 @@ type t = {
   edges : edge list;
 }
 
-val create : parts:int array array -> edges:edge list -> t
-(** Validates that every edge has one vertex per part, drawn from that
-    part. Raises [Invalid_argument] otherwise. *)
-
 val complete : parts:int array array -> t
 (** The complete [k]-partite hypergraph: all [prod |X_i|] edges, in
     lexicographic part order. Raises [Invalid_argument] when the edge
     count would exceed [2^30] (keep test parameters sane). *)
 
-val num_parts : t -> int
-val num_edges : t -> int
-
 val vertices_of_edges : edge list -> Rme_util.Intset.t
 (** The union of all vertices appearing in the given edges — the set [U]
     of Lemma 5. *)
 
-val sigma_z : part:int -> z:int -> edge list -> edge list
-(** [sigma_z ~part ~z edges]: edges whose [part] component equals [z]
-    (kept whole). *)
-
 val pi_z : part:int -> z:int -> edge list -> edge list
-(** [pi_z ~part ~z edges]: the [sigma_z] edges with the [part] component
-    removed — each result has length [k - 1]. Duplicates are removed (the
-    operator produces a set). *)
+(** [pi_z ~part ~z edges]: the edges whose [part] component equals [z]
+    (their [sigma]), with that component removed — each result has
+    length [k - 1]. Duplicates are removed (the operator produces a
+    set). *)
 
 val tail_key : part:int -> edge -> edge
 (** The edge with component [part] removed; the canonical key for
     projection bookkeeping. *)
-
-val filter_by_value : t -> f:(edge -> int) -> value:int -> edge list
-(** Edges on which [f] evaluates to [value] — builds the [E_{i,y}] of the
-    Process-Hiding Lemma proof. *)
 
 val group_by_value : edge list -> f:(edge -> int) -> (int, edge list) Hashtbl.t
 (** Partition edges by [f]-value; used to pick the majority value [y_i]. *)

@@ -7,9 +7,10 @@ type context = {
   width : int;
   model : Rme_memory.Rmr.model;
   factory : Rme_sim.Lock_intf.factory;
-  local_cap : int;
-  completion_cap : int;
 }
+
+(* Steps a crash-and-complete run may take before it counts as stuck. *)
+let completion_cap = 100_000
 
 type directive =
   | D_local of int
@@ -72,17 +73,17 @@ let do_step play ~pid ~hidden_as =
         (List.fold_left (fun acc p -> Intset.add p acc) Intset.empty v));
   s
 
-let do_complete play ctx ~pid ~on_step =
+let do_complete play ~pid ~on_step =
   let count = ref 0 in
   let ok =
-    Machine.run_to_completion play.m ~pid ~cap:ctx.completion_cap ~on_step:(fun s ->
+    Machine.run_to_completion play.m ~pid ~cap:completion_cap ~on_step:(fun s ->
         incr count;
         update_visible play s;
         on_step s)
   in
   (ok, !count)
 
-let exec_replay play ctx (d, r) =
+let exec_replay play (d, r) =
   match (d, r) with
   | D_local pid, R_local expected ->
       let taken = ref 0 in
@@ -110,7 +111,7 @@ let exec_replay play ctx (d, r) =
       play.checked <- play.checked + 1
   | D_crash pid, R_crash -> Machine.crash play.m ~pid
   | D_complete pid, R_complete expected ->
-      let ok, count = do_complete play ctx ~pid ~on_step:ignore in
+      let ok, count = do_complete play ~pid ~on_step:ignore in
       if not ok then diverged "replay: p%d did not complete" pid;
       if count <> expected then
         diverged "replay: p%d completed in %d steps, expected %d" pid count
@@ -127,8 +128,8 @@ let reset_play play =
   Hashtbl.reset play.visible;
   play.checked <- 0
 
-let replay play ctx ?(keep = fun _ -> true) directives =
+let replay play ?(keep = fun _ -> true) directives =
   reset_play play;
   Rme_util.Vec.iter
-    (fun dr -> if keep (pid_of_directive (fst dr)) then exec_replay play ctx dr)
+    (fun dr -> if keep (pid_of_directive (fst dr)) then exec_replay play dr)
     directives

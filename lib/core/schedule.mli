@@ -15,8 +15,6 @@ type context = {
   width : int;
   model : Rme_memory.Rmr.model;
   factory : Rme_sim.Lock_intf.factory;
-  local_cap : int;
-  completion_cap : int;
 }
 
 type directive =
@@ -63,24 +61,16 @@ val do_local : play -> pid:int -> Rme_sim.Trace.step
 val do_step : play -> pid:int -> hidden_as:int list -> Rme_sim.Trace.step
 
 val do_complete :
-  play ->
-  context ->
-  pid:int ->
-  on_step:(Rme_sim.Trace.step -> unit) ->
-  bool * int
-(** Run to completion under the context's cap; returns (completed,
-    steps). Updates visibility for every step. *)
+  play -> pid:int -> on_step:(Rme_sim.Trace.step -> unit) -> bool * int
+(** Run to completion within a fixed cap of 100,000 steps; returns
+    (completed, steps). Updates visibility for every step. *)
 
 val reset_play : play -> unit
 (** Return the play to its just-created state in place ([Machine.reset]
     plus an empty visibility map), without building a new machine. *)
 
 val replay :
-  play ->
-  context ->
-  ?keep:(int -> bool) ->
-  (directive * record) Rme_util.Vec.t ->
-  unit
+  play -> ?keep:(int -> bool) -> (directive * record) Rme_util.Vec.t -> unit
 (** Reset the play, then re-execute the directives of the processes for
     which [keep] holds (default: everyone), asserting every record
     ([play.checked] counts them). Raises [Diverged] on the first

@@ -50,7 +50,10 @@ let proc_state m p =
     cache = Option.map (fun c -> Cache.valid_set c ~pid:p) (Rmr.cache (Machine.rmr m));
   }
 
-let check ?(max_actives = 10) (sched : Adversary.committed_schedule) =
+(* The largest active set whose row is materialised: [2^10] replays. *)
+let max_actives = 10
+
+let check (sched : Adversary.committed_schedule) =
   let ctx = sched.Adversary.ctx in
   let violations = ref [] in
   let violate ~round ~invariant ?column detail =
@@ -76,7 +79,7 @@ let check ?(max_actives = 10) (sched : Adversary.committed_schedule) =
           Vec.of_array (Array.sub sched.Adversary.directives 0 meta.Adversary.boundary)
         in
         let run_column col =
-          Schedule.replay play ctx ~keep:(fun p -> Intset.mem p col) prefix
+          Schedule.replay play ~keep:(fun p -> Intset.mem p col) prefix
         in
         (* Maximal column first. *)
         let s_max = Intset.union active finished in

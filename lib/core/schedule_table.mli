@@ -29,7 +29,8 @@
       end of row [i].
 
     Columns are enumerated exhaustively, so this is exponential in the
-    number of active processes; callers bound it with [max_actives]. *)
+    number of active processes, and rounds with more than 10 actives are
+    skipped. *)
 
 type violation = {
   round : int;
@@ -47,8 +48,8 @@ type report = {
 
 val ok : report -> bool
 
-val check : ?max_actives:int -> Adversary.committed_schedule -> report
-(** Verify every round whose active set has at most [max_actives]
-    processes (default 10; [2^max_actives] replays per round). *)
+val check : Adversary.committed_schedule -> report
+(** Verify every round whose active set has at most 10 processes (up to
+    [2^10] replays per round). *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,28 +1,37 @@
 module H = Rme_sim.Harness
 module Lock_intf = Rme_sim.Lock_intf
-module Rmr = Rme_memory.Rmr
 module Pool = Rme_util.Pool
 module Intset = Rme_util.Intset
 module A = Rme_core.Adversary
 
+(* A cell is a lock and the config its driver runs it under. Engine
+   configs never carry a critical-section body ([cs = None]), so the memo
+   key [(lock name, config)] is plain data: structural equality and
+   [Hashtbl.hash] apply. Lock names are unique, including the
+   [katzan-morrison-b<arity>] variants. *)
+type 'config cell_of = { lock : Lock_intf.factory; config : 'config }
+
+let key c = (c.lock.Lock_intf.name, c.config)
+
 (* ------------------------------------------------------------------ *)
 (* Harness trial cells. *)
 
-type cell = {
-  lock : Lock_intf.factory;
-  n : int;
-  width : int;
-  model : Rmr.model;
-  seed : int;
-  superpassages : int;
-  crashes : H.crash_policy;
-  allow_cs_crash : bool;
-  max_crashes : int;
-}
+type cell = H.config cell_of
 
 let cell ?(superpassages = 1) ?(crashes = H.No_crashes) ?(allow_cs_crash = false)
     ?(max_crashes = 1) ~seed ~n ~width ~model lock =
-  { lock; n; width; model; seed; superpassages; crashes; allow_cs_crash; max_crashes }
+  {
+    lock;
+    config =
+      {
+        (H.default_config ~n ~width model) with
+        H.superpassages;
+        policy = H.Random_policy seed;
+        crashes;
+        allow_cs_crash;
+        max_crashes_per_process = max_crashes;
+      };
+  }
 
 type cell_result = {
   ok : bool;
@@ -35,49 +44,8 @@ type cell_result = {
   max_bypass : int;
 }
 
-(* The memo key is the cell with the factory replaced by its name
-   (factories are closures; names are unique, including the
-   [katzan-morrison-b<arity>] variants). Everything else is ints,
-   floats and lists, so structural equality and [Hashtbl.hash] apply. *)
-type key = {
-  k_lock : string;
-  k_n : int;
-  k_width : int;
-  k_model : Rmr.model;
-  k_seed : int;
-  k_sp : int;
-  k_crashes : H.crash_policy;
-  k_cs_crash : bool;
-  k_max_crashes : int;
-}
-
-let key_of_cell c =
-  {
-    k_lock = c.lock.Lock_intf.name;
-    k_n = c.n;
-    k_width = c.width;
-    k_model = c.model;
-    k_seed = c.seed;
-    k_sp = c.superpassages;
-    k_crashes = c.crashes;
-    k_cs_crash = c.allow_cs_crash;
-    k_max_crashes = c.max_crashes;
-  }
-
-(* The harness's default step budget bounds every cell, so a stuck lock
-   ends as a deterministic [timed_out] result instead of hanging. *)
 let compute_cell c =
-  let cfg =
-    {
-      (H.default_config ~n:c.n ~width:c.width c.model) with
-      H.superpassages = c.superpassages;
-      policy = H.Random_policy c.seed;
-      crashes = c.crashes;
-      allow_cs_crash = c.allow_cs_crash;
-      max_crashes_per_process = c.max_crashes;
-    }
-  in
-  let r = H.run cfg c.lock in
+  let r = H.run c.config c.lock in
   {
     ok = r.H.ok;
     timed_out = r.H.timed_out;
@@ -95,44 +63,18 @@ let compute_cell c =
 (* ------------------------------------------------------------------ *)
 (* Adversary cells. *)
 
-type adv_cell = {
-  a_lock : Lock_intf.factory;
-  a_n : int;
-  a_width : int;
-  a_model : Rmr.model;
-  a_k : int option;
-}
+type adv_cell = A.config cell_of
 
+(* The threshold is resolved here, so an explicit [k] equal to the
+   default (A2's first column vs E3) shares the memo entry. *)
 let adv_cell ?k ~n ~width ~model lock =
-  { a_lock = lock; a_n = n; a_width = width; a_model = model; a_k = k }
+  let config = A.default_config ~n ~width model in
+  { lock; config = (match k with Some k -> { config with A.k } | None -> config) }
 
 type adv_result = { rounds : int; bound : float; survivors : int }
 
-type adv_key = {
-  ak_lock : string;
-  ak_n : int;
-  ak_width : int;
-  ak_model : Rmr.model;
-  ak_k : int;
-}
-
-let adv_config c =
-  let cfg = A.default_config ~n:c.a_n ~width:c.a_width c.a_model in
-  match c.a_k with Some k -> { cfg with A.k } | None -> cfg
-
-(* Key on the *effective* threshold so that an explicit [k] equal to the
-   default (A2's first column vs E3) shares the memo entry. *)
-let adv_key_of c =
-  {
-    ak_lock = c.a_lock.Lock_intf.name;
-    ak_n = c.a_n;
-    ak_width = c.a_width;
-    ak_model = c.a_model;
-    ak_k = (adv_config c).A.k;
-  }
-
 let compute_adv c =
-  let r = A.run (adv_config c) c.a_lock in
+  let r = A.run c.config c.lock in
   {
     rounds = r.A.rounds_completed;
     bound = r.A.predicted_lower_bound;
@@ -147,8 +89,8 @@ type counters = { computed : int; cached : int }
 type t = {
   pool : Pool.t;
   guard : Mutex.t;  (* protects the memos and the counters. *)
-  memo : (key, cell_result) Hashtbl.t;
-  adv_memo : (adv_key, adv_result) Hashtbl.t;
+  memo : (string * H.config, cell_result) Hashtbl.t;
+  adv_memo : (string * A.config, adv_result) Hashtbl.t;
   progress : bool;
   mutable n_computed : int;
   mutable n_cached : int;
@@ -221,14 +163,14 @@ let commit t table k r =
    The work list keeps first-occurrence order, so the pool sees cells in
    canonical order; results merge by key, so the memo content is
    independent of domain interleaving. *)
-let prefetch_memo t table key_of compute ~what cells =
+let prefetch_memo t table compute ~what cells =
   let total = List.length cells in
   let seen = Hashtbl.create 16 in
   Mutex.lock t.guard;
   let missing =
     List.filter_map
       (fun c ->
-        let k = key_of c in
+        let k = key c in
         if Hashtbl.mem table k || Hashtbl.mem seen k then None
         else begin
           Hashtbl.add seen k ();
@@ -251,8 +193,8 @@ let prefetch_memo t table key_of compute ~what cells =
          tick ()));
   finish ()
 
-let get_memo t table key_of compute c =
-  let k = key_of c in
+let get_memo t table compute c =
+  let k = key c in
   Mutex.lock t.guard;
   let hit = Hashtbl.find_opt table k in
   Mutex.unlock t.guard;
@@ -263,11 +205,8 @@ let get_memo t table key_of compute c =
       commit t table k r;
       r
 
-let prefetch t cells = prefetch_memo t t.memo key_of_cell compute_cell ~what:"trial" cells
-let get t c = get_memo t t.memo key_of_cell compute_cell c
-
-let prefetch_adv t cells =
-  prefetch_memo t t.adv_memo adv_key_of compute_adv ~what:"adversary" cells
-
-let get_adv t c = get_memo t t.adv_memo adv_key_of compute_adv c
+let prefetch t cells = prefetch_memo t t.memo compute_cell ~what:"trial" cells
+let get t c = get_memo t t.memo compute_cell c
+let prefetch_adv t cells = prefetch_memo t t.adv_memo compute_adv ~what:"adversary" cells
+let get_adv t c = get_memo t t.adv_memo compute_adv c
 let map t f xs = Pool.map_list t.pool f xs

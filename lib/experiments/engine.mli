@@ -1,10 +1,12 @@
 (** The multicore experiment engine: a memo over a {!Rme_util.Pool}.
 
     Experiments decompose into independent {e trial cells} (one harness
-    run) and {e adversary cells} (one lower-bound construction run).
-    The engine computes a batch's missing cells across the pool and
-    memoises every result by its cell key. Each cell derives its RNGs
-    from the seeds in its key, so tables assembled by key lookup are
+    run) and {e adversary cells} (one lower-bound construction run). A
+    cell is a lock and its driver's own config ({!Rme_sim.Harness.config}
+    or {!Rme_core.Adversary.config}); the memo key is the lock's name and
+    that config. The engine computes a batch's missing cells across the
+    pool and memoises every result by its key. Each cell derives its RNGs
+    from the seeds in its config, so tables assembled by key lookup are
     bit-identical at any [jobs]; a cell shared by several experiments
     (E1/E6, E2/E7b/A3) is computed once per engine. *)
 
@@ -20,30 +22,23 @@ val shutdown : t -> unit
 
 (** {1 Trial cells} *)
 
-type cell = {
-  lock : Rme_sim.Lock_intf.factory;
-  n : int;
-  width : int;
-  model : Rme_memory.Rmr.model;
-  seed : int;  (** scheduling seed ([Harness.Random_policy]). *)
-  superpassages : int;
-  crashes : Rme_sim.Harness.crash_policy;
-  allow_cs_crash : bool;
-  max_crashes : int;
-}
+type cell
 
 val cell :
   ?superpassages:int -> ?crashes:Rme_sim.Harness.crash_policy ->
   ?allow_cs_crash:bool -> ?max_crashes:int -> seed:int -> n:int -> width:int ->
   model:Rme_memory.Rmr.model -> Rme_sim.Lock_intf.factory -> cell
-(** Defaults are the harness defaults: 1 super-passage, no crashes. *)
+(** The lock under {!Rme_sim.Harness.default_config} with a
+    [Random_policy seed] schedule, [superpassages] (default 1), [crashes]
+    (default none), [allow_cs_crash] (default false) and at most
+    [max_crashes] crashes per process (default 1). *)
 
 type cell_result = {
   ok : bool;
   timed_out : bool;
-      (** the run exhausted {!Rme_sim.Harness.default_step_budget} with
-          work remaining (a stuck lock); the numbers below cover only
-          the steps taken. *)
+      (** the run exhausted {!Rme_sim.Harness.default_step_budget}, the
+          harness's fixed budget for [n] processes, with work remaining
+          (a stuck lock); the numbers below cover only the steps taken. *)
   max_passage_rmr : int;
   mean_passage_rmr : float;
   total_crashes : int;
@@ -61,17 +56,14 @@ val get : t -> cell -> cell_result
 
 (** {1 Adversary cells} *)
 
-type adv_cell = {
-  a_lock : Rme_sim.Lock_intf.factory;
-  a_n : int;
-  a_width : int;
-  a_model : Rme_memory.Rmr.model;
-  a_k : int option;  (** contention threshold; [None] = default. *)
-}
+type adv_cell
 
 val adv_cell :
   ?k:int -> n:int -> width:int -> model:Rme_memory.Rmr.model ->
   Rme_sim.Lock_intf.factory -> adv_cell
+(** The lock under {!Rme_core.Adversary.default_config}, with contention
+    threshold [k] when given. [k] is resolved here, so an explicit [k]
+    equal to the default names the same memo entry as no [k]. *)
 
 type adv_result = { rounds : int; bound : float; survivors : int }
 

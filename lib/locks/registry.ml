@@ -28,9 +28,6 @@ let recoverable =
    where the paper's lower bound provably does not apply. *)
 let system_wide = [ Epoch_mcs.factory ]
 
-let conventional =
-  List.filter (fun f -> not f.Rme_sim.Lock_intf.recoverable) all
-
 let find name =
   List.find_opt (fun f -> f.Rme_sim.Lock_intf.name = name) all
 

@@ -13,8 +13,6 @@ val system_wide : Rme_sim.Lock_intf.factory list
     paper's lower bound does not apply. Only subject these to the
     harness's [System_crash_*] policies. *)
 
-val conventional : Rme_sim.Lock_intf.factory list
-
 val find : string -> Rme_sim.Lock_intf.factory option
 (** Look a lock up by its [name]. *)
 

@@ -1,3 +1,5 @@
+module Bitword = Rme_util.Bitword
+
 type t =
   | Read
   | Write of int
@@ -12,16 +14,17 @@ let is_read = function
   | Read -> true
   | Write _ | Cas _ | Fas _ | Faa _ | Rmw _ -> false
 
+(* Every step calls this, so it builds no closure: a local [truncate]
+   over [width] would be allocated on each call. *)
 let next_value ~width op current =
-  let truncate v = Rme_util.Bitword.truncate ~width v in
   match op with
   | Read -> current
-  | Write v -> truncate v
+  | Write v | Fas v -> Bitword.truncate ~width v
   | Cas { expected; desired } ->
-      if current = truncate expected then truncate desired else current
-  | Fas v -> truncate v
-  | Faa d -> Rme_util.Bitword.add ~width current d
-  | Rmw { f; _ } -> truncate (f ~width current)
+      if current = Bitword.truncate ~width expected then Bitword.truncate ~width desired
+      else current
+  | Faa d -> Bitword.add ~width current d
+  | Rmw { f; _ } -> Bitword.truncate ~width (f ~width current)
 
 let name = function
   | Read -> "read"

@@ -22,7 +22,6 @@ type config = {
   crashes : crash_policy;
   allow_cs_crash : bool;
   max_crashes_per_process : int;
-  step_budget : int;
   record_trace : bool;
   cs : (pid:int -> attempt:int -> unit Prog.t) option;
 }
@@ -39,7 +38,6 @@ let default_config ~n ~width model =
     crashes = No_crashes;
     allow_cs_crash = false;
     max_crashes_per_process = 1;
-    step_budget = default_step_budget ~n;
     record_trace = false;
     cs = None;
   }
@@ -336,10 +334,11 @@ let run config (factory : Lock_intf.factory) =
   in
   let completed = ref false in
   let timed_out = ref false in
+  let step_budget = default_step_budget ~n:config.n in
   (* Budget check, consulted only while runnable work remains — so
      exhausting it always means the run was cut short. *)
   let budget_left () =
-    if !steps >= config.step_budget then begin
+    if !steps >= step_budget then begin
       timed_out := true;
       false
     end

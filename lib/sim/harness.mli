@@ -48,9 +48,6 @@ type config = {
       (** Whether crash injection may also strike inside the critical
           section (exercises critical-section re-entry). *)
   max_crashes_per_process : int;
-  step_budget : int;
-      (** Scheduler turns before the run is declared stuck; generous
-          budgets make the deadlock-freedom check meaningful. *)
   record_trace : bool;
   cs : (pid:int -> attempt:int -> unit Prog.t) option;
       (** The critical-section body. [None] gives the paper's assumption
@@ -65,15 +62,14 @@ type config = {
 }
 
 val default_config : n:int -> width:int -> Rme_memory.Rmr.model -> config
-(** One super-passage per process, round-robin, no crashes and a step
-    budget of {!default_step_budget}. *)
+(** One super-passage per process, round-robin, no crashes. *)
 
 val default_step_budget : n:int -> int
-(** The budget formula [default_config] applies: a constant floor for
-    tiny runs plus an [n^2] term (each of [n] processes may
-    legitimately wait out [O(n)] critical sections under contention).
-    Exposed so experiments and front-ends can scale or override it
-    deliberately rather than copying the formula. *)
+(** The scheduler turns every {!run} may take before it is declared
+    stuck ([timed_out]): a constant floor for tiny runs plus an [n^2]
+    term (each of [n] processes may legitimately wait out [O(n)]
+    critical sections under contention). A generous budget keeps the
+    deadlock-freedom check meaningful; it is fixed, not configurable. *)
 
 type proc_stats = {
   pid : int;
@@ -96,7 +92,7 @@ type result = {
   ok : bool;  (** Completed within budget with no violations. *)
   completed : bool;
   timed_out : bool;
-      (** The step budget ran out with runnable work remaining.
+      (** {!default_step_budget} ran out with runnable work remaining.
           Implies [not completed]; a deadlocked protocol surfaces here
           rather than hanging the harness. *)
   steps : int;

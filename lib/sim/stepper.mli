@@ -12,7 +12,16 @@
 
     The stepper is also the only source of {!Trace} events: every step
     and crash step is recorded into the optional trace fixed at
-    {!create}. With no trace, a step allocates nothing. *)
+    {!create}.
+
+    With no trace, the stepper's own bookkeeping allocates nothing, and
+    neither do [Memory], [Rmr] and [Cache] when they apply and account a
+    step. What a step does allocate is the lock program's continuation:
+    resuming it builds the process's next program, and {!Prog.bind}
+    rewraps that program in every enclosing bind. Measured with
+    [Gc.minor_words], a harness step allocates about 50 words on
+    Katzan–Morrison at n = 512–1024 and 25–50 on the other locks at
+    n = 16 with crashes. *)
 
 type section = Trace.section = Remainder | Entry | Cs | Exit | Recovery
 type step = Trace.step

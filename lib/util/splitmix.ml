@@ -55,7 +55,3 @@ let shuffle g a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick g a =
-  if Array.length a = 0 then invalid_arg "Splitmix.pick: empty array";
-  a.(int g (Array.length a))

@@ -34,11 +34,6 @@ let iter f v =
     f v.data.(i)
   done
 
-let iteri f v =
-  for i = 0 to v.len - 1 do
-    f i v.data.(i)
-  done
-
 let to_array v = Array.sub v.data 0 v.len
 
 let of_array a = { data = Array.copy a; len = Array.length a }

@@ -15,7 +15,6 @@ val push : 'a t -> 'a -> int
 (** Appends and returns the index of the new element. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val to_array : 'a t -> 'a array
 val of_array : 'a array -> 'a t
 val clear : 'a t -> unit

@@ -140,7 +140,7 @@ let test_invariants_small_n () =
         (fun model ->
           let cfg = { (A.default_config ~n:8 ~width:16 model) with A.k = 4 } in
           let r = A.run cfg factory in
-          let rep = T.check ~max_actives:8 r.A.schedule in
+          let rep = T.check r.A.schedule in
           if not (T.ok rep) then
             Alcotest.failf "%s %s: %s" factory.Rme_sim.Lock_intf.name
               (Rmr.model_name model)
@@ -152,7 +152,7 @@ let test_invariants_small_n () =
 let test_invariants_n10 () =
   let cfg = { (A.default_config ~n:10 ~width:16 Rmr.Cc) with A.k = 4 } in
   let r = A.run cfg Rme_locks.Rtournament.factory in
-  let rep = T.check ~max_actives:10 r.A.schedule in
+  let rep = T.check r.A.schedule in
   Alcotest.(check bool) "no violations" true (T.ok rep);
   Alcotest.(check bool) "thousands of assertions" true (rep.T.assertions > 1000)
 

@@ -255,7 +255,7 @@ let test_adversary_witness_validates () =
               in
               let trace = Trace.create () in
               let play = S.fresh_play ~trace sched.A.ctx in
-              S.replay play sched.A.ctx
+              S.replay play
                 ~keep:(fun p -> not (Intset.mem p removed))
                 (Rme_util.Vec.of_array sched.A.directives);
               let memory = Rme_core.Machine.memory play.S.m in

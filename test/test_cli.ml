@@ -98,6 +98,25 @@ let test_out_of_range_width_rejected () =
   Alcotest.(check bool) "no internal error" false
     (contains ~needle:"internal error" (out ^ err))
 
+(* Each [args] must exit 1 with a one-line error naming [flag], before
+   any run. *)
+let check_rejected ~flag args =
+  let (code, out), err = capture Unix.stderr (fun () -> eval ("simulate" :: args)) in
+  let what = String.concat " " args in
+  Alcotest.(check int) (what ^ ": exit 1") 1 code;
+  Alcotest.(check bool) (what ^ ": runs nothing") false (contains ~needle:"ok=" out);
+  Alcotest.(check bool) (what ^ ": names the flag") true (contains ~needle:flag err)
+
+let test_bad_superpassages_rejected () =
+  List.iter
+    (check_rejected ~flag:"--superpassages")
+    [ [ "--lock"; "mcs"; "-s"; "0" ]; [ "--lock"; "mcs"; "--superpassages=-1" ] ]
+
+let test_bad_crash_prob_rejected () =
+  List.iter
+    (fun p -> check_rejected ~flag:"--crash-prob" [ "--lock"; "rcas"; "--crash-prob=" ^ p ])
+    [ "-1"; "nan"; "2"; "1.5" ]
+
 let test_unknown_family_rejected () =
   let (code, _), _ = capture Unix.stderr (fun () -> eval [ "lemma"; "--family"; "zzz" ]) in
   Alcotest.(check int) "exit 1" 1 code
@@ -120,4 +139,8 @@ let suite =
         test_out_of_range_width_rejected;
       Alcotest.test_case "unknown lemma family rejected" `Quick
         test_unknown_family_rejected;
+      Alcotest.test_case "simulate rejects superpassages below 1" `Quick
+        test_bad_superpassages_rejected;
+      Alcotest.test_case "simulate rejects a crash probability outside [0, 1]" `Quick
+        test_bad_crash_prob_rejected;
     ] )

@@ -73,7 +73,7 @@ let test_broken_lock_flagged () =
   Alcotest.(check bool) "not ok" false r.H.ok
 
 let test_stuck_lock_flagged () =
-  let r = H.run { (cfg ~sp:1 Rmr.Cc) with step_budget = 2_000 } stuck_lock in
+  let r = H.run (cfg ~sp:1 Rmr.Cc) stuck_lock in
   Alcotest.(check bool) "incomplete" false r.H.completed;
   Alcotest.(check bool) "not ok" false r.H.ok
 
@@ -231,6 +231,57 @@ let test_round_robin_vs_random_both_ok () =
       Alcotest.(check bool) "ok" true r.H.ok)
     [ H.Round_robin; H.Random_policy 9; H.Random_policy 1234 ]
 
+(* A lock whose entry is one cyclic program: resuming its continuation
+   builds nothing, so every word a step allocates would be the stepper's
+   own or the memory layer's. *)
+let cyclic_lock op =
+  {
+    Lock_intf.name = "cyclic";
+    recoverable = false;
+    min_width = (fun ~n:_ -> 1);
+    make =
+      (fun memory ~n:_ ->
+        let cell = Memory.alloc memory ~init:0 in
+        let rec loop = Prog.Step (cell, op, fun _ -> loop) in
+        {
+          Lock_intf.entry = (fun ~pid:_ -> loop);
+          exit = (fun ~pid:_ -> Prog.return ());
+          recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
+          system_epoch = None;
+        });
+  }
+
+let test_step_allocates_nothing () =
+  let module S = Rme_sim.Stepper in
+  let module Op = Rme_memory.Op in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun op ->
+          let st =
+            S.create ~n:2 ~width:16 ~model ~superpassages:1 ~cs:None (cyclic_lock op)
+          in
+          for pid = 0 to 1 do
+            S.settle st ~pid ~on_boundary:(fun _ _ -> ())
+          done;
+          let steps () =
+            for i = 1 to 100_000 do
+              ignore (S.step st ~pid:(i land 1))
+            done
+          in
+          steps ();
+          let before = Gc.minor_words () in
+          steps ();
+          let after = Gc.minor_words () in
+          let baseline = Gc.minor_words () -. after in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s %s: words over 10^5 steps" (Rmr.model_name model)
+               (Op.name op))
+            0.
+            (after -. before -. baseline))
+        [ Op.Read; Op.Write 1; Op.Faa 1; Op.Cas { expected = 0; desired = 1 }; Op.Fas 3 ])
+    Rmr.all_models
+
 let suite =
   ( "harness",
     [
@@ -250,4 +301,6 @@ let suite =
       Alcotest.test_case "trace filtering" `Quick test_trace_filter;
       Alcotest.test_case "determinism" `Quick test_deterministic_runs;
       Alcotest.test_case "policies all correct" `Quick test_round_robin_vs_random_both_ok;
+      Alcotest.test_case "stepper: a step of a cyclic program allocates nothing" `Quick
+        test_step_allocates_nothing;
     ] )

@@ -155,6 +155,44 @@ let test_memo_equals_direct () =
       Alcotest.(check (float 1e-9)) "mean" direct.H.mean_passage_rmr
         r.Engine.mean_passage_rmr)
 
+let test_memo_keys () =
+  (* A cell's memo entry is named by every knob of its config: changing
+     any single one is a new entry, spelling out a default is not. *)
+  with_engine ~jobs:1 (fun e ->
+      let rcas = Rme_locks.Rcas.factory in
+      let crashes seed = H.Crash_prob { prob = 0.2; seed } in
+      let cell ?(seed = 1) ?superpassages ?(crashes = crashes 5) ?allow_cs_crash
+          ?max_crashes () =
+        Engine.cell ?superpassages ~crashes ?allow_cs_crash ?max_crashes ~seed ~n:2
+          ~width:16 ~model:Rmr.Cc rcas
+      in
+      let variants =
+        [
+          cell ();
+          cell ~seed:2 ();
+          cell ~superpassages:2 ();
+          cell ~crashes:(crashes 6) ();
+          cell ~allow_cs_crash:true ();
+          cell ~max_crashes:2 ();
+        ]
+      in
+      Engine.prefetch e variants;
+      Alcotest.(check int) "one entry per variant" 6 (Engine.counters e).Engine.computed;
+      Engine.prefetch e
+        (cell ~superpassages:1 ~allow_cs_crash:false ~max_crashes:1 () :: variants);
+      let c = Engine.counters e in
+      Alcotest.(check int) "explicit defaults share the entry" 6 c.Engine.computed;
+      Alcotest.(check int) "all served from the memo" 7 c.Engine.cached;
+      let adv ?k () = Engine.adv_cell ?k ~n:8 ~width:8 ~model:Rmr.Cc rcas in
+      let default_k = (Rme_core.Adversary.default_config ~n:8 ~width:8 Rmr.Cc).k in
+      Engine.prefetch_adv e [ adv () ];
+      Engine.prefetch_adv e [ adv ~k:default_k () ];
+      Alcotest.(check int) "~k:<default> shares the default's entry" 7
+        (Engine.counters e).Engine.computed;
+      Engine.prefetch_adv e [ adv ~k:4 () ];
+      Alcotest.(check int) "another k is a new entry" 8
+        (Engine.counters e).Engine.computed)
+
 (* ---------------- bit-identical tables at any -j ---------------- *)
 
 let render_all tables = String.concat "\n" (List.map Table.render tables)
@@ -233,6 +271,7 @@ let suite =
       Alcotest.test_case "engine: memo counters" `Quick test_memo_counters;
       Alcotest.test_case "engine: memo result = direct harness run" `Quick
         test_memo_equals_direct;
+      Alcotest.test_case "engine: memo keys" `Quick test_memo_keys;
       Alcotest.test_case "tables bit-identical at -j 1/-j 4" `Quick
         test_tables_bit_identical;
       Alcotest.test_case "adversary tables bit-identical" `Quick

@@ -7,32 +7,23 @@ let parts2 = [| [| 1; 2 |]; [| 10; 20 |] |]
 
 let test_complete () =
   let h = P.complete ~parts:parts2 in
-  Alcotest.(check int) "4 edges" 4 (P.num_edges h);
-  Alcotest.(check int) "2 parts" 2 (P.num_parts h);
+  Alcotest.(check int) "4 edges" 4 (List.length h.P.edges);
+  Alcotest.(check int) "2 parts" 2 (Array.length h.P.parts);
   Alcotest.(check bool) "contains (1,10)" true
     (List.exists (fun e -> e = [| 1; 10 |]) h.P.edges)
 
 let test_complete_three_parts () =
   let h = P.complete ~parts:[| [| 1 |]; [| 2; 3 |]; [| 4; 5; 6 |] |] in
-  Alcotest.(check int) "6 edges" 6 (P.num_edges h)
-
-let test_create_validates () =
-  Alcotest.(check bool) "valid accepted" true
-    (P.create ~parts:parts2 ~edges:[ [| 1; 10 |] ] |> fun h -> P.num_edges h = 1);
-  Alcotest.check_raises "wrong arity"
-    (Invalid_argument "Partite: edge arity differs from the number of parts")
-    (fun () -> ignore (P.create ~parts:parts2 ~edges:[ [| 1 |] ]));
-  Alcotest.check_raises "foreign vertex"
-    (Invalid_argument "Partite: vertex 99 is not in part 1") (fun () ->
-      ignore (P.create ~parts:parts2 ~edges:[ [| 1; 99 |] ]))
+  Alcotest.(check int) "6 edges" 6 (List.length h.P.edges)
 
 let test_sigma_pi () =
+  (* pi_z is the set of tails of sigma_z, the edges that contain z. *)
   let h = P.complete ~parts:parts2 in
-  let s = P.sigma_z ~part:0 ~z:1 h.P.edges in
-  Alcotest.(check int) "sigma keeps whole edges" 2 (List.length s);
-  Alcotest.(check bool) "all contain z" true (List.for_all (fun e -> e.(0) = 1) s);
+  let sigma = List.filter (fun e -> e.(0) = 1) h.P.edges in
   let p = P.pi_z ~part:0 ~z:1 h.P.edges in
-  Alcotest.(check int) "pi strips z" 2 (List.length p);
+  Alcotest.(check (list (array int))) "pi = tails of sigma"
+    (List.map (P.tail_key ~part:0) sigma) p;
+  Alcotest.(check (list (array int))) "pi strips z" [ [| 10 |]; [| 20 |] ] p;
   Alcotest.(check bool) "pi arity" true (List.for_all (fun e -> Array.length e = 1) p)
 
 let test_pi_dedups () =
@@ -62,30 +53,23 @@ let test_group_by_value () =
   Alcotest.(check int) "two classes" 2 (Hashtbl.length tbl);
   Alcotest.(check int) "class size" 2 (List.length (Hashtbl.find tbl 10))
 
-let test_filter_by_value () =
-  let h = P.complete ~parts:parts2 in
-  let f e = e.(0) + e.(1) in
-  Alcotest.(check int) "filter" 1 (List.length (P.filter_by_value h ~f ~value:11))
-
 let prop_complete_count =
   QCheck.Test.make ~name:"complete hypergraph has product-many edges"
     QCheck.(pair (int_range 1 4) (int_range 1 4))
     (fun (a, b) ->
       let parts = [| Array.init a (fun i -> i); Array.init b (fun i -> 100 + i) |] in
-      P.num_edges (P.complete ~parts) = a * b)
+      List.length (P.complete ~parts).P.edges = a * b)
 
 let suite =
   ( "partite",
     [
       Alcotest.test_case "complete 2-partite" `Quick test_complete;
       Alcotest.test_case "complete 3-partite" `Quick test_complete_three_parts;
-      Alcotest.test_case "create validates" `Quick test_create_validates;
       Alcotest.test_case "sigma and pi" `Quick test_sigma_pi;
       Alcotest.test_case "pi is a set" `Quick test_pi_dedups;
       Alcotest.test_case "pi on middle part" `Quick test_pi_middle_part;
       Alcotest.test_case "vertex union" `Quick test_vertices_of_edges;
       Alcotest.test_case "tail keys" `Quick test_tail_key;
       Alcotest.test_case "group by value" `Quick test_group_by_value;
-      Alcotest.test_case "filter by value" `Quick test_filter_by_value;
       Qc.to_alcotest prop_complete_count;
     ] )

@@ -13,7 +13,7 @@ let test_step_budget_flags_deadlock () =
   let r = H.run cfg Test_harness.deadlock_factory in
   Alcotest.(check bool) "flagged timed out" true r.H.timed_out;
   Alcotest.(check bool) "not ok" false r.H.ok;
-  Alcotest.(check int) "stopped at the budget" cfg.H.step_budget r.H.steps
+  Alcotest.(check int) "stopped at the budget" (H.default_step_budget ~n:2) r.H.steps
 
 let suite =
   ( "resilience",

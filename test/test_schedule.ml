@@ -12,7 +12,7 @@ module Intset = Rme_util.Intset
 (* Replay a committed schedule on a new play. *)
 let replay ?keep ctx directives =
   let play = S.fresh_play ctx in
-  S.replay play ctx ?keep (Rme_util.Vec.of_array directives);
+  S.replay play ?keep (Rme_util.Vec.of_array directives);
   play
 
 let committed () =
@@ -112,7 +112,7 @@ let test_table_catches_tampering () =
         (* nothing finished in round 1 for this lock; skip *)
       else begin
         let tampered = { sched with A.metas = [ bogus_meta ] } in
-        let rep = T.check ~max_actives:10 tampered in
+        let rep = T.check tampered in
         Alcotest.(check bool) "violations reported" true (not (T.ok rep))
       end
 
@@ -123,8 +123,6 @@ let test_visible_tracking () =
       width = 8;
       model = Rmr.Cc;
       factory = Rme_locks.Rcas.factory;
-      local_cap = 100;
-      completion_cap = 1000;
     }
   in
   let play = S.fresh_play ctx in

@@ -126,8 +126,6 @@ let ctx model : Schedule.context =
     width = 16;
     model;
     factory = Rme_locks.Rcas.factory;
-    local_cap = 200;
-    completion_cap = 5000;
   }
 
 let test_reset_play () =
