@@ -52,9 +52,9 @@ let bechamel_tests () =
   let open Bechamel in
   let module H = Rme_sim.Harness in
   let module Rmr = Rme_memory.Rmr in
-  let harness_run factory n model () =
+  let harness_run ?(width = 16) factory n model () =
     let cfg =
-      { (H.default_config ~n ~width:16 model) with H.superpassages = 1 }
+      { (H.default_config ~n ~width model) with H.superpassages = 1 }
     in
     ignore (H.run cfg factory)
   in
@@ -109,6 +109,10 @@ let bechamel_tests () =
       (Staged.stage (harness_run Rme_locks.Katzan_morrison.factory 8 Rmr.Dsm));
     Test.make ~name:"harness: rtournament n=16 CC"
       (Staged.stage (harness_run Rme_locks.Rtournament.factory 16 Rmr.Cc));
+    (* Large enough that a scheduler turn costing O(n) shows (over 10x
+       this probe's time); n = 1024 would then overrun the 0.5 s quota. *)
+    Test.make ~name:"harness: km n=512 w=4 DSM"
+      (Staged.stage (harness_run ~width:4 Rme_locks.Katzan_morrison.factory 512 Rmr.Dsm));
     Test.make ~name:"adversary: rcas n=64"
       (Staged.stage (adversary_run Rme_locks.Rcas.factory 64));
     Test.make ~name:"adversary: km n=64"

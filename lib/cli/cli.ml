@@ -103,6 +103,15 @@ let simulate lock n width model seed superpassages crash_prob cs_crash trace =
       Error (Printf.sprintf "--superpassages must be at least 1 (got %d)" superpassages)
     else if not (crash_prob >= 0.0 && crash_prob <= 1.0) then
       Error (Printf.sprintf "--crash-prob must be in [0, 1] (got %g)" crash_prob)
+    else if crash_prob > 0.0 && not lock.Lock_intf.recoverable then
+      Error
+        (Printf.sprintf "--crash-prob needs a recoverable lock; %s is not recoverable"
+           lock.Lock_intf.name)
+    else if crash_prob > 0.0 && List.memq lock Registry.system_wide then
+      Error
+        (Printf.sprintf
+           "--crash-prob injects individual crashes; %s is for system-wide crashes only"
+           lock.Lock_intf.name)
     else Ok ()
   in
   let crashes =

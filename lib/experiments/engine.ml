@@ -100,8 +100,8 @@ let create ?(jobs = 1) ?(progress = false) () =
   {
     pool = Pool.create ~jobs;
     guard = Mutex.create ();
-    memo = Hashtbl.create 256;
-    adv_memo = Hashtbl.create 64;
+    memo = Hashtbl.create 16;
+    adv_memo = Hashtbl.create 16;
     progress;
     n_computed = 0;
     n_cached = 0;

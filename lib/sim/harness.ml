@@ -77,16 +77,73 @@ type proc = {
   mutable p_requested_at : int; (* global CS-entry count when this super-passage began *)
   mutable p_max_bypass : int;
   mutable p_spin_loc : int;
-      (* Stutter detection: when >= 0, the process is spinning — it read
-         [p_spin_val] from this location and is poised to read it again.
+      (* Stutter detection: when >= 0, the process is parked — it read
+         this location's current value and is poised to read it again.
          Re-executing the read before the value changes provably
          reproduces the same state (continuations depend only on the
          value read), so the scheduler skips it; this both matches the
          per-invalidation RMR counting convention and keeps large
-         simulations near-linear. -1 when not spinning (two plain int
-         fields rather than an option: this is written on every step). *)
-  mutable p_spin_val : int;
+         simulations near-linear. A parked process is on its location's
+         parked list exactly while this is set; it leaves when a step
+         changes the location's value, or when it crashes. -1 when not
+         parked (a plain int rather than an option: this is written on
+         every step). *)
 }
+
+(* The runnable pids, as a membership byte per pid and a Fenwick tree of
+   counts over pids: adding or removing a pid, counting the runnable
+   pids below a bound ([rank]) and finding the k-th runnable pid in
+   ascending order ([select]) each take O(log n). *)
+module Runnable = struct
+  type t = {
+    member : Bytes.t;
+    tree : int array; (* 1-based: [tree.(i)] counts pids in [i - (i land -i), i) *)
+    top : int; (* the largest power of two <= n, 0 if n = 0 *)
+    mutable size : int;
+  }
+
+  let create n =
+    let rec top p = if 2 * p <= n then top (2 * p) else p in
+    {
+      member = Bytes.make n '\000';
+      tree = Array.make (n + 1) 0;
+      top = (if n = 0 then 0 else top 1);
+      size = 0;
+    }
+
+  let set t pid runnable =
+    if (Bytes.get t.member pid = '\001') <> runnable then begin
+      Bytes.set t.member pid (if runnable then '\001' else '\000');
+      let d = if runnable then 1 else -1 in
+      t.size <- t.size + d;
+      let i = ref (pid + 1) in
+      while !i < Array.length t.tree do
+        t.tree.(!i) <- t.tree.(!i) + d;
+        i := !i + (!i land - !i)
+      done
+    end
+
+  let rank t c =
+    let s = ref 0 and i = ref c in
+    while !i > 0 do
+      s := !s + t.tree.(!i);
+      i := !i - (!i land - !i)
+    done;
+    !s
+
+  (* Requires [k < t.size]. *)
+  let select t k =
+    let pos = ref 0 and rem = ref k and step = ref t.top in
+    while !step > 0 do
+      let next = !pos + !step in
+      if next < Array.length t.tree && t.tree.(next) <= !rem then begin
+        pos := next;
+        rem := !rem - t.tree.(next)
+      end;
+      step := !step lsr 1
+    done;
+    !pos
+end
 
 let validate config (factory : Lock_intf.factory) =
   if not (Lock_intf.supports factory ~n:config.n ~width:config.width) then
@@ -106,6 +163,20 @@ let validate config (factory : Lock_intf.factory) =
              "Harness.run: lock %s is not recoverable; cannot inject crashes"
              factory.name)
 
+(* A lock with an epoch counter is built for the system-wide model: its
+   recovery relies on every process having crashed at once, so it makes
+   no promise under individual crashes. Known once the lock is built. *)
+let validate_instance (config : config) (factory : Lock_intf.factory) st =
+  match config.crashes with
+  | Crash_prob _ | Crash_script _ ->
+      if Stepper.system_epoch st <> None then
+        invalid_arg
+          (Printf.sprintf
+             "Harness.run: lock %s is for system-wide crashes only; cannot \
+              inject individual crashes"
+             factory.name)
+  | No_crashes | System_crash_script _ | System_crash_prob _ -> ()
+
 let run config (factory : Lock_intf.factory) =
   validate config factory;
   let trace = if config.record_trace then Some (Trace.create ()) else None in
@@ -113,6 +184,7 @@ let run config (factory : Lock_intf.factory) =
     Stepper.create ?trace ~n:config.n ~width:config.width ~model:config.model
       ~superpassages:config.superpassages ~cs:config.cs factory
   in
+  validate_instance config factory st;
   let memory = Stepper.memory st and rmr = Stepper.rmr st in
   let sprocs = Stepper.procs st in
   let violations = ref [] in
@@ -155,7 +227,6 @@ let run config (factory : Lock_intf.factory) =
           p_requested_at = 0;
           p_max_bypass = 0;
           p_spin_loc = -1;
-          p_spin_val = 0;
         })
   in
   let steps = ref 0 in
@@ -221,6 +292,54 @@ let run config (factory : Lock_intf.factory) =
         release_holder pid
   in
   let settle pid = Stepper.settle st ~pid ~on_boundary in
+  (* A pid is runnable iff it rests in the remainder with super-passages
+     left, or is outside the remainder and not parked. Only a pid's own
+     turn, a wake and a system crash change that. *)
+  let runnable = Runnable.create config.n in
+  let refresh pid =
+    let sp = sprocs.(pid) in
+    Runnable.set runnable pid
+      (match sp.section with
+      | Stepper.Remainder -> sp.left > 0
+      | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery ->
+          procs.(pid).p_spin_loc < 0)
+  in
+  for pid = 0 to config.n - 1 do
+    refresh pid
+  done;
+  (* The parked spinners of each location, as intrusive doubly-linked
+     lists: [parked.(loc)] is the first pid parked on [loc] (-1 if none),
+     [next]/[prev] link the pids of one list. Every pid parked on [loc]
+     read [loc]'s current value, so a step that changes it wakes the
+     whole list and one that leaves it unchanged wakes nobody. *)
+  let parked = Array.make (Memory.num_locs memory) (-1) in
+  let next = Array.make config.n (-1) and prev = Array.make config.n (-1) in
+  let park pid loc =
+    procs.(pid).p_spin_loc <- loc;
+    let head = parked.(loc) in
+    next.(pid) <- head;
+    prev.(pid) <- -1;
+    if head >= 0 then prev.(head) <- pid;
+    parked.(loc) <- pid
+  in
+  let unpark pid =
+    let p = procs.(pid) in
+    let loc = p.p_spin_loc in
+    if loc >= 0 then begin
+      let nx = next.(pid) and pv = prev.(pid) in
+      if pv >= 0 then next.(pv) <- nx else parked.(loc) <- nx;
+      if nx >= 0 then prev.(nx) <- pv;
+      p.p_spin_loc <- -1
+    end
+  in
+  let rec wake pid =
+    if pid >= 0 then begin
+      let nx = next.(pid) in
+      procs.(pid).p_spin_loc <- -1;
+      Runnable.set runnable pid true;
+      wake nx
+    end
+  in
   let crashable pid =
     factory.recoverable
     && sprocs.(pid).crashes < config.max_crashes_per_process
@@ -251,7 +370,7 @@ let run config (factory : Lock_intf.factory) =
     end_passage pid;
     Stepper.crash st ~pid;
     begin_passage pid;
-    procs.(pid).p_spin_loc <- -1
+    unpark pid
   in
   (* Perform the poised operation of [pid], with CS-RMR accounting and
      stutter detection. *)
@@ -259,17 +378,21 @@ let run config (factory : Lock_intf.factory) =
     let p = procs.(pid) in
     let section = sprocs.(pid).section in
     let loc = Stepper.poised_loc st ~pid and op = Stepper.poised_op st ~pid in
+    let before = Memory.value memory loc in
+    (* Parked only when the deadlock fallback picked it. *)
+    unpark pid;
     let rmr = Stepper.step st ~pid in
     if rmr && section = Stepper.Cs then p.p_cs_rmrs <- p.p_cs_rmrs + 1;
-    if
-      Op.is_read op
-      && Stepper.poised_loc st ~pid = loc
-      && Op.is_read (Stepper.poised_op st ~pid)
-    then begin
-      p.p_spin_loc <- loc;
-      p.p_spin_val <- Memory.value memory loc
+    if not (Op.is_read op) then begin
+      if Memory.value memory loc <> before then begin
+        let head = parked.(loc) in
+        parked.(loc) <- -1;
+        wake head
+      end
     end
-    else p.p_spin_loc <- -1
+    else if
+      Stepper.poised_loc st ~pid = loc && Op.is_read (Stepper.poised_op st ~pid)
+    then park pid loc
   in
   let sched_rng =
     match config.policy with
@@ -277,59 +400,43 @@ let run config (factory : Lock_intf.factory) =
     | Round_robin -> None
   in
   let rr_cursor = ref 0 in
-  let still_spinning p =
-    if p.p_spin_loc < 0 then false
-    else if Memory.value memory p.p_spin_loc = p.p_spin_val then true
-    else begin
-      p.p_spin_loc <- -1;
-      false
-    end
-  in
-  (* Candidate pids in ascending order, rebuilt into one shared buffer
-     every step — the scheduler allocates nothing per iteration. *)
-  let cand = Array.make config.n 0 in
-  let runnable () =
+  (* Deadlock fallback: when nothing is runnable but some process is
+     outside the remainder, every such process is a parked spinner and
+     nothing can ever change. Surface them, in ascending order, so the
+     step budget flags the deadlock. *)
+  let blocked = Array.make config.n 0 in
+  let collect_blocked () =
     let len = ref 0 in
-    let spinners = ref 0 in
     for pid = 0 to config.n - 1 do
       match sprocs.(pid).section with
-      | Stepper.Remainder ->
-          if sprocs.(pid).left > 0 then begin
-            cand.(!len) <- pid;
-            incr len
-          end
       | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery ->
-          if still_spinning procs.(pid) then incr spinners
-          else begin
-            cand.(!len) <- pid;
-            incr len
-          end
+          blocked.(!len) <- pid;
+          incr len
+      | Stepper.Remainder -> ()
     done;
-    (* If every unfinished process is a blocked spinner, nothing can ever
-       change: surface them so the step budget flags the deadlock. *)
-    if !len = 0 && !spinners > 0 then
-      for pid = 0 to config.n - 1 do
-        match sprocs.(pid).section with
-        | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery ->
-            cand.(!len) <- pid;
-            incr len
-        | Stepper.Remainder -> ()
-      done;
     !len
   in
+  (* The [i]-th candidate in ascending pid order. *)
+  let nth ~fallback i = if fallback then blocked.(i) else Runnable.select runnable i in
   let pick len =
+    let fallback = runnable.size = 0 in
     match (config.policy, sched_rng) with
     | Round_robin, _ ->
         (* Advance a global cursor; pick the first candidate at or after it. *)
-        let rec find i =
-          if i >= len then cand.(0)
-          else if cand.(i) >= !rr_cursor then cand.(i)
-          else find (i + 1)
+        let below =
+          if fallback then begin
+            let i = ref 0 in
+            while !i < len && blocked.(!i) < !rr_cursor do
+              incr i
+            done;
+            !i
+          end
+          else Runnable.rank runnable !rr_cursor
         in
-        let pid = find 0 in
+        let pid = nth ~fallback (if below < len then below else 0) in
         rr_cursor := (pid + 1) mod config.n;
         pid
-    | Random_policy _, Some rng -> cand.(Splitmix.int rng len)
+    | Random_policy _, Some rng -> nth ~fallback (Splitmix.int rng len)
     | Random_policy _, None -> assert false
   in
   let completed = ref false in
@@ -363,30 +470,37 @@ let run config (factory : Lock_intf.factory) =
         | None -> false)
     | No_crashes | Crash_prob _ | Crash_script _ -> false
   in
+  (* The crash unparks every process outside the remainder, so no parked
+     list needs the epoch increment's wake. *)
   let do_system_crash () =
     incr sys_crashes;
     Stepper.epoch_step st;
     for pid = 0 to config.n - 1 do
       settle pid;
-      match sprocs.(pid).section with
+      (match sprocs.(pid).section with
       | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery ->
           do_crash pid
-      | Stepper.Remainder -> ()
+      | Stepper.Remainder -> ());
+      refresh pid
     done
   in
   let rec loop () =
-    let len = runnable () in
+    let len = if runnable.size > 0 then runnable.size else collect_blocked () in
     if len = 0 then completed := true
     else if budget_left () then begin
-      if system_crash_fires () then do_system_crash ();
+      (* The pick is made from the set as it stood before a system crash.
+         It draws from [sched_rng] and the crash from [crash_rng], so the
+         order of the two draws does not matter. *)
       let pid = pick len in
+      if system_crash_fires () then do_system_crash ();
       settle pid;
       (match sprocs.(pid).section with
       | Stepper.Remainder -> () (* settled into completion *)
       | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery ->
           if crash_fires pid then do_crash pid else execute pid;
-          (* Settle eagerly so "runnable" reflects completion. *)
+          (* Settle eagerly so the runnable set reflects completion. *)
           settle pid);
+      refresh pid;
       incr steps;
       loop ()
     end

@@ -12,6 +12,20 @@
     paper measures the RMR complexity of the mutual exclusion protocol
     itself.
 
+    Scheduling: each turn steps one runnable process — one resting in
+    the remainder with super-passages left, or one outside it that is
+    not parked. A process is parked when it has just read a location
+    and is poised to read it again: re-reading an unchanged value
+    reproduces the same state, so it waits on that location's parked
+    list until a step changes the value, or until it crashes. The
+    runnable set is kept incrementally (a Fenwick tree over pids), so a
+    turn costs O(log n) plus the processes it wakes. {!Round_robin}
+    takes the first runnable pid at or after a cursor and
+    {!Random_policy} a uniform draw among the runnable pids in
+    ascending order. A system-wide crash refreshes every pid. When
+    only parked processes are left, an O(n) scan surfaces all of them
+    as candidates, so a deadlock runs out the step budget.
+
     The harness performs no step itself and builds no event: with
     [record_trace], it attaches a {!Trace.t} to its {!Stepper}, which
     records every step, crash step and system epoch increment. *)
@@ -108,5 +122,7 @@ type result = {
 
 val run : config -> Lock_intf.factory -> result
 (** Raises [Invalid_argument] if the lock does not support the configured
-    word width for [n] processes, or if crashes are requested of a
-    non-recoverable lock. *)
+    word width for [n] processes, if crashes are requested of a
+    non-recoverable lock, or if individual crashes ([Crash_prob],
+    [Crash_script]) are requested of a lock built for the system-wide
+    model (one whose instance has a [system_epoch]). *)

@@ -50,6 +50,7 @@ let create ?trace ~n ~width ~model ~superpassages ~cs (factory : Lock_intf.facto
 let memory t = t.memory
 let rmr t = t.rmr
 let n t = Array.length t.procs
+let system_epoch t = t.lock.system_epoch
 let procs t = t.procs
 
 (* Every critical-section program contains a step, so this terminates. *)

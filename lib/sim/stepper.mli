@@ -32,9 +32,9 @@ type boundary =
   | Leave_cs  (** The critical section returned; [exit] starts. *)
   | End_superpassage  (** [exit] returned, or [recover] said [Passage_done]. *)
 
-(** One process, read-only outside this module: the scheduler's
-    per-turn scan reads every [section], where a call per process would
-    cost more than the scan. *)
+(** One process, read-only outside this module: the harness scheduler
+    reads [section] and [left] directly on every turn, where a call
+    would cost more than the read. *)
 type proc = private {
   mutable section : section;
   mutable prog : unit Prog.t;  (** The entry, CS or exit program. *)
@@ -64,6 +64,10 @@ val create :
 val memory : t -> Rme_memory.Memory.t
 val rmr : t -> Rme_memory.Rmr.t
 val n : t -> int
+
+val system_epoch : t -> Rme_memory.Memory.loc option
+(** The lock's epoch counter ({!Lock_intf.instance}'s [system_epoch]):
+    present only for a lock built for the system-wide crash model. *)
 
 val procs : t -> proc array
 (** Indexed by pid; the same records for the life of [t]. *)

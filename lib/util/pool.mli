@@ -16,11 +16,13 @@ type t
 
 val create : jobs:int -> t
 (** [create ~jobs] returns a pool of total parallelism [jobs] (the
-    caller plus [jobs - 1] spawned domains). [jobs <= 0] selects
-    [Domain.recommended_domain_count ()]. [jobs = 1] spawns nothing and
-    makes every [map_array] run sequentially in the caller. Worker
-    domains are joined by {!shutdown}, which is also registered with
-    [at_exit]. *)
+    caller plus [jobs - 1] helper domains). [jobs <= 0] selects
+    [Domain.recommended_domain_count ()]. [jobs = 1] allocates no
+    queue, mutex or condition and makes every [map_array] run
+    sequentially in the caller. A larger pool spawns its helpers at its
+    first [map_array] of more than one task, so creating a pool spawns
+    nothing. Helpers are joined by {!shutdown}, which is also
+    registered with [at_exit] once they are spawned. *)
 
 val jobs : t -> int
 (** Total parallelism, including the calling domain. *)

@@ -117,6 +117,17 @@ let test_bad_crash_prob_rejected () =
     (fun p -> check_rejected ~flag:"--crash-prob" [ "--lock"; "rcas"; "--crash-prob=" ^ p ])
     [ "-1"; "nan"; "2"; "1.5" ]
 
+(* Individual crashes need a lock that recovers from them one process
+   at a time: neither a conventional lock nor epoch-mcs, which is built
+   for system-wide crashes, may be given --crash-prob. *)
+let test_crashes_the_lock_cannot_take_rejected () =
+  List.iter
+    (check_rejected ~flag:"--crash-prob")
+    [
+      [ "--lock"; "mcs"; "--crash-prob"; "0.05" ];
+      [ "--lock"; "epoch-mcs"; "-n"; "16"; "--crash-prob"; "0.05"; "--cs-crash" ];
+    ]
+
 let test_unknown_family_rejected () =
   let (code, _), _ = capture Unix.stderr (fun () -> eval [ "lemma"; "--family"; "zzz" ]) in
   Alcotest.(check int) "exit 1" 1 code
@@ -143,4 +154,6 @@ let suite =
         test_bad_superpassages_rejected;
       Alcotest.test_case "simulate rejects a crash probability outside [0, 1]" `Quick
         test_bad_crash_prob_rejected;
+      Alcotest.test_case "simulate rejects crashes the lock cannot take" `Quick
+        test_crashes_the_lock_cannot_take_rejected;
     ] )

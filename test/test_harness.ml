@@ -188,6 +188,17 @@ let test_crash_rejected_for_nonrecoverable () =
     (Invalid_argument "Harness.run: lock mcs is not recoverable; cannot inject crashes")
     (fun () -> ignore (H.run c Rme_locks.Mcs.factory))
 
+let test_individual_crashes_rejected_for_system_wide () =
+  List.iter
+    (fun crashes ->
+      let c = { (cfg Rmr.Cc) with crashes } in
+      Alcotest.check_raises "refuses"
+        (Invalid_argument
+           "Harness.run: lock epoch-mcs is for system-wide crashes only; cannot inject \
+            individual crashes")
+        (fun () -> ignore (H.run c Rme_locks.Epoch_mcs.factory)))
+    [ H.Crash_prob { prob = 0.05; seed = 1 }; H.Crash_script [ (3, 0) ] ]
+
 let test_width_rejected () =
   let c = cfg ~n:300 ~w:4 Rmr.Cc in
   Alcotest.check_raises "refuses"
@@ -296,6 +307,8 @@ let suite =
         test_crash_on_first_recovery_step;
       Alcotest.test_case "crashes rejected for non-recoverable" `Quick
         test_crash_rejected_for_nonrecoverable;
+      Alcotest.test_case "individual crashes rejected for a system-wide lock" `Quick
+        test_individual_crashes_rejected_for_system_wide;
       Alcotest.test_case "insufficient width rejected" `Quick test_width_rejected;
       Alcotest.test_case "trace recording" `Quick test_trace_recorded;
       Alcotest.test_case "trace filtering" `Quick test_trace_filter;

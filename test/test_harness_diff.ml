@@ -1,0 +1,146 @@
+(* Differential test of the harness scheduler: the event-driven
+   scheduler (runnable set plus parked lists) must pick exactly what the
+   per-turn scan of harness_reference.ml picks, so every field of the
+   result, the recorded trace and the final memory agree. *)
+
+module H = Rme_sim.Harness
+module Lock_intf = Rme_sim.Lock_intf
+module Prog = Rme_sim.Prog
+module Trace = Rme_sim.Trace
+module Registry = Rme_locks.Registry
+module Memory = Rme_memory.Memory
+module Op = Rme_memory.Op
+module Rmr = Rme_memory.Rmr
+
+(* Ticket locks whose waiters spin on [serving]. With [~stuck:false] the
+   exit serves the next ticket by fetch-and-add, so the waiters depend
+   on the wake that follows an FAA (no registry lock spins on a location
+   that an FAA changes). With [~stuck:true] the exit serves nobody: the
+   first process through leaves everyone else spinning forever, so the
+   run reaches the deadlock fallback after some progress. The stuck lock
+   is recoverable, so crashes can unpark a process the fallback
+   surfaced. *)
+let toy_ticket ~stuck =
+  {
+    Lock_intf.name = (if stuck then "toy-stuck-ticket" else "toy-faa-ticket");
+    recoverable = stuck;
+    min_width = (fun ~n -> Rme_util.Bitword.bits_needed (n + 1));
+    make =
+      (fun memory ~n:_ ->
+        let next = Memory.alloc memory ~init:0 in
+        let serving = Memory.alloc memory ~init:0 in
+        let entry ~pid:_ =
+          Prog.bind (Prog.faa next 1) (fun t ->
+              Prog.map ignore (Prog.await serving (fun v -> v = t)))
+        in
+        {
+          Lock_intf.entry;
+          exit =
+            (fun ~pid:_ -> if stuck then Prog.return () else Prog.map ignore (Prog.faa serving 1));
+          recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
+          system_epoch = None;
+        });
+  }
+
+let faa_ticket = toy_ticket ~stuck:false
+let stuck_ticket = toy_ticket ~stuck:true
+
+type case = { lock : Lock_intf.factory; config : H.config }
+
+let gen_crashes (lock : Lock_intf.factory) ~n =
+  let open QCheck.Gen in
+  let system =
+    [
+      map (fun l -> H.System_crash_script l) (list_size (int_bound 4) (int_bound (40 * n)));
+      map3
+        (fun prob seed max -> H.System_crash_prob { prob; seed; max })
+        (float_bound_inclusive 0.05) nat (int_bound 3);
+    ]
+  in
+  let individual =
+    [
+      map2
+        (fun prob seed -> H.Crash_prob { prob; seed })
+        (float_bound_inclusive 0.1) nat;
+      map
+        (fun l -> H.Crash_script l)
+        (list_size (int_bound 6) (pair (int_bound (30 * n)) (int_bound (n - 1))));
+    ]
+  in
+  if not lock.Lock_intf.recoverable then return H.No_crashes
+  else if List.memq lock Registry.system_wide then oneof (return H.No_crashes :: system)
+  else oneof ((return H.No_crashes :: system) @ individual)
+
+let gen_case =
+  let open QCheck.Gen in
+  let* lock = oneofl (faa_ticket :: stuck_ticket :: Registry.all) in
+  (* The stuck lock runs out its step budget, which grows as n^2. *)
+  let* n = int_range 1 (if lock == stuck_ticket then 4 else 64) in
+  let min_w = lock.Lock_intf.min_width ~n in
+  let* width = oneofl (List.filter (fun w -> w >= min_w) [ min_w; 16; 32; 62 ]) in
+  let* model = oneofl Rmr.all_models in
+  let* superpassages = int_range 1 3 in
+  let* policy = oneof [ return H.Round_robin; map (fun s -> H.Random_policy s) nat ] in
+  let* crashes = gen_crashes lock ~n in
+  let* allow_cs_crash = bool in
+  let* max_crashes_per_process = int_range 1 3 in
+  let* record_trace = frequency [ (3, return true); (1, return false) ] in
+  return
+    {
+      lock;
+      config =
+        {
+          H.n;
+          width;
+          model;
+          superpassages;
+          policy;
+          crashes;
+          allow_cs_crash;
+          max_crashes_per_process;
+          record_trace;
+          cs = None;
+        };
+    }
+
+let print_case { lock; config = c } =
+  let crashes =
+    match c.H.crashes with
+    | H.No_crashes -> "none"
+    | H.Crash_prob { prob; seed } -> Printf.sprintf "prob %g seed %d" prob seed
+    | H.Crash_script l ->
+        "script " ^ String.concat ";" (List.map (fun (s, p) -> Printf.sprintf "%d@%d" p s) l)
+    | H.System_crash_script l ->
+        "system script " ^ String.concat ";" (List.map string_of_int l)
+    | H.System_crash_prob { prob; seed; max } ->
+        Printf.sprintf "system prob %g seed %d max %d" prob seed max
+  in
+  Printf.sprintf "%s n=%d w=%d %s sp=%d %s crashes=[%s] cs_crash=%b max=%d trace=%b"
+    lock.Lock_intf.name c.H.n c.H.width (Rmr.model_name c.H.model) c.H.superpassages
+    (match c.H.policy with
+    | H.Round_robin -> "round-robin"
+    | H.Random_policy s -> Printf.sprintf "random %d" s)
+    crashes c.H.allow_cs_crash c.H.max_crashes_per_process c.H.record_trace
+
+(* An [Rmw] step holds a function, so events are compared with each
+   [Rmw] reduced to its name. *)
+let event_key = function
+  | Trace.Step s ->
+      let op = match s.Trace.op with Op.Rmw { name; _ } -> `Rmw name | op -> `Op op in
+      `Step (s.Trace.pid, s.Trace.loc, op, s.Trace.old_value, s.Trace.new_value, s.Trace.rmr, s.Trace.section)
+  | Trace.Crash { pid; section } -> `Crash (pid, section)
+
+(* Everything a run reports, with the memory as its final values. *)
+let observe (r : H.result) =
+  ( (r.H.ok, r.H.completed, r.H.timed_out, r.H.steps, r.H.violations),
+    (r.H.procs, r.H.max_passage_rmr, r.H.mean_passage_rmr, r.H.total_crashes),
+    Option.map (fun t -> List.map event_key (Trace.events t)) r.H.trace,
+    Memory.snapshot r.H.memory )
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"event-driven scheduler =~ scan reference"
+    (QCheck.make ~print:print_case gen_case)
+    (fun { lock; config } ->
+      observe (H.run config lock) = observe (Harness_reference.run config lock))
+
+let suite = ("harness-diff", [ Qc.to_alcotest prop_matches_reference ])

@@ -13,6 +13,7 @@ let () =
       Test_snapshot.suite;
       Test_prog.suite;
       Test_harness.suite;
+      Test_harness_diff.suite;
       Test_checker.suite;
       Test_locks.suite;
       Test_locks_crash.suite;

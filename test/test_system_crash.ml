@@ -110,10 +110,9 @@ let test_constant_rmr_in_n () =
     (r64 <= r8 + 4 && r32 <= r8 + 4)
 
 let test_individual_crash_semantics_guard () =
-  (* The harness accepts individual crashes for epoch-mcs (it is marked
-     recoverable), but the lock's model assumption is system-wide; this
-     test documents that the *system* policies are the supported ones by
-     exercising both system policies and checking the epoch counter. *)
+  (* Epoch-mcs takes system-wide crashes only (the harness rejects
+     individual ones for a lock with an epoch counter): two scripted
+     system crashes crash each of the 4 processes at most twice. *)
   let c =
     { (base ~n:4 ~sp:2 Rmr.Cc) with crashes = H.System_crash_script [ 4; 9 ] }
   in
