@@ -113,6 +113,11 @@ let bechamel_tests () =
        this probe's time); n = 1024 would then overrun the 0.5 s quota. *)
     Test.make ~name:"harness: km n=512 w=4 DSM"
       (Staged.stage (harness_run ~width:4 Rme_locks.Katzan_morrison.factory 512 Rmr.Dsm));
+    (* Dense churn: every waiter spins on one location, so each release
+       wakes and re-parks most of the 256 pids. A runnable-set change
+       that turned quadratic in the set's size would show here. *)
+    Test.make ~name:"harness: tas n=256 CC"
+      (Staged.stage (harness_run Rme_locks.Tas.factory 256 Rmr.Cc));
     Test.make ~name:"adversary: rcas n=64"
       (Staged.stage (adversary_run Rme_locks.Rcas.factory 64));
     Test.make ~name:"adversary: km n=64"

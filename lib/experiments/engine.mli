@@ -8,7 +8,7 @@
     pool and memoises every result by its key. Each cell derives its RNGs
     from the seeds in its config, so tables assembled by key lookup are
     bit-identical at any [jobs]; a cell shared by several experiments
-    (E1/E6, E2/E7b/A3) is computed once per engine. *)
+    (E1/E6, E2/A3) is computed once per engine. *)
 
 type t
 

@@ -1,78 +1,100 @@
 module Bitword = Rme_util.Bitword
-module Vec = Rme_util.Vec
 
 type loc = int
 
-(* [last_accessor] uses -1 for "never accessed" so [apply] stays
-   allocation-free; the option view is built only on query. *)
-type cell = {
-  owner : int option;
-  init : int;
-  mutable value : int;
-  mutable last_accessor : int;
+(* One flat array per field, indexed by location; the first [len]
+   entries are live and the arrays double when full. [accessors] uses -1
+   for "never accessed" so [apply] stays allocation-free; the option view
+   is built only on query. [owners] holds the option [alloc] was given,
+   so [owner] allocates nothing either. *)
+type t = {
+  width : int;
+  mutable len : int;
+  mutable values : int array;
+  mutable inits : int array;
+  mutable accessors : int array;
+  mutable owners : int option array;
 }
-
-type t = { width : int; cells : cell Vec.t }
 
 let create ~width =
   Bitword.check_width width;
-  { width; cells = Vec.create () }
+  let cap = 16 in
+  {
+    width;
+    len = 0;
+    values = Array.make cap 0;
+    inits = Array.make cap 0;
+    accessors = Array.make cap (-1);
+    owners = Array.make cap None;
+  }
 
 let width t = t.width
 
-let num_locs t = Vec.length t.cells
+let num_locs t = t.len
+
+let grow t =
+  let cap = 2 * Array.length t.values in
+  let extend a fill =
+    let a' = Array.make cap fill in
+    Array.blit a 0 a' 0 t.len;
+    a'
+  in
+  t.values <- extend t.values 0;
+  t.inits <- extend t.inits 0;
+  t.accessors <- extend t.accessors (-1);
+  t.owners <- extend t.owners None
 
 let alloc ?owner t ~init =
   let init = Bitword.truncate ~width:t.width init in
-  Vec.push t.cells { owner; init; value = init; last_accessor = -1 }
+  if t.len = Array.length t.values then grow t;
+  let loc = t.len in
+  t.values.(loc) <- init;
+  t.inits.(loc) <- init;
+  t.owners.(loc) <- owner;
+  t.len <- loc + 1;
+  loc
 
 let alloc_array ?owner t ~init ~len = Array.init len (fun _ -> alloc ?owner t ~init)
 
-let cell t loc = Vec.get t.cells loc
+let check t loc =
+  if loc < 0 || loc >= t.len then
+    invalid_arg (Printf.sprintf "Memory: location %d out of bounds [0, %d)" loc t.len)
 
-let value t loc = (cell t loc).value
+let value t loc =
+  check t loc;
+  t.values.(loc)
 
-let owner t loc = (cell t loc).owner
+let owner t loc =
+  check t loc;
+  t.owners.(loc)
 
 let last_accessor t loc =
-  let a = (cell t loc).last_accessor in
+  check t loc;
+  let a = t.accessors.(loc) in
   if a < 0 then None else Some a
 
 let apply t ~pid loc op =
-  let c = cell t loc in
-  let old = c.value in
-  c.value <- Op.next_value ~width:t.width op old;
-  c.last_accessor <- pid;
+  check t loc;
+  let old = t.values.(loc) in
+  t.values.(loc) <- Op.next_value ~width:t.width op old;
+  t.accessors.(loc) <- pid;
   old
 
 let peek_next_value t loc op = Op.next_value ~width:t.width op (value t loc)
 
-let snapshot t = Array.init (num_locs t) (fun i -> (cell t i).value)
+let snapshot t = Array.sub t.values 0 t.len
 
 let reset_values t =
-  Vec.iter
-    (fun c ->
-      c.value <- c.init;
-      c.last_accessor <- -1)
-    t.cells
+  Array.blit t.inits 0 t.values 0 t.len;
+  Array.fill t.accessors 0 t.len (-1)
 
 type checkpoint = { ck_values : int array; ck_accessors : int array }
 
 let checkpoint t =
-  let n = num_locs t in
-  let ck_values = Array.make n 0 and ck_accessors = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let c = cell t i in
-    ck_values.(i) <- c.value;
-    ck_accessors.(i) <- c.last_accessor
-  done;
-  { ck_values; ck_accessors }
+  { ck_values = Array.sub t.values 0 t.len; ck_accessors = Array.sub t.accessors 0 t.len }
 
 let restore t ck =
-  if Array.length ck.ck_values <> num_locs t then
+  if Array.length ck.ck_values <> t.len then
     invalid_arg "Memory.restore: checkpoint from a different memory";
-  for i = 0 to num_locs t - 1 do
-    let c = cell t i in
-    c.value <- ck.ck_values.(i);
-    c.last_accessor <- ck.ck_accessors.(i)
-  done
+  Array.blit ck.ck_values 0 t.values 0 t.len;
+  Array.blit ck.ck_accessors 0 t.accessors 0 t.len

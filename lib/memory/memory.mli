@@ -13,7 +13,12 @@
 
     [last_accessor] tracks the process that last performed {e any}
     operation on the location — the paper's [last_R] — which both the
-    lower-bound adversary and the invariant checkers consume. *)
+    lower-bound adversary and the invariant checkers consume.
+
+    Representation: one flat array per field (value, initial value, last
+    accessor, owner), indexed by location and doubling from a small
+    capacity as locations are allocated, so a step reads and writes
+    unboxed array slots rather than a per-location record. *)
 
 type loc = int
 (** A location handle. Handles are dense indices, valid for the memory

@@ -10,17 +10,3 @@ let pp ppf s =
   Format.fprintf ppf "{%s}"
     (String.concat ", " (List.map string_of_int (elements s)))
 
-let encode s =
-  fold
-    (fun p acc ->
-      if p < 0 || p > 61 then invalid_arg "Intset.encode: element out of [0, 61]";
-      acc lor (1 lsl p))
-    s 0
-
-let decode v =
-  let rec loop i v acc =
-    if v = 0 then acc
-    else if v land 1 = 1 then loop (i + 1) (v lsr 1) (add i acc)
-    else loop (i + 1) (v lsr 1) acc
-  in
-  loop 0 v empty

@@ -14,9 +14,3 @@ val to_sorted_list : t -> int list
 val pp : Format.formatter -> t -> unit
 (** Prints as [{1, 4, 5}]. *)
 
-val encode : t -> int
-(** [encode s] is [sum over p in s of 2^p]: the paper's column index for a
-    set of processes. Elements must be in [0, 61]. *)
-
-val decode : int -> t
-(** Inverse of [encode]. *)

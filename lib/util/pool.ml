@@ -34,6 +34,14 @@ let worker s () =
   in
   next ()
 
+(* The pools whose helpers are running. Helper domains blocked on the
+   condition variable would otherwise keep the runtime alive (or be
+   killed mid-wait) at program exit, so one [at_exit] closes every pool
+   still here; [close] takes a pool out, so a shut-down pool is not kept
+   reachable for the life of the process. *)
+let live : shared list ref = ref []
+let live_lock = Mutex.create ()
+
 let close s =
   Mutex.lock s.lock;
   let was_closed = s.closed in
@@ -41,7 +49,12 @@ let close s =
   Condition.broadcast s.work_ready;
   let workers = s.workers in
   Mutex.unlock s.lock;
-  if not was_closed then Array.iter Domain.join workers
+  if not was_closed then begin
+    Array.iter Domain.join workers;
+    Mutex.protect live_lock (fun () -> live := List.filter (fun s' -> s' != s) !live)
+  end
+
+let () = at_exit (fun () -> List.iter close (Mutex.protect live_lock (fun () -> !live)))
 
 let shutdown t = Option.iter close t.shared
 
@@ -65,9 +78,7 @@ let create ~jobs =
 let spawn_workers t s =
   if Array.length s.workers = 0 then begin
     s.workers <- Array.init (t.jobs - 1) (fun _ -> Domain.spawn (worker s));
-    (* Helper domains blocked on the condition variable would otherwise
-       keep the runtime alive (or be killed mid-wait) at program exit. *)
-    at_exit (fun () -> close s)
+    Mutex.protect live_lock (fun () -> live := s :: !live)
   end
 
 let jobs t = t.jobs

@@ -21,8 +21,10 @@ val create : jobs:int -> t
     queue, mutex or condition and makes every [map_array] run
     sequentially in the caller. A larger pool spawns its helpers at its
     first [map_array] of more than one task, so creating a pool spawns
-    nothing. Helpers are joined by {!shutdown}, which is also
-    registered with [at_exit] once they are spawned. *)
+    nothing. Helpers are joined by {!shutdown}; a pool whose helpers
+    are still running at program exit is shut down by one process-wide
+    [at_exit], and a pool shut down before then is no longer held by
+    it. *)
 
 val jobs : t -> int
 (** Total parallelism, including the calling domain. *)

@@ -45,6 +45,36 @@ let toy_ticket ~stuck =
 let faa_ticket = toy_ticket ~stuck:false
 let stuck_ticket = toy_ticket ~stuck:true
 
+(* A token passed up the pids: p waits on its own flag, which p - 1 sets
+   on its exit. The lower half await the flag and park; the upper half
+   alternate between the flag and a scratch cell, so they are never
+   parked. Each exit in the lower half therefore wakes one low pid into
+   a set holding the whole upper half above it. *)
+let chain =
+  {
+    Lock_intf.name = "toy-chain";
+    recoverable = false;
+    min_width = (fun ~n:_ -> 1);
+    make =
+      (fun memory ~n ->
+        let flags = Array.init n (fun p -> Memory.alloc memory ~init:(if p = 0 then 1 else 0)) in
+        let scratch = Memory.alloc memory ~init:0 in
+        let rec busy pid =
+          Prog.bind (Prog.read flags.(pid)) (fun v ->
+              if v = 1 then Prog.return () else Prog.bind (Prog.read scratch) (fun _ -> busy pid))
+        in
+        {
+          Lock_intf.entry =
+            (fun ~pid ->
+              if 2 * pid >= n then busy pid
+              else Prog.map ignore (Prog.await flags.(pid) (fun v -> v = 1)));
+          exit =
+            (fun ~pid -> if pid + 1 < n then Prog.write flags.(pid + 1) 1 else Prog.return ());
+          recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
+          system_epoch = None;
+        });
+  }
+
 type case = { lock : Lock_intf.factory; config : H.config }
 
 let gen_crashes (lock : Lock_intf.factory) ~n =
@@ -143,4 +173,39 @@ let prop_matches_reference =
     (fun { lock; config } ->
       observe (H.run config lock) = observe (Harness_reference.run config lock))
 
-let suite = ("harness-diff", [ Qc.to_alcotest prop_matches_reference ])
+(* The property draws n <= 64, where the runnable array stays short.
+   These fixed cases shift long ones: KM at n = 512, w = 4 keeps a
+   sparse set (a few tens of runnable pids) that changes on few turns;
+   TAS and ticket at n = 256 park every waiter on one location, so each
+   release wakes nearly all of them at once and they re-park one by
+   one; the chain at n = 256 adds single pids to a long set. They
+   record no trace: a broken runnable set can run out the n^2 step
+   budget, and a trace that long would not fit in memory. *)
+let large_cases =
+  let case (lock : Lock_intf.factory) ~n ~width model policy =
+    { lock; config = { (H.default_config ~n ~width model) with H.policy } }
+  in
+  List.concat_map
+    (fun policy ->
+      [
+        case Rme_locks.Katzan_morrison.factory ~n:512 ~width:4 Rmr.Cc policy;
+        case Rme_locks.Tas.factory ~n:256 ~width:16 Rmr.Cc policy;
+        case Rme_locks.Ticket.factory ~n:256 ~width:16 Rmr.Dsm policy;
+        case chain ~n:256 ~width:1 Rmr.Cc policy;
+      ])
+    [ H.Random_policy 11; H.Round_robin ]
+
+let test_large_cases () =
+  List.iter
+    (fun ({ lock; config } as c) ->
+      Alcotest.(check bool)
+        (print_case c) true
+        (observe (H.run config lock) = observe (Harness_reference.run config lock)))
+    large_cases
+
+let suite =
+  ( "harness-diff",
+    [
+      Qc.to_alcotest prop_matches_reference;
+      Alcotest.test_case "large n =~ scan reference" `Quick test_large_cases;
+    ] )

@@ -63,6 +63,27 @@ let test_pool_shutdown_idempotent () =
   Pool.shutdown p;
   Pool.shutdown p
 
+(* A pool shut down is no longer held by the exit-time registry of
+   running pools. Each two-domain pool spawns its helper at its first
+   map; one that stayed reachable would leave tens of words behind it. *)
+let test_pool_shutdown_releases () =
+  let cycle () =
+    with_pool ~jobs:2 (fun p -> ignore (Pool.map_array p 4 (fun i -> i)))
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  cycle ();
+  let before = live_words () in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  let grown = live_words () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew by %d over 100 pools" grown)
+    true (grown < 500)
+
 (* Chunk sizes come from the task count alone: about four chunks per
    domain, capped at 64. At jobs 4, n = 1000 gives chunk 62, n = 257
    gives 16, n = 100 gives 6 and n = 5 gives 1. *)
@@ -261,6 +282,8 @@ let suite =
       Alcotest.test_case "pool: task exception propagates" `Quick test_pool_exception;
       Alcotest.test_case "pool: shutdown is idempotent" `Quick
         test_pool_shutdown_idempotent;
+      Alcotest.test_case "pool: shutdown releases the pool" `Quick
+        test_pool_shutdown_releases;
       Alcotest.test_case "pool: chunked scheduling keeps order" `Quick test_pool_chunked;
       Alcotest.test_case "pool: chunks are contiguous index runs" `Quick
         test_pool_chunks_contiguous;

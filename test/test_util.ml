@@ -145,21 +145,9 @@ let test_vec_growth () =
   Alcotest.(check int) "length" 1000 (Vec.length v);
   Alcotest.(check int) "content" 567 (Vec.get v 567)
 
-let test_intset_encode_decode () =
-  let s = Intset.of_list [ 0; 3; 5 ] in
-  Alcotest.(check int) "encode" 0b101001 (Intset.encode s);
-  Alcotest.(check bool) "roundtrip" true (Intset.equal s (Intset.decode (Intset.encode s)))
-
 let test_intset_of_range () =
   Alcotest.(check int) "cardinality" 5 (Intset.cardinal (Intset.of_range 2 6));
   Alcotest.(check bool) "empty when lo > hi" true (Intset.is_empty (Intset.of_range 3 2))
-
-let prop_encode_decode =
-  QCheck.Test.make ~name:"intset encode/decode roundtrip"
-    QCheck.(list_of_size Gen.(int_bound 10) (int_range 0 61))
-    (fun l ->
-      let s = Intset.of_list l in
-      Intset.equal s (Intset.decode (Intset.encode s)))
 
 let suite =
   ( "util",
@@ -177,7 +165,5 @@ let suite =
       Alcotest.test_case "vec basics" `Quick test_vec_basic;
       Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
       Alcotest.test_case "vec growth" `Quick test_vec_growth;
-      Alcotest.test_case "intset encode/decode" `Quick test_intset_encode_decode;
       Alcotest.test_case "intset of_range" `Quick test_intset_of_range;
-      Qc.to_alcotest prop_encode_decode;
     ] )
