@@ -9,9 +9,10 @@
      dune exec bench/main.exe -- -j 4 e1 e2   # shard trial cells over 4 domains
      dune exec bench/main.exe -- --progress e2               # live ETA on stderr
      dune exec bench/main.exe -- time --json BENCH.json      # machine-readable probes
-     dune exec bench/main.exe -- compare OLD.json NEW.json
+     dune exec bench/main.exe -- compare OLD.json NEW.json [NEW.json ...]
                                               # CI regression gate (exit 1 on
-                                              # any probe slower than 3x old)
+                                              # any probe whose median over the
+                                              # NEW runs is slower than 3x old)
 
    Tables are bit-identical at any -j: experiments decompose into
    independent trial cells, the engine runs them across domains, and the
@@ -52,9 +53,9 @@ let bechamel_tests () =
   let open Bechamel in
   let module H = Rme_sim.Harness in
   let module Rmr = Rme_memory.Rmr in
-  let harness_run ?(width = 16) factory n model () =
+  let harness_run ?(width = 16) ?(crashes = H.No_crashes) factory n model () =
     let cfg =
-      { (H.default_config ~n ~width model) with H.superpassages = 1 }
+      { (H.default_config ~n ~width model) with H.superpassages = 1; crashes }
     in
     ignore (H.run cfg factory)
   in
@@ -118,6 +119,13 @@ let bechamel_tests () =
        that turned quadratic in the set's size would show here. *)
     Test.make ~name:"harness: tas n=256 CC"
       (Staged.stage (harness_run Rme_locks.Tas.factory 256 Rmr.Cc));
+    (* The probes above are crash-free; this one takes the crash draw on
+       every turn and the recover protocol after each crash. *)
+    Test.make ~name:"harness: rcas n=32 CC crashes"
+      (Staged.stage
+         (harness_run
+            ~crashes:(H.Crash_prob { prob = 0.05; seed = 1 })
+            Rme_locks.Rcas.factory 32 Rmr.Cc));
     Test.make ~name:"adversary: rcas n=64"
       (Staged.stage (adversary_run Rme_locks.Rcas.factory 64));
     Test.make ~name:"adversary: km n=64"
@@ -218,28 +226,36 @@ let probe_ns doc name =
    accidentally quadratic path), not percentage drift. *)
 let tolerance = 3.0
 
-(* Compare two --json files: per-probe new/old ratios, failing (exit 1)
-   when any probe slowed down by more than [tolerance]. Probes present
-   on only one side are reported but never fail the run — the suite is
-   allowed to grow and shrink. *)
-let run_compare old_file new_file =
-  let old_doc = load_json old_file and new_doc = load_json new_file in
-  let old_probes =
-    List.map fst (Json.obj_bindings (Option.value ~default:(Json.Obj []) (Json.member "probes" old_doc)))
-  in
-  let new_probes =
-    List.map fst (Json.obj_bindings (Option.value ~default:(Json.Obj []) (Json.member "probes" new_doc)))
-  in
+let probe_names doc =
+  List.map fst (Json.obj_bindings (Option.value ~default:(Json.Obj []) (Json.member "probes" doc)))
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let k = Array.length a in
+  if k mod 2 = 1 then a.(k / 2) else (a.((k / 2) - 1) +. a.(k / 2)) /. 2.0
+
+(* Compare an old --json file with one or more new ones: per probe, the
+   median of the new runs over the old time, failing (exit 1) when any
+   probe slowed down by more than [tolerance]. The median of several
+   runs keeps one stalled run from failing the gate on its own. Probes
+   present on only one side are reported but never fail the run — the
+   suite is allowed to grow and shrink. *)
+let run_compare old_file new_files =
+  let old_doc = load_json old_file and new_docs = List.map load_json new_files in
+  let old_probes = probe_names old_doc in
+  let new_probes = List.sort_uniq compare (List.concat_map probe_names new_docs) in
   let shared = List.filter (fun n -> List.mem n new_probes) old_probes in
   let t =
     Table.create ~title:"bench compare"
-      ~columns:[ "probe"; "old"; "new"; "ratio"; "verdict" ]
+      ~columns:[ "probe"; "old"; "new (median)"; "runs"; "ratio"; "verdict" ]
   in
   let regressions = ref [] in
   List.iter
     (fun name ->
-      match (probe_ns old_doc name, probe_ns new_doc name) with
-      | Some o, Some n when o > 0.0 ->
+      match (probe_ns old_doc name, List.filter_map (fun d -> probe_ns d name) new_docs) with
+      | Some o, (_ :: _ as runs) when o > 0.0 ->
+          let n = median runs in
           let ratio = n /. o in
           let verdict =
             if ratio > tolerance then begin
@@ -250,7 +266,14 @@ let run_compare old_file new_file =
             else "ok"
           in
           Table.add_row t
-            [ name; pp_ns o; pp_ns n; Printf.sprintf "%.2fx" ratio; verdict ]
+            [
+              name;
+              pp_ns o;
+              pp_ns n;
+              string_of_int (List.length runs);
+              Printf.sprintf "%.2fx" ratio;
+              verdict;
+            ]
       | _ -> ())
     shared;
   Table.print t;
@@ -262,7 +285,7 @@ let run_compare old_file new_file =
   List.iter
     (fun n ->
       if not (List.mem n old_probes) then
-        Printf.printf "note: probe %S only in %s\n" n new_file)
+        Printf.printf "note: probe %S only in %s\n" n (String.concat ", " new_files))
     new_probes;
   match !regressions with
   | [] -> Printf.printf "compare: ok (%d probes within %.1fx)\n" (List.length shared) tolerance
@@ -313,9 +336,9 @@ let () =
   (match args with
   | "compare" :: rest -> (
       match rest with
-      | [ old_file; new_file ] -> run_compare old_file new_file
+      | old_file :: (_ :: _ as new_files) -> run_compare old_file new_files
       | _ ->
-          prerr_endline "usage: bench compare OLD.json NEW.json";
+          prerr_endline "usage: bench compare OLD.json NEW.json [NEW.json ...]";
           exit 1)
   | [] ->
       run_experiments ~jobs:o.jobs ~progress:o.progress E.all;

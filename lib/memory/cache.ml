@@ -13,7 +13,11 @@ module Intset = Rme_util.Intset
    deleted one by one — an invalidated copy just keeps a stale stamp —
    so probes need no tombstones. A table doubles when half full, and
    the rehash drops stale entries, so its size follows the copies the
-   pid has held rather than the locations that exist. *)
+   pid has held rather than the locations that exist.
+
+   A read probes its pid's table once. On a miss, [find] has stopped at
+   the empty slot where the location belongs, and the copy is installed
+   there without a second probe. *)
 
 let gen_bits = 31
 let gen_mask = (1 lsl gen_bits) - 1
@@ -99,15 +103,24 @@ let has_copy t ~pid ~loc =
   Array.unsafe_get tbl j = loc
   && Array.unsafe_get tbl (j + 1) = stamp_of t ~pid ~loc
 
-(* Install slow path: a first read creates the table, and a table at
-   half load doubles after the new entry goes in. *)
-let install_new t ~pid ~loc ~stamp =
-  if t.tables.(pid) == empty_table then t.tables.(pid) <- Array.make (2 * min_slots) (-1);
-  let tbl = t.tables.(pid) in
-  insert_absent tbl loc stamp;
+(* Install a copy of [loc], known to be absent, at slot index [j] of
+   [pid]'s table: the empty slot where [find] stopped, or -1 before the
+   pid's first read, which creates the table. A table at half load
+   doubles after the new entry goes in. *)
+let install t ~pid ~loc ~stamp j =
+  if j < 0 then begin
+    let tbl = Array.make (2 * min_slots) (-1) in
+    t.tables.(pid) <- tbl;
+    insert_absent tbl loc stamp
+  end
+  else begin
+    let tbl = t.tables.(pid) in
+    Array.unsafe_set tbl j loc;
+    Array.unsafe_set tbl (j + 1) stamp
+  end;
   let used = t.used.(pid) + 1 in
   t.used.(pid) <- used;
-  let slots = Array.length tbl lsr 1 in
+  let slots = Array.length t.tables.(pid) lsr 1 in
   if 2 * used > slots then rehash t ~pid ~slots:(2 * slots)
 
 let access t ~pid ~loc ~is_read =
@@ -123,7 +136,7 @@ let access t ~pid ~loc ~is_read =
       not valid
     end
     else begin
-      install_new t ~pid ~loc ~stamp;
+      install t ~pid ~loc ~stamp j;
       true
     end
   end

@@ -104,6 +104,7 @@ module Runnable = struct
   let create n = { member = Bytes.make n '\000'; pids = Bytes.create (4 * n); size = 0 }
 
   let select t k = Int32.to_int (Bytes.get_int32_le t.pids (4 * k))
+  let mem t pid = Bytes.get t.member pid = '\001'
 
   (* The number of runnable pids below [c]. *)
   let rank t c =
@@ -334,6 +335,14 @@ let run config (factory : Lock_intf.factory) =
     | Stepper.Cs -> config.allow_cs_crash
     | Stepper.Remainder -> false
   in
+  (* The crash regime, resolved once: a crash-free run tests no crash
+     predicate on its turns. *)
+  let individual_crashes, system_crashes =
+    match config.crashes with
+    | No_crashes -> (false, false)
+    | Crash_prob _ | Crash_script _ -> (true, false)
+    | System_crash_script _ | System_crash_prob _ -> (false, true)
+  in
   let crash_fires pid =
     crashable pid
     &&
@@ -357,27 +366,68 @@ let run config (factory : Lock_intf.factory) =
     begin_passage pid;
     unpark pid
   in
-  (* Perform the poised operation of [pid], with CS-RMR accounting and
-     stutter detection. *)
-  let execute pid =
+  (* Perform [pid]'s poised operation [op] on [loc], with CS-RMR
+     accounting and stutter detection, then settle the process if its
+     program returned. Returns whether the process may have changed
+     from runnable to not or back: only then does the turn refresh it. *)
+  let execute pid (sp : Stepper.proc) loc op =
     let p = procs.(pid) in
-    let section = sprocs.(pid).section in
-    let loc = Stepper.poised_loc st ~pid and op = Stepper.poised_op st ~pid in
-    let before = Memory.value memory loc in
+    let in_cs =
+      match sp.section with
+      | Stepper.Cs -> true
+      | Stepper.Remainder | Stepper.Entry | Stepper.Exit | Stepper.Recovery -> false
+    in
+    let is_read = Op.is_read op in
+    (* Only a non-read can change the value, and so wake anyone. *)
+    let before = if is_read then 0 else Memory.value memory loc in
     (* Parked only when the deadlock fallback picked it. *)
-    unpark pid;
+    let was_parked = p.p_spin_loc >= 0 in
+    if was_parked then unpark pid;
     let rmr = Stepper.step st ~pid in
-    if rmr && section = Stepper.Cs then p.p_cs_rmrs <- p.p_cs_rmrs + 1;
-    if not (Op.is_read op) then begin
-      if Memory.value memory loc <> before then begin
-        let head = parked.(loc) in
-        parked.(loc) <- -1;
-        wake head
-      end
-    end
-    else if
-      Stepper.poised_loc st ~pid = loc && Op.is_read (Stepper.poised_op st ~pid)
-    then park pid loc
+    if rmr && in_cs then p.p_cs_rmrs <- p.p_cs_rmrs + 1;
+    if (not is_read) && Memory.value memory loc <> before then begin
+      let head = parked.(loc) in
+      parked.(loc) <- -1;
+      wake head
+    end;
+    (* A step leaves the section as it was, so the new program is read
+       from the same field. *)
+    match (sp.section, sp.prog, sp.recovery) with
+    | (Stepper.Entry | Stepper.Cs | Stepper.Exit), Prog.Step (l, Op.Read, _), _
+    | Stepper.Recovery, _, Prog.Step (l, Op.Read, _)
+      when is_read && l = loc ->
+        park pid loc;
+        true
+    | (Stepper.Entry | Stepper.Cs | Stepper.Exit), Prog.Step _, _
+    | Stepper.Recovery, _, Prog.Step _ ->
+        was_parked
+    | (Stepper.Remainder | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery), _, _
+      ->
+        settle pid;
+        true
+  in
+  (* One turn of [pid], returning whether to refresh it. The process's
+     step is matched once, and it is settled before the step only when
+     it is not poised: it rests in the remainder, its program returned,
+     or a system crash left it at the start of a [recover] that
+     returned at once. *)
+  let rec turn pid (sp : Stepper.proc) ~settled =
+    match (sp.section, sp.prog, sp.recovery) with
+    | (Stepper.Entry | Stepper.Cs | Stepper.Exit), Prog.Step (loc, op, _), _
+    | Stepper.Recovery, _, Prog.Step (loc, op, _) ->
+        if individual_crashes && crash_fires pid then begin
+          do_crash pid;
+          settle pid;
+          true
+        end
+        else execute pid sp loc op
+    | (Stepper.Remainder | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery), _, _
+      ->
+        if not settled then begin
+          settle pid;
+          ignore (turn pid sp ~settled:true)
+        end;
+        true
   in
   let sched_rng =
     match config.policy with
@@ -385,6 +435,12 @@ let run config (factory : Lock_intf.factory) =
     | Round_robin -> None
   in
   let rr_cursor = ref 0 in
+  (* Round robin advances a global cursor and picks the first candidate
+     at or after it, wrapping to the first. *)
+  let advance pid =
+    rr_cursor := (pid + 1) mod config.n;
+    pid
+  in
   (* Deadlock fallback: when nothing is runnable but some process is
      outside the remainder, every such process is a parked spinner and
      nothing can ever change. Surface them, in ascending order, so the
@@ -401,41 +457,43 @@ let run config (factory : Lock_intf.factory) =
     done;
     !len
   in
-  (* The [i]-th candidate in ascending pid order. *)
-  let nth ~fallback i = if fallback then blocked.(i) else Runnable.select runnable i in
-  let pick len =
-    let fallback = runnable.size = 0 in
-    match (config.policy, sched_rng) with
-    | Round_robin, _ ->
-        (* Advance a global cursor; pick the first candidate at or after it. *)
-        let below =
-          if fallback then begin
-            let i = ref 0 in
-            while !i < len && blocked.(!i) < !rr_cursor do
-              incr i
-            done;
-            !i
-          end
-          else Runnable.rank runnable !rr_cursor
-        in
-        let pid = nth ~fallback (if below < len then below else 0) in
-        rr_cursor := (pid + 1) mod config.n;
-        pid
-    | Random_policy _, Some rng -> nth ~fallback (Splitmix.int rng len)
-    | Random_policy _, None -> assert false
+  let pick_blocked len =
+    match sched_rng with
+    | Some rng -> blocked.(Splitmix.int rng len)
+    | None ->
+        let i = ref 0 in
+        while !i < len && blocked.(!i) < !rr_cursor do
+          incr i
+        done;
+        advance blocked.(if !i < len then !i else 0)
+  in
+  let pick_runnable len =
+    match sched_rng with
+    | Some rng -> Runnable.select runnable (Splitmix.int rng len)
+    | None ->
+        let below = Runnable.rank runnable !rr_cursor in
+        advance (Runnable.select runnable (if below < len then below else 0))
+  in
+  (* A pick from the runnable set must be a member whose own state says
+     it is runnable. A broken set fails here, on the turn it first
+     misleads the scheduler, rather than by running out the step budget. *)
+  let check_runnable pid =
+    let sp = sprocs.(pid) in
+    if
+      not
+        (Runnable.mem runnable pid
+        && procs.(pid).p_spin_loc < 0
+        &&
+        match sp.section with
+        | Stepper.Remainder -> sp.left > 0
+        | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery -> true)
+    then
+      failwith
+        (Printf.sprintf "Harness.run: turn %d picked p%d, which is not runnable" !steps pid)
   in
   let completed = ref false in
   let timed_out = ref false in
   let step_budget = default_step_budget ~n:config.n in
-  (* Budget check, consulted only while runnable work remains — so
-     exhausting it always means the run was cut short. *)
-  let budget_left () =
-    if !steps >= step_budget then begin
-      timed_out := true;
-      false
-    end
-    else true
-  in
   (* System-wide crash: every process outside the remainder crashes at
      the same instant, and the lock's epoch counter — the Golab–Hendler
      system support — is incremented. *)
@@ -469,25 +527,35 @@ let run config (factory : Lock_intf.factory) =
       refresh pid
     done
   in
+  (* The pick is made from the set as it stood before a system crash.
+     It draws from [sched_rng] and the crash from [crash_rng], so the
+     order of the two draws does not matter. *)
+  let play pid =
+    if system_crashes && system_crash_fires () then do_system_crash ();
+    if turn pid sprocs.(pid) ~settled:false then refresh pid;
+    incr steps
+  in
+  (* The budget is consulted only while work remains, so exhausting it
+     always means the run was cut short. *)
   let rec loop () =
-    let len = if runnable.size > 0 then runnable.size else collect_blocked () in
-    if len = 0 then completed := true
-    else if budget_left () then begin
-      (* The pick is made from the set as it stood before a system crash.
-         It draws from [sched_rng] and the crash from [crash_rng], so the
-         order of the two draws does not matter. *)
-      let pid = pick len in
-      if system_crash_fires () then do_system_crash ();
-      settle pid;
-      (match sprocs.(pid).section with
-      | Stepper.Remainder -> () (* settled into completion *)
-      | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery ->
-          if crash_fires pid then do_crash pid else execute pid;
-          (* Settle eagerly so the runnable set reflects completion. *)
-          settle pid);
-      refresh pid;
-      incr steps;
-      loop ()
+    let size = runnable.size in
+    if size > 0 then begin
+      if !steps >= step_budget then timed_out := true
+      else begin
+        let pid = pick_runnable size in
+        check_runnable pid;
+        play pid;
+        loop ()
+      end
+    end
+    else begin
+      let len = collect_blocked () in
+      if len = 0 then completed := true
+      else if !steps >= step_budget then timed_out := true
+      else begin
+        play (pick_blocked len);
+        loop ()
+      end
     end
   in
   loop ();

@@ -31,6 +31,27 @@
     scan surfaces all of them as candidates, so a deadlock runs out the
     step budget.
 
+    One turn reads what it needs once. The crash regime and the policy
+    are resolved once per run, so a crash-free run evaluates no crash
+    predicate on its turns. The picked process's poised step is matched
+    once from its {!Stepper.proc}, and the program its step leaves is
+    matched once more, to park it or not. {!Stepper.settle}, a no-op
+    on a poised process, is called only when the process is not
+    poised: before its step when it rests in the remainder or its
+    program has returned (a system crash leaves each crashed process at
+    the start of [recover], which may return at once), and after its
+    step when the step returned its program. A crash, which is rare, is
+    always followed by one. The
+    runnable set is refreshed only when the turn may have changed
+    whether the process is runnable.
+
+    Every pick from the runnable set is checked against the picked
+    process's own state: a member of the set, not parked, and not
+    resting in the remainder with no super-passage left. A broken set
+    therefore raises [Failure], naming the pid and the turn, on the turn
+    it first misleads the scheduler, rather than running out the step
+    budget.
+
     The harness performs no step itself and builds no event: with
     [record_trace], it attaches a {!Trace.t} to its {!Stepper}, which
     records every step, crash step and system epoch increment. *)
@@ -130,4 +151,6 @@ val run : config -> Lock_intf.factory -> result
     word width for [n] processes, if crashes are requested of a
     non-recoverable lock, or if individual crashes ([Crash_prob],
     [Crash_script]) are requested of a lock built for the system-wide
-    model (one whose instance has a [system_epoch]). *)
+    model (one whose instance has a [system_epoch]). Raises [Failure] if
+    the scheduler picks a process that is not runnable: a bug in the
+    scheduler, not in the lock. *)

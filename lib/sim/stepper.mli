@@ -32,9 +32,13 @@ type boundary =
   | Leave_cs  (** The critical section returned; [exit] starts. *)
   | End_superpassage  (** [exit] returned, or [recover] said [Passage_done]. *)
 
-(** One process, read-only outside this module: the harness scheduler
-    reads [section] and [left] directly on every turn, where a call
-    would cost more than the read. *)
+(** One process, read-only outside this module. The harness scheduler
+    reads its fields directly on every turn, where a call would cost
+    more than the read: [section] and [left] to tell whether the
+    process is runnable, and [prog] (or [recovery], in [Recovery]) to
+    match its poised step once, to test whether it is poised (and so
+    needs no {!settle}), and to see whether the step left it poised on
+    another read of the same location. *)
 type proc = private {
   mutable section : section;
   mutable prog : unit Prog.t;  (** The entry, CS or exit program. *)

@@ -195,17 +195,51 @@ let large_cases =
       ])
     [ H.Random_policy 11; H.Round_robin ]
 
-let test_large_cases () =
+(* The large cases above are crash-free, and the property draws
+   n <= 64. These take the crash paths at n = 256, with individual
+   crashes allowed inside the CS: KM with random crashes, rcas in DSM
+   with scripted crashes spread over the run, and Epoch-MCS with
+   system-wide crashes, each of which refreshes every pid. *)
+let large_crash_cases =
+  let case (lock : Lock_intf.factory) ~width model crashes policy =
+    {
+      lock;
+      config =
+        {
+          (H.default_config ~n:256 ~width model) with
+          H.policy;
+          crashes;
+          allow_cs_crash = true;
+        };
+    }
+  in
+  let script = List.init 48 (fun i -> ((i * 1_009) + 50, (i * 37) mod 256)) in
+  List.concat_map
+    (fun policy ->
+      [
+        case Rme_locks.Katzan_morrison.factory ~width:4 Rmr.Cc
+          (H.Crash_prob { prob = 0.002; seed = 5 })
+          policy;
+        case Rme_locks.Rcas.factory ~width:16 Rmr.Dsm (H.Crash_script script) policy;
+        case Rme_locks.Epoch_mcs.factory ~width:16 Rmr.Cc
+          (H.System_crash_script [ 300; 2_500; 9_000 ])
+          policy;
+      ])
+    [ H.Random_policy 11; H.Round_robin ]
+
+let check_cases cases () =
   List.iter
     (fun ({ lock; config } as c) ->
       Alcotest.(check bool)
         (print_case c) true
         (observe (H.run config lock) = observe (Harness_reference.run config lock)))
-    large_cases
+    cases
 
 let suite =
   ( "harness-diff",
     [
       Qc.to_alcotest prop_matches_reference;
-      Alcotest.test_case "large n =~ scan reference" `Quick test_large_cases;
+      Alcotest.test_case "large n =~ scan reference" `Quick (check_cases large_cases);
+      Alcotest.test_case "large n with crashes =~ scan reference" `Quick
+        (check_cases large_crash_cases);
     ] )
