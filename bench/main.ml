@@ -7,7 +7,6 @@
      dune exec bench/main.exe e3              # one experiment
      dune exec bench/main.exe time            # timing suites only
      dune exec bench/main.exe -- -j 4 e1 e2   # shard trial cells over 4 domains
-     dune exec bench/main.exe -- --progress e2               # live ETA on stderr
      dune exec bench/main.exe -- time --json BENCH.json      # machine-readable probes
      dune exec bench/main.exe -- compare OLD.json NEW.json [NEW.json ...]
                                               # CI regression gate (exit 1 on
@@ -33,8 +32,8 @@ let experiment_results : (string * E.report * float option) list ref = ref []
    selected experiments are computed once. [Gc.minor_words] counts the
    calling domain only, so an experiment's allocation is recorded only
    when the engine computes every cell on it ([-j 1]). *)
-let run_experiments ~jobs ~progress (entries : E.entry list) =
-  let engine = Engine.create ~jobs ~progress () in
+let run_experiments ~jobs (entries : E.entry list) =
+  let engine = Engine.create ~jobs () in
   List.iter
     (fun (e : E.entry) ->
       Printf.printf "---- %s: %s ----\n%!" (String.uppercase_ascii e.E.id) e.E.descr;
@@ -295,11 +294,10 @@ let run_compare old_file new_files =
         (String.concat ", " (List.rev l));
       exit 1
 
-(* Accepts [-j N], [--jobs N], [-jN], [--progress]/[-v] and
-   [--json FILE]; returns the options and the remaining args. *)
+(* Accepts [-j N], [--jobs N], [-jN] and [--json FILE]; returns the
+   options and the remaining args. *)
 type opts = {
   jobs : int;
-  progress : bool;
   json : string option;  (* write probe/experiment measurements here *)
 }
 
@@ -320,7 +318,6 @@ let parse_opts args =
     | ("-j" | "--jobs") :: [] ->
         prerr_endline "missing value after -j";
         exit 1
-    | ("--progress" | "-v") :: rest -> go { o with progress = true } acc rest
     | "--json" :: f :: rest -> go { o with json = Some f } acc rest
     | "--json" :: [] ->
         prerr_endline "missing value after --json";
@@ -329,7 +326,7 @@ let parse_opts args =
         go { o with jobs = jobs_value (String.sub a 2 (String.length a - 2)) } acc rest
     | a :: rest -> go o (a :: acc) rest
   in
-  go { jobs = 1; progress = false; json = None } [] args
+  go { jobs = 1; json = None } [] args
 
 let () =
   let o, args = parse_opts (Array.to_list Sys.argv |> List.tl) in
@@ -341,12 +338,12 @@ let () =
           prerr_endline "usage: bench compare OLD.json NEW.json [NEW.json ...]";
           exit 1)
   | [] ->
-      run_experiments ~jobs:o.jobs ~progress:o.progress E.all;
+      run_experiments ~jobs:o.jobs E.all;
       run_timing ()
   | [ "time" ] -> run_timing ()
   | ids -> (
       match E.select ids with
-      | Ok entries -> run_experiments ~jobs:o.jobs ~progress:o.progress entries
+      | Ok entries -> run_experiments ~jobs:o.jobs entries
       | Error e ->
           prerr_endline e;
           exit 1));

@@ -7,7 +7,6 @@
      rme lemma ...                     solve a Process-Hiding instance
      rme experiment e1 .. f1 | all     regenerate the paper's tables
                     [-j N]             ... sharding cells over N domains
-                    [--progress|-v]    ... with a live cells-done line
 *)
 
 open Cmdliner
@@ -167,6 +166,20 @@ let simulate_cmd =
 
 let adversary lock n width model k check rounds_detail =
   let* () = check_size lock ~n ~width in
+  let* () =
+    if not lock.Lock_intf.recoverable then
+      Error
+        (Printf.sprintf
+           "the adversary needs a recoverable lock (Theorem 1); %s is not recoverable"
+           lock.Lock_intf.name)
+    else if List.memq lock Registry.system_wide then
+      Error
+        (Printf.sprintf
+           "the adversary crashes processes one at a time (Theorem 1); %s is for \
+            system-wide crashes only"
+           lock.Lock_intf.name)
+    else Ok ()
+  in
   let cfg = A.default_config ~n ~width model in
   let cfg = match k with Some k -> { cfg with A.k } | None -> cfg in
   let* () = if cfg.A.k < 2 then Error "-k must be at least 2" else Ok () in
@@ -228,7 +241,30 @@ let lemma ell delta m family seed trials =
         (Printf.sprintf "unknown family %S (available: %s)" family
            (String.concat ", " (List.map fst fs)))
   in
+  let* () =
+    if ell < 1 then Error (Printf.sprintf "--ell must be at least 1 (got %d)" ell)
+    else if not (delta >= 1.0) then
+      Error (Printf.sprintf "--delta must be at least 1 (got %g)" delta)
+    else if m < 1 then Error (Printf.sprintf "--groups must be at least 1 (got %d)" m)
+    else if trials < 1 then
+      Error (Printf.sprintf "--trials must be at least 1 (got %d)" trials)
+    else Ok ()
+  in
   let p = Hiding.paper_params ~ell ~delta in
+  let* () =
+    Hiding.check_params p
+    |> Result.map_error (Printf.sprintf "--ell %d --delta %g: %s" ell delta)
+  in
+  (* [solve] lists all subgroup^k tuples of each group. *)
+  let* () =
+    let k = p.Hiding.k and s = p.Hiding.subgroup_size in
+    if Rme_core.Partite.within_cap ~count:k ~size:(fun _ -> s) then Ok ()
+    else
+      Error
+        (Printf.sprintf
+           "--ell %d --delta %g needs %d^%d tuples per group, over the solver's cap of 2^30"
+           ell delta s k)
+  in
   Printf.printf "params: ell=%d delta=%.1f k=%d subgroup=%d group-size=%d m=%d\n"
     ell delta p.Hiding.k p.Hiding.subgroup_size (Hiding.min_group_size p) m;
   let r = Rme_experiments.Experiments.hiding_trial p ~m ~f ~seed ~trials in
@@ -259,7 +295,7 @@ let lemma_cmd =
 
 (* ---------------- rme experiment ---------------- *)
 
-let experiment jobs progress ids =
+let experiment jobs ids =
   let module E = Rme_experiments.Experiments in
   let* () =
     if jobs < 0 then Error (Printf.sprintf "--jobs must be at least 0 (got %d)" jobs)
@@ -267,7 +303,7 @@ let experiment jobs progress ids =
   in
   let ids = if ids = [ "all" ] then List.map (fun e -> e.E.id) E.all else ids in
   let* entries = E.select ids in
-  let engine = Engine.create ~jobs ~progress () in
+  let engine = Engine.create ~jobs () in
   Fun.protect ~finally:(fun () -> Engine.shutdown engine) (fun () ->
       List.iter (fun (e : E.entry) -> ignore (e.E.run engine)) entries);
   Ok ()
@@ -286,14 +322,9 @@ let experiment_cmd =
             "Shard trial cells over $(docv) domains (0 = auto-detect). Tables \
              are bit-identical at any value.")
   in
-  let progress =
-    Arg.(
-      value & flag
-      & info [ "progress"; "v" ] ~doc:"Print a live cells-done/ETA line on stderr.")
-  in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate the paper-shaped experiment tables.")
-    Term.(term_result' (const experiment $ jobs $ progress $ ids))
+    Term.(term_result' (const experiment $ jobs $ ids))
 
 (* ---------------- main ---------------- *)
 

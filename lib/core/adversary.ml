@@ -188,6 +188,10 @@ let find_hiding ~width ~y0 ~members ~forbidden =
 
 let run config factory =
   if config.k < 2 then invalid_arg "Adversary.run: k must be >= 2";
+  if not factory.Rme_sim.Lock_intf.recoverable then
+    invalid_arg
+      (Printf.sprintf "Adversary.run: lock %s is not recoverable"
+         factory.Rme_sim.Lock_intf.name);
   let ctx =
     { Schedule.n = config.n; width = config.width; model = config.model; factory }
   in

@@ -95,3 +95,5 @@ type result = {
 }
 
 val run : config -> Rme_sim.Lock_intf.factory -> result
+(** Raises [Invalid_argument] if [k < 2] or the lock is not
+    recoverable. *)

@@ -75,8 +75,3 @@ let total_rmrs t ~pid = Rmr.total (rmr t) ~pid
 let reset t =
   Stepper.reset t;
   begin_all t
-
-type snapshot = Stepper.snapshot
-
-let snapshot = Stepper.snapshot
-let restore = Stepper.restore

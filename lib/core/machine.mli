@@ -8,7 +8,10 @@
 
     A machine is a stepper: its sections and step records are
     {!Rme_sim.Trace}'s, and a trace attached at {!create} receives its
-    events exactly as a harness run's does. *)
+    events exactly as a harness run's does.
+
+    The only rewind is {!reset}: a state is reached again by replaying
+    the schedule prefix that led to it. *)
 
 type t
 
@@ -65,12 +68,3 @@ val reset : t -> unit
 (** Return to the just-created state in place, without re-running the
     lock constructor: replay needs a fresh machine per attempt, and
     construction would otherwise dominate. *)
-
-type snapshot
-(** Complete machine state at a point in time. *)
-
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> unit
-(** Restore a snapshot taken from this machine (or one of identical
-    construction). Raises [Invalid_argument] on a mismatched one. *)

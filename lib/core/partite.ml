@@ -4,13 +4,23 @@ type edge = int array
 
 type t = { parts : int array array; edges : edge list }
 
+let max_edges = 1 lsl 30
+
+(* The running product is compared with [max_edges / size i] before it
+   is multiplied by [size i], so it never overflows. *)
+let within_cap ~count ~size =
+  let rec go acc i =
+    i = count || (acc <= max_edges / size i && go (acc * size i) (i + 1))
+  in
+  go 1 0
+
 let complete ~parts =
   let k = Array.length parts in
-  let total =
-    Array.fold_left (fun acc p -> acc * Array.length p) 1 parts
-  in
-  if total > 1 lsl 30 then
-    invalid_arg "Partite.complete: too many edges (over 2^30)";
+  if
+    not
+      (Array.exists (fun p -> p = [||]) parts
+      || within_cap ~count:k ~size:(fun i -> Array.length parts.(i)))
+  then invalid_arg "Partite.complete: too many edges (over 2^30)";
   let acc = ref [] in
   let e = Array.make k 0 in
   let rec fill i =

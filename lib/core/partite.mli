@@ -17,6 +17,11 @@ type t = {
   edges : edge list;
 }
 
+val within_cap : count:int -> size:(int -> int) -> bool
+(** Whether [size 0 * ... * size (count - 1)] is at most [2^30], the
+    most edges {!complete} lists, for sizes of at least 1. The product
+    is never formed past the cap, so it cannot overflow. *)
+
 val complete : parts:int array array -> t
 (** The complete [k]-partite hypergraph: all [prod |X_i|] edges, in
     lexicographic part order. Raises [Invalid_argument] when the edge

@@ -91,18 +91,16 @@ type t = {
   guard : Mutex.t;  (* protects the memos and the counters. *)
   memo : (string * H.config, cell_result) Hashtbl.t;
   adv_memo : (string * A.config, adv_result) Hashtbl.t;
-  progress : bool;
   mutable n_computed : int;
   mutable n_cached : int;
 }
 
-let create ?(jobs = 1) ?(progress = false) () =
+let create ?(jobs = 1) () =
   {
     pool = Pool.create ~jobs;
     guard = Mutex.create ();
     memo = Hashtbl.create 16;
     adv_memo = Hashtbl.create 16;
-    progress;
     n_computed = 0;
     n_cached = 0;
   }
@@ -116,43 +114,6 @@ let counters t =
   Mutex.unlock t.guard;
   c
 
-let pp_eta seconds =
-  if seconds >= 90.0 then Printf.sprintf "%.0fm%02.0fs" (seconds /. 60.0) (Float.rem seconds 60.0)
-  else Printf.sprintf "%.0fs" seconds
-
-(* A live progress line on stderr for one batch of [total] requests, of
-   which [nw] are computed: [tick ()] counts a computed cell (from any
-   domain) and redraws at most every 0.1 s; [finish ()] prints the
-   final line. *)
-let progress_line ~what ~total ~nw =
-  let done_count = Atomic.make 0 in
-  let guard = Mutex.create () in
-  let t0 = Unix.gettimeofday () in
-  let last_printed = ref neg_infinity in
-  let draw ~final =
-    let now = Unix.gettimeofday () in
-    Mutex.lock guard;
-    if final || now -. !last_printed >= 0.1 then begin
-      last_printed := now;
-      let d = Atomic.get done_count in
-      let eta =
-        if d > 0 && d < nw then
-          Printf.sprintf " eta %s" (pp_eta ((now -. t0) /. float_of_int d *. float_of_int (nw - d)))
-        else ""
-      in
-      Printf.eprintf "\r[rme] %s cells %d/%d (computed %d/%d, memo %d)%s%s%!" what
-        (total - nw + d)
-        total d nw (total - nw) eta
-        (if final then "\n" else "")
-    end;
-    Mutex.unlock guard
-  in
-  let tick () =
-    Atomic.incr done_count;
-    draw ~final:false
-  in
-  (tick, fun () -> draw ~final:true)
-
 let commit t table k r =
   Mutex.lock t.guard;
   Hashtbl.replace table k r;
@@ -163,7 +124,7 @@ let commit t table k r =
    The work list keeps first-occurrence order, so the pool sees cells in
    canonical order; results merge by key, so the memo content is
    independent of domain interleaving. *)
-let prefetch_memo t table compute ~what cells =
+let prefetch_memo t table compute cells =
   let total = List.length cells in
   let seen = Hashtbl.create 16 in
   Mutex.lock t.guard;
@@ -182,16 +143,10 @@ let prefetch_memo t table compute ~what cells =
   let nw = Array.length work in
   t.n_cached <- t.n_cached + total - nw;
   Mutex.unlock t.guard;
-  let tick, finish =
-    if t.progress && nw > 0 then progress_line ~what ~total ~nw
-    else (ignore, ignore)
-  in
   ignore
     (Pool.map_array t.pool nw (fun i ->
          let k, c = work.(i) in
-         commit t table k (compute c);
-         tick ()));
-  finish ()
+         commit t table k (compute c)))
 
 let get_memo t table compute c =
   let k = key c in
@@ -205,8 +160,8 @@ let get_memo t table compute c =
       commit t table k r;
       r
 
-let prefetch t cells = prefetch_memo t t.memo compute_cell ~what:"trial" cells
+let prefetch t cells = prefetch_memo t t.memo compute_cell cells
 let get t c = get_memo t t.memo compute_cell c
-let prefetch_adv t cells = prefetch_memo t t.adv_memo compute_adv ~what:"adversary" cells
+let prefetch_adv t cells = prefetch_memo t t.adv_memo compute_adv cells
 let get_adv t c = get_memo t t.adv_memo compute_adv c
 let map t f xs = Pool.map_list t.pool f xs

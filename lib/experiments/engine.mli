@@ -12,10 +12,9 @@
 
 type t
 
-val create : ?jobs:int -> ?progress:bool -> unit -> t
+val create : ?jobs:int -> unit -> t
 (** A fresh pool of [jobs] domains (default 1; [0] auto-detects) and
-    empty memos. [progress] prints a live cells-done line on stderr
-    during {!prefetch}. *)
+    empty memos. *)
 
 val jobs : t -> int
 val shutdown : t -> unit

@@ -166,34 +166,3 @@ let clear t =
     if t.used.(pid) > 0 then Array.fill tbl 0 (Array.length tbl) (-1);
     t.used.(pid) <- 0
   done
-
-let copy_into ~src ~dst =
-  if src.n <> dst.n then invalid_arg "Cache.copy_into: process count mismatch";
-  Array.blit src.epochs 0 dst.epochs 0 src.n;
-  let sg = Array.length src.gens and dg = Array.length dst.gens in
-  if dg < sg then dst.gens <- Array.copy src.gens
-  else begin
-    Array.blit src.gens 0 dst.gens 0 sg;
-    Array.fill dst.gens sg (dg - sg) 0
-  end;
-  for pid = 0 to src.n - 1 do
-    let s = src.tables.(pid) and d = dst.tables.(pid) in
-    let sl = Array.length s and dl = Array.length d in
-    if sl = dl then Array.blit s 0 d 0 sl
-    else if sl < dl then begin
-      (* Keep [dst]'s larger table: re-insert [src]'s entries into it. *)
-      Array.fill d 0 dl (-1);
-      for i = 0 to (sl lsr 1) - 1 do
-        if s.(2 * i) >= 0 then insert_absent d s.(2 * i) s.((2 * i) + 1)
-      done
-    end
-    else dst.tables.(pid) <- Array.copy s;
-    dst.used.(pid) <- src.used.(pid)
-  done
-
-let copy t =
-  let fresh = create ~n:t.n in
-  copy_into ~src:t ~dst:fresh;
-  fresh
-
-let equal_for t t' ~pid = Intset.equal (valid_set t ~pid) (valid_set t' ~pid)

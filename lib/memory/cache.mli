@@ -19,7 +19,10 @@
     current counters. Stamps live in one open-addressing table per pid,
     keyed by location, created on the pid's first read and doubled at
     half load, so a pid's footprint follows the copies it has held, not
-    the range of locations it touched. *)
+    the range of locations it touched.
+
+    The only rewind is {!clear}, back to all caches empty; there is no
+    copy of a cache state. *)
 
 type t
 
@@ -42,17 +45,6 @@ val valid_set : t -> pid:int -> Rme_util.Intset.t
 (** The set of locations [pid] currently holds valid copies of — the
     [R_p] of invariant (I9). *)
 
-val copy : t -> t
-(** Deep copy, for replay comparison. *)
-
-val copy_into : src:t -> dst:t -> unit
-(** Make [dst] equivalent to [src] in place, reusing [dst]'s tables
-    where they are at least as large as [src]'s.
-    The two must have the same [n]. *)
-
 val clear : t -> unit
 (** Reset to the all-empty state in place, keeping every table's
     capacity. *)
-
-val equal_for : t -> t -> pid:int -> bool
-(** Whether the two states agree on [pid]'s valid set. *)

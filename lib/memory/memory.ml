@@ -80,21 +80,8 @@ let apply t ~pid loc op =
   t.accessors.(loc) <- pid;
   old
 
-let peek_next_value t loc op = Op.next_value ~width:t.width op (value t loc)
-
 let snapshot t = Array.sub t.values 0 t.len
 
 let reset_values t =
   Array.blit t.inits 0 t.values 0 t.len;
   Array.fill t.accessors 0 t.len (-1)
-
-type checkpoint = { ck_values : int array; ck_accessors : int array }
-
-let checkpoint t =
-  { ck_values = Array.sub t.values 0 t.len; ck_accessors = Array.sub t.accessors 0 t.len }
-
-let restore t ck =
-  if Array.length ck.ck_values <> t.len then
-    invalid_arg "Memory.restore: checkpoint from a different memory";
-  Array.blit ck.ck_values 0 t.values 0 t.len;
-  Array.blit ck.ck_accessors 0 t.accessors 0 t.len

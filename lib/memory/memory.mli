@@ -18,7 +18,11 @@
     Representation: one flat array per field (value, initial value, last
     accessor, owner), indexed by location and doubling from a small
     capacity as locations are allocated, so a step reads and writes
-    unboxed array slots rather than a per-location record. *)
+    unboxed array slots rather than a per-location record.
+
+    The only rewind is {!reset_values}, back to the initial values: a
+    state in between is reached again by replaying the steps that led
+    to it. *)
 
 type loc = int
 (** A location handle. Handles are dense indices, valid for the memory
@@ -53,11 +57,6 @@ val apply : t -> pid:int -> loc -> Op.t -> int
 (** [apply t ~pid loc op] atomically applies [op], records [pid] as the
     last accessor, and returns the value held {e before} the operation. *)
 
-val peek_next_value : t -> loc -> Op.t -> int
-(** The value [loc] would hold after [op], without applying anything. Used
-    by the lower-bound adversary to reason about "what would this step do"
-    (the functions [f_y] of the Process-Hiding Lemma). *)
-
 val snapshot : t -> int array
 (** Values of all locations, for replay comparison. Does not include
     accessor metadata. *)
@@ -65,14 +64,3 @@ val snapshot : t -> int array
 val reset_values : t -> unit
 (** Restore every location to its initial value and clear accessor
     metadata. Used by replay-based schedule reconstruction. *)
-
-type checkpoint
-(** Values and accessor metadata of every location at a point in time,
-    in flat arrays. *)
-
-val checkpoint : t -> checkpoint
-
-val restore : t -> checkpoint -> unit
-(** Restore a checkpoint taken from this memory (same location count —
-    locations are only allocated at construction time). Raises
-    [Invalid_argument] on a mismatched checkpoint. *)

@@ -65,32 +65,7 @@ let passage t ~pid = t.passages.(pid)
 
 let start_passage t ~pid = t.passages.(pid) <- 0
 
-let grand_total t = Array.fold_left ( + ) 0 t.totals
-
 let reset t =
   Array.fill t.totals 0 (Array.length t.totals) 0;
   Array.fill t.passages 0 (Array.length t.passages) 0;
   match t.cache with Some c -> Cache.clear c | None -> ()
-
-type snapshot = {
-  s_totals : int array;
-  s_passages : int array;
-  s_cache : Cache.t option;
-}
-
-let snapshot t =
-  {
-    s_totals = Array.copy t.totals;
-    s_passages = Array.copy t.passages;
-    s_cache = Option.map Cache.copy t.cache;
-  }
-
-let restore t s =
-  if Array.length s.s_totals <> Array.length t.totals then
-    invalid_arg "Rmr.restore: snapshot from a different accountant";
-  Array.blit s.s_totals 0 t.totals 0 (Array.length t.totals);
-  Array.blit s.s_passages 0 t.passages 0 (Array.length t.passages);
-  match (t.cache, s.s_cache) with
-  | Some dst, Some src -> Cache.copy_into ~src ~dst
-  | None, None -> ()
-  | _ -> invalid_arg "Rmr.restore: snapshot from a different model"

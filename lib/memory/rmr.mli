@@ -5,7 +5,10 @@
     an RMR, maintains the CC cache state when relevant, and accumulates
     per-process totals. Passage-level bookkeeping (the paper measures the
     maximum RMRs {e per passage}) lives in the scheduler, which resets the
-    per-passage counters at passage boundaries. *)
+    per-passage counters at passage boundaries.
+
+    The only rewind is {!reset}, back to a fresh accountant; replaying
+    the same steps from there rebuilds any later state. *)
 
 type model = Cc | Dsm
 
@@ -45,17 +48,6 @@ val passage : t -> pid:int -> int
 val start_passage : t -> pid:int -> unit
 (** Reset the per-passage counter of [pid]. *)
 
-val grand_total : t -> int
-
 val reset : t -> unit
 (** Zero all counters and empty the cache state in place — back to the
     state of a fresh [create], without reallocating. *)
-
-type snapshot
-(** Full accounting state (counters plus CC cache) at a point in time. *)
-
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> unit
-(** Restore a snapshot taken from an accountant of the same model and
-    process count; raises [Invalid_argument] otherwise. *)

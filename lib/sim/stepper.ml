@@ -176,26 +176,3 @@ let reset t =
   Rmr.reset t.rmr;
   Option.iter Trace.clear t.trace;
   Array.iter (fun p -> assign p (fresh t.superpassages)) t.procs
-
-(* Programs are immutable values ([Prog.t] is a pure free monad), so a
-   snapshot shares them; memory values, RMR counters and CC cache state
-   are deep-copied. *)
-type snapshot = {
-  s_memory : Memory.checkpoint;
-  s_rmr : Rmr.snapshot;
-  s_procs : proc array;
-}
-
-let snapshot t =
-  {
-    s_memory = Memory.checkpoint t.memory;
-    s_rmr = Rmr.snapshot t.rmr;
-    s_procs = Array.map (fun p -> { p with left = p.left }) t.procs;
-  }
-
-let restore t s =
-  if Array.length s.s_procs <> n t then
-    invalid_arg "Stepper.restore: snapshot of a different process count";
-  Memory.restore t.memory s.s_memory;
-  Rmr.restore t.rmr s.s_rmr;
-  Array.iteri (fun pid q -> assign t.procs.(pid) q) s.s_procs

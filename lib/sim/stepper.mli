@@ -21,7 +21,12 @@
     rewraps that program in every enclosing bind. Measured with
     [Gc.minor_words], a harness step allocates about 50 words on
     Katzan–Morrison at n = 512–1024 and 25–50 on the other locks at
-    n = 16 with crashes. *)
+    n = 16 with crashes.
+
+    The only rewind is {!reset}, back to the just-created state: the
+    adversary and its schedule-table check reach every other state by
+    replaying a schedule prefix from there, as the paper's adversary
+    defines them. *)
 
 type section = Trace.section = Remainder | Entry | Cs | Exit | Recovery
 type step = Trace.step
@@ -111,10 +116,3 @@ val epoch_step : t -> unit
 val reset : t -> unit
 (** Back to the just-created state, without re-running the lock
     constructor. The attached trace, if any, is emptied. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> unit
-(** Leaves the attached trace as it is. *)

@@ -65,10 +65,3 @@ let valid_set t ~pid =
 let clear t =
   Array.iter Hashtbl.reset t.by_pid;
   Hashtbl.reset t.by_loc
-
-let copy t =
-  let fresh = create ~n:t.n in
-  Array.iteri
-    (fun pid locs -> Hashtbl.iter (fun loc () -> install fresh ~pid ~loc) locs)
-    t.by_pid;
-  fresh

@@ -111,6 +111,12 @@ let test_k_validation () =
   Alcotest.check_raises "k < 2 rejected" (Invalid_argument "Adversary.run: k must be >= 2")
     (fun () -> ignore (A.run cfg Rme_locks.Rcas.factory))
 
+let test_non_recoverable_rejected () =
+  let cfg = A.default_config ~n:8 ~width:8 Rmr.Cc in
+  Alcotest.check_raises "mcs rejected"
+    (Invalid_argument "Adversary.run: lock mcs is not recoverable") (fun () ->
+      ignore (A.run cfg Rme_locks.Mcs.factory))
+
 let test_determinism () =
   let go () =
     let r, _ = run ~n:128 Rme_locks.Katzan_morrison.factory in
@@ -146,6 +152,25 @@ let test_invariants_small_n () =
               (Rmr.model_name model)
               (Format.asprintf "%a" T.pp_report rep);
           Alcotest.(check bool) "columns checked" true (rep.T.columns_checked > 0))
+        Rmr.all_models)
+    recoverable
+
+(* At n = 64 with the default k the committed prefixes are much longer
+   than at n = 8, and every column of a checked round is replayed from
+   [Machine.reset]. *)
+let test_invariants_n64 () =
+  List.iter
+    (fun (factory : Rme_sim.Lock_intf.factory) ->
+      List.iter
+        (fun model ->
+          let r = A.run (A.default_config ~n:64 ~width:8 model) factory in
+          let rep = T.check r.A.schedule in
+          let name =
+            Printf.sprintf "%s %s" factory.Rme_sim.Lock_intf.name (Rmr.model_name model)
+          in
+          if not (T.ok rep) then
+            Alcotest.failf "%s: %s" name (Format.asprintf "%a" T.pp_report rep);
+          Alcotest.(check bool) (name ^ ": rounds checked") true (rep.T.rounds_checked > 0))
         Rmr.all_models)
     recoverable
 
@@ -216,10 +241,13 @@ let suite =
       Alcotest.test_case "rounds grow with n" `Quick test_rounds_grow_with_n;
       Alcotest.test_case "k parameter sweep" `Quick test_k_parameter;
       Alcotest.test_case "k validation" `Quick test_k_validation;
+      Alcotest.test_case "non-recoverable lock rejected" `Quick
+        test_non_recoverable_rejected;
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "schedule exported" `Quick test_schedule_exported;
       Alcotest.test_case "invariants I1-I10 at n=8" `Slow test_invariants_small_n;
       Alcotest.test_case "invariants I1-I10 at n=10" `Slow test_invariants_n10;
+      Alcotest.test_case "invariants I1-I10 at n=64, w=8" `Quick test_invariants_n64;
       Alcotest.test_case "bounds formulas" `Quick test_bounds_formulas;
       Qc.to_alcotest prop_adversary_meets_bound;
       Qc.to_alcotest prop_theorem1_min;

@@ -2,7 +2,7 @@
    against the pre-optimisation Hashtbl reference (cache_reference.ml).
 
    Both implementations replay the same random sequence of accesses,
-   crashes, clears and deep copies; after every step the RMR verdict
+   crashes and clears; after every step the RMR verdict
    must agree, and the per-process valid sets must be extensionally
    equal. A narrow location mode clusters near 0, as real locks do; a
    wide mode gives each pid hundreds of distinct locations up to 10^5,
@@ -18,7 +18,6 @@ type op =
   | Access of { pid : int; loc : int; is_read : bool }
   | Drop of int
   | Clear
-  | Fork  (** continue the run on deep copies of both caches *)
 
 type scenario = { n : int; ops : op list }
 
@@ -27,7 +26,6 @@ let pp_op = function
       Printf.sprintf "%s p%d R%d" (if is_read then "read" else "write") pid loc
   | Drop pid -> Printf.sprintf "crash p%d" pid
   | Clear -> "clear"
-  | Fork -> "fork"
 
 let print_scenario s =
   Printf.sprintf "n=%d; %s" s.n (String.concat "; " (List.map pp_op s.ops))
@@ -53,7 +51,6 @@ let gen_ops ~n ~gen_loc ~len =
               (int_bound (n - 1)) gen_loc bool );
           (2, map (fun pid -> Drop pid) (int_bound (n - 1)));
           (1, return Clear);
-          (1, return Fork);
         ]
     in
     list_size len gen_op)
@@ -95,27 +92,24 @@ let check_agreement ~step flat reference =
   done
 
 let run_scenario { n; ops } =
-  let flat = ref (Cache.create ~n) and reference = ref (Reference.create ~n) in
+  let flat = Cache.create ~n and reference = Reference.create ~n in
   List.iteri
     (fun step op ->
       (match op with
       | Access { pid; loc; is_read } ->
-          let fr = Cache.access !flat ~pid ~loc ~is_read
-          and rr = Reference.access !reference ~pid ~loc ~is_read in
+          let fr = Cache.access flat ~pid ~loc ~is_read
+          and rr = Reference.access reference ~pid ~loc ~is_read in
           if fr <> rr then
             QCheck.Test.fail_reportf
               "step %d (%s): RMR verdict differs: flat=%b reference=%b" step
               (pp_op op) fr rr
       | Drop pid ->
-          Cache.drop_process !flat ~pid;
-          Reference.drop_process !reference ~pid
+          Cache.drop_process flat ~pid;
+          Reference.drop_process reference ~pid
       | Clear ->
-          Cache.clear !flat;
-          Reference.clear !reference
-      | Fork ->
-          flat := Cache.copy !flat;
-          reference := Reference.copy !reference);
-      check_agreement ~step !flat !reference)
+          Cache.clear flat;
+          Reference.clear reference);
+      check_agreement ~step flat reference)
     ops;
   true
 
@@ -126,70 +120,6 @@ let prop_differential =
 let prop_differential_wide =
   QCheck.Test.make ~count:40 ~name:"flat cache =~ Hashtbl reference, wide locations"
     arb_scenario_wide run_scenario
-
-(* copy_into must behave exactly like copy: overwrite a dirty dst of the
-   same n with src's state, then both continue in lock-step. *)
-let copy_into_agrees (a, b) =
-  let src = Cache.create ~n:a.n and dst = Cache.create ~n:a.n in
-  let reference = Reference.create ~n:a.n in
-  let apply c r op =
-    match op with
-    | Access { pid; loc; is_read } ->
-        let verdict = Cache.access c ~pid ~loc ~is_read in
-        Option.iter
-          (fun r ->
-            if Reference.access r ~pid ~loc ~is_read <> verdict then
-              QCheck.Test.fail_reportf "copy_into: %s: RMR verdict differs" (pp_op op))
-          r
-    | Drop pid ->
-        Cache.drop_process c ~pid;
-        Option.iter (fun r -> Reference.drop_process r ~pid) r
-    | Clear ->
-        Cache.clear c;
-        Option.iter Reference.clear r
-    | Fork -> ()
-  in
-  (* Dirty dst with an unrelated history, then overwrite it. *)
-  List.iter (fun op -> apply dst None op) b.ops;
-  List.iter (fun op -> apply src (Some reference) op) a.ops;
-  Cache.copy_into ~src ~dst;
-  for pid = 0 to a.n - 1 do
-    if not (Cache.equal_for src dst ~pid) then
-      QCheck.Test.fail_reportf "copy_into: p%d differs from src" pid
-  done;
-  check_agreement ~step:(List.length a.ops) dst reference;
-  (* The overwritten dst keeps tracking the reference afterwards. *)
-  List.iteri
-    (fun i op ->
-      apply dst (Some reference) op;
-      check_agreement ~step:(List.length a.ops + i) dst reference)
-    b.ops;
-  true
-
-let prop_copy_into =
-  QCheck.Test.make ~count:200 ~name:"Cache.copy_into reuses dst correctly"
-    (QCheck.pair arb_scenario arb_scenario)
-    (fun (a, b) ->
-      QCheck.assume (a.n = b.n);
-      copy_into_agrees (a, b))
-
-(* One side narrow and the other wide, in either order, so [dst]'s
-   tables are sometimes larger and sometimes smaller than [src]'s. *)
-let gen_mixed_pair =
-  QCheck.Gen.(
-    int_range 1 3 >>= fun n ->
-    gen_ops ~n ~gen_loc ~len:(int_bound 250) >>= fun narrow_ops ->
-    gen_ops_wide ~n >>= fun wide_ops ->
-    bool >>= fun wide_src ->
-    let narrow = { n; ops = narrow_ops } and wide = { n; ops = wide_ops } in
-    return (if wide_src then (wide, narrow) else (narrow, wide)))
-
-let prop_copy_into_capacities =
-  QCheck.Test.make ~count:100 ~name:"Cache.copy_into across table capacities"
-    (QCheck.make
-       ~print:(fun (a, b) -> print_scenario a ^ "\n--- into ---\n" ^ print_scenario b)
-       gen_mixed_pair)
-    copy_into_agrees
 
 (* Words allocated by [f ()], net of the measurement itself. *)
 let minor_words_of f =
@@ -252,9 +182,7 @@ let suite =
   ( "cache-diff",
     [
       Qc.to_alcotest prop_differential;
-      Qc.to_alcotest prop_copy_into;
       Qc.to_alcotest prop_differential_wide;
-      Qc.to_alcotest prop_copy_into_capacities;
       Alcotest.test_case "warm access and has_copy allocate nothing" `Quick
         test_hot_paths_allocate_nothing;
       Alcotest.test_case "footprint follows copies held" `Quick

@@ -98,14 +98,16 @@ let test_out_of_range_width_rejected () =
   Alcotest.(check bool) "no internal error" false
     (contains ~needle:"internal error" (out ^ err))
 
-(* Each [args] must exit 1 with a one-line error naming [flag], before
+(* [cmd args] must exit 1 with a one-line error naming [flag], before
    any run. *)
-let check_rejected ~flag args =
-  let (code, out), err = capture Unix.stderr (fun () -> eval ("simulate" :: args)) in
-  let what = String.concat " " args in
+let check_rejected ?(cmd = "simulate") ~flag args =
+  let (code, out), err = capture Unix.stderr (fun () -> eval (cmd :: args)) in
+  let what = String.concat " " (cmd :: args) in
   Alcotest.(check int) (what ^ ": exit 1") 1 code;
-  Alcotest.(check bool) (what ^ ": runs nothing") false (contains ~needle:"ok=" out);
-  Alcotest.(check bool) (what ^ ": names the flag") true (contains ~needle:flag err)
+  Alcotest.(check string) (what ^ ": runs nothing") "" out;
+  Alcotest.(check bool) (what ^ ": names the flag") true (contains ~needle:flag err);
+  Alcotest.(check int) (what ^ ": one line") 1
+    (List.length (String.split_on_char '\n' (String.trim err)))
 
 let test_bad_superpassages_rejected () =
   List.iter
@@ -132,6 +134,40 @@ let test_unknown_family_rejected () =
   let (code, _), _ = capture Unix.stderr (fun () -> eval [ "lemma"; "--family"; "zzz" ]) in
   Alcotest.(check int) "exit 1" 1 code
 
+(* Every rejected instance fails before the solver runs; --ell 2 and
+   --ell 4 (16 subgroups of 108) would need 54^8 and 108^16 tuples per
+   group. *)
+let test_lemma_instances_rejected () =
+  List.iter
+    (fun (flag, args) -> check_rejected ~cmd:"lemma" ~flag args)
+    [
+      ("--ell", [ "--ell"; "0" ]);
+      ("--delta", [ "--delta"; "0.5" ]);
+      ("--delta", [ "--delta"; "nan" ]);
+      ("--groups", [ "--groups=-2" ]);
+      ("--groups", [ "--groups"; "0" ]);
+      ("--trials", [ "--trials=0" ]);
+      ("cap", [ "--ell"; "2" ]);
+      ("cap", [ "--ell"; "4" ]);
+      ("subgroup_size", [ "--delta"; "inf" ]);
+    ]
+
+(* Theorem 1 is about individual crashes on recoverable locks: the
+   conventional locks and epoch-mcs, built for system-wide crashes,
+   are refused. *)
+let test_adversary_locks_rejected () =
+  List.iter
+    (fun lock -> check_rejected ~cmd:"adversary" ~flag:lock [ "--lock"; lock; "-n"; "16" ])
+    [ "tas"; "ticket"; "mcs"; "clh"; "peterson-tree"; "epoch-mcs" ]
+
+let test_progress_flag_gone () =
+  let (code, out), err =
+    capture Unix.stderr (fun () -> eval [ "experiment"; "--progress"; "e1" ])
+  in
+  Alcotest.(check bool) "non-zero exit" true (code <> 0);
+  Alcotest.(check string) "runs nothing" "" out;
+  Alcotest.(check bool) "unknown option" true (contains ~needle:"unknown option" err)
+
 let suite =
   ( "cli",
     [
@@ -156,4 +192,10 @@ let suite =
         test_bad_crash_prob_rejected;
       Alcotest.test_case "simulate rejects crashes the lock cannot take" `Quick
         test_crashes_the_lock_cannot_take_rejected;
+      Alcotest.test_case "lemma rejects instances the solver cannot take" `Quick
+        test_lemma_instances_rejected;
+      Alcotest.test_case "adversary rejects locks outside Theorem 1's model" `Quick
+        test_adversary_locks_rejected;
+      Alcotest.test_case "experiment has no --progress flag" `Quick
+        test_progress_flag_gone;
     ] )

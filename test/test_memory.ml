@@ -72,12 +72,6 @@ let test_memory_reset () =
   Alcotest.(check int) "value restored" 9 (Memory.value m l);
   Alcotest.(check (option int)) "accessor cleared" None (Memory.last_accessor m l)
 
-let test_memory_peek () =
-  let m = Memory.create ~width:8 in
-  let l = Memory.alloc m ~init:5 in
-  Alcotest.(check int) "peek" 8 (Memory.peek_next_value m l (Op.Faa 3));
-  Alcotest.(check int) "peek does not apply" 5 (Memory.value m l)
-
 let test_memory_alloc_array () =
   let m = Memory.create ~width:8 in
   let ls = Memory.alloc_array m ~init:1 ~len:4 in
@@ -114,14 +108,6 @@ let test_cache_crash_drops () =
   Alcotest.(check bool) "dropped 1" false (Cache.has_copy c ~pid:0 ~loc:1);
   Alcotest.(check bool) "dropped 2" false (Cache.has_copy c ~pid:0 ~loc:2);
   Alcotest.(check bool) "valid set empty" true (Intset.is_empty (Cache.valid_set c ~pid:0))
-
-let test_cache_copy_equal () =
-  let c = Cache.create ~n:2 in
-  ignore (Cache.access c ~pid:0 ~loc:1 ~is_read:true);
-  let c' = Cache.copy c in
-  Alcotest.(check bool) "copies agree" true (Cache.equal_for c c' ~pid:0);
-  ignore (Cache.access c ~pid:1 ~loc:1 ~is_read:false);
-  Alcotest.(check bool) "copies diverge after invalidation" false (Cache.equal_for c c' ~pid:0)
 
 (* ---------------- RMR accounting ---------------- *)
 
@@ -204,13 +190,11 @@ let suite =
       Alcotest.test_case "memory: width enforced" `Quick test_memory_width_enforced;
       Alcotest.test_case "memory: ownership" `Quick test_memory_owner;
       Alcotest.test_case "memory: reset" `Quick test_memory_reset;
-      Alcotest.test_case "memory: peek" `Quick test_memory_peek;
       Alcotest.test_case "memory: alloc_array" `Quick test_memory_alloc_array;
       Alcotest.test_case "cache: read installs" `Quick test_cache_read_installs;
       Alcotest.test_case "cache: non-read invalidates all" `Quick test_cache_write_invalidates;
       Alcotest.test_case "cache: write installs nothing" `Quick test_cache_write_does_not_install;
       Alcotest.test_case "cache: crash drops" `Quick test_cache_crash_drops;
-      Alcotest.test_case "cache: copy/equal" `Quick test_cache_copy_equal;
       Alcotest.test_case "rmr: DSM rule" `Quick test_rmr_dsm;
       Alcotest.test_case "rmr: CC rule" `Quick test_rmr_cc;
       Alcotest.test_case "rmr: would_incur" `Quick test_rmr_would_incur;

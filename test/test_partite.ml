@@ -53,6 +53,21 @@ let test_group_by_value () =
   Alcotest.(check int) "two classes" 2 (Hashtbl.length tbl);
   Alcotest.(check int) "class size" 2 (List.length (Hashtbl.find tbl 10))
 
+(* 16 parts of 108, as Hiding would build at ell = 4: 108^16 wraps
+   native ints to a negative number, so a product guard would pass. *)
+let test_complete_cap () =
+  let parts = Array.init 16 (fun i -> Array.init 108 (fun j -> (108 * i) + j)) in
+  Alcotest.check_raises "16 x 108 rejected"
+    (Invalid_argument "Partite.complete: too many edges (over 2^30)") (fun () ->
+      ignore (P.complete ~parts));
+  let fits sizes = P.within_cap ~count:(List.length sizes) ~size:(List.nth sizes) in
+  Alcotest.(check bool) "2^15 * 2^15 fits" true (fits [ 1 lsl 15; 1 lsl 15 ]);
+  Alcotest.(check bool) "2^15 * (2^15 + 1) does not" false
+    (fits [ 1 lsl 15; (1 lsl 15) + 1 ]);
+  Alcotest.(check bool) "max_int * 2 does not" false (fits [ max_int; 2 ]);
+  Alcotest.(check bool) "an empty part has no edges" true
+    ((P.complete ~parts:[| [| 1; 2 |]; [||] |]).P.edges = [])
+
 let prop_complete_count =
   QCheck.Test.make ~name:"complete hypergraph has product-many edges"
     QCheck.(pair (int_range 1 4) (int_range 1 4))
@@ -71,5 +86,6 @@ let suite =
       Alcotest.test_case "vertex union" `Quick test_vertices_of_edges;
       Alcotest.test_case "tail keys" `Quick test_tail_key;
       Alcotest.test_case "group by value" `Quick test_group_by_value;
+      Alcotest.test_case "edge cap survives overflow" `Quick test_complete_cap;
       Qc.to_alcotest prop_complete_count;
     ] )
