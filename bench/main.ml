@@ -5,6 +5,7 @@
    Usage:
      dune exec bench/main.exe                 # all experiments + timing
      dune exec bench/main.exe e3              # one experiment
+     dune exec bench/main.exe all             # every experiment, no timing
      dune exec bench/main.exe time            # timing suites only
      dune exec bench/main.exe -- -j 4 e1 e2   # shard trial cells over 4 domains
      dune exec bench/main.exe -- time --json BENCH.json      # machine-readable probes
@@ -41,8 +42,7 @@ let run_experiments ~jobs (entries : E.entry list) =
       let report = e.E.run engine in
       let words = if Engine.jobs engine = 1 then Some (Gc.minor_words () -. w0) else None in
       experiment_results := (e.E.id, report, words) :: !experiment_results)
-    entries;
-  Engine.shutdown engine
+    entries
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing: one probe per moving part, so the harness doubles

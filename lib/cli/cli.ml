@@ -301,11 +301,9 @@ let experiment jobs ids =
     if jobs < 0 then Error (Printf.sprintf "--jobs must be at least 0 (got %d)" jobs)
     else Ok ()
   in
-  let ids = if ids = [ "all" ] then List.map (fun e -> e.E.id) E.all else ids in
   let* entries = E.select ids in
   let engine = Engine.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Engine.shutdown engine) (fun () ->
-      List.iter (fun (e : E.entry) -> ignore (e.E.run engine)) entries);
+  List.iter (fun (e : E.entry) -> ignore (e.E.run engine)) entries;
   Ok ()
 
 let experiment_cmd =

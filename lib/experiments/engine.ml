@@ -87,7 +87,7 @@ let compute_adv c =
 type counters = { computed : int; cached : int }
 
 type t = {
-  pool : Pool.t;
+  jobs : int;
   guard : Mutex.t;  (* protects the memos and the counters. *)
   memo : (string * H.config, cell_result) Hashtbl.t;
   adv_memo : (string * A.config, adv_result) Hashtbl.t;
@@ -97,7 +97,7 @@ type t = {
 
 let create ?(jobs = 1) () =
   {
-    pool = Pool.create ~jobs;
+    jobs = (if jobs <= 0 then max 1 (Domain.recommended_domain_count ()) else jobs);
     guard = Mutex.create ();
     memo = Hashtbl.create 16;
     adv_memo = Hashtbl.create 16;
@@ -105,8 +105,8 @@ let create ?(jobs = 1) () =
     n_cached = 0;
   }
 
-let jobs t = Pool.jobs t.pool
-let shutdown t = Pool.shutdown t.pool
+let jobs t = t.jobs
+let shutdown _ = ()
 
 let counters t =
   Mutex.lock t.guard;
@@ -120,8 +120,8 @@ let commit t table k r =
   t.n_computed <- t.n_computed + 1;
   Mutex.unlock t.guard
 
-(* Compute the batch's missing unique keys in parallel over the pool.
-   The work list keeps first-occurrence order, so the pool sees cells in
+(* Compute the batch's missing unique keys in one parallel map. The
+   work list keeps first-occurrence order, so the map sees cells in
    canonical order; results merge by key, so the memo content is
    independent of domain interleaving. *)
 let prefetch_memo t table compute cells =
@@ -144,7 +144,7 @@ let prefetch_memo t table compute cells =
   t.n_cached <- t.n_cached + total - nw;
   Mutex.unlock t.guard;
   ignore
-    (Pool.map_array t.pool nw (fun i ->
+    (Pool.map_array ~jobs:t.jobs nw (fun i ->
          let k, c = work.(i) in
          commit t table k (compute c)))
 
@@ -164,4 +164,4 @@ let prefetch t cells = prefetch_memo t t.memo compute_cell cells
 let get t c = get_memo t t.memo compute_cell c
 let prefetch_adv t cells = prefetch_memo t t.adv_memo compute_adv cells
 let get_adv t c = get_memo t t.adv_memo compute_adv c
-let map t f xs = Pool.map_list t.pool f xs
+let map t f xs = Pool.map_list ~jobs:t.jobs f xs

@@ -1,23 +1,31 @@
-(** The multicore experiment engine: a memo over a {!Rme_util.Pool}.
+(** The multicore experiment engine: a memo over {!Rme_util.Pool}'s
+    fork-join maps.
 
     Experiments decompose into independent {e trial cells} (one harness
     run) and {e adversary cells} (one lower-bound construction run). A
     cell is a lock and its driver's own config ({!Rme_sim.Harness.config}
     or {!Rme_core.Adversary.config}); the memo key is the lock's name and
-    that config. The engine computes a batch's missing cells across the
-    pool and memoises every result by its key. Each cell derives its RNGs
-    from the seeds in its config, so tables assembled by key lookup are
-    bit-identical at any [jobs]; a cell shared by several experiments
-    (E1/E6, E2/A3) is computed once per engine. *)
+    that config. The engine computes a batch's missing cells in one
+    parallel map over [jobs] domains and memoises every result by its
+    key. Each cell derives its RNGs from the seeds in its config, so
+    tables assembled by key lookup are bit-identical at any [jobs]; a
+    cell shared by several experiments (E1/E6, E2/A3) is computed once
+    per engine. *)
 
 type t
 
 val create : ?jobs:int -> unit -> t
-(** A fresh pool of [jobs] domains (default 1; [0] auto-detects) and
-    empty memos. *)
+(** Empty memos, whose batches run over [jobs] domains (default 1). A
+    [jobs] of 0 or less is [Domain.recommended_domain_count ()]. No
+    domain is spawned here: each parallel batch spawns and joins its
+    own. *)
 
 val jobs : t -> int
+(** The resolved domain count, at least 1. *)
+
 val shutdown : t -> unit
+(** A no-op: an engine holds no domain between batches. Kept because
+    perfbench's driver calls it. *)
 
 (** {1 Trial cells} *)
 
@@ -70,7 +78,8 @@ val prefetch_adv : t -> adv_cell list -> unit
 val get_adv : t -> adv_cell -> adv_result
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map over the pool, without memoisation. *)
+(** Order-preserving parallel map over [jobs] domains, without
+    memoisation. A task may itself call {!prefetch}, {!get} or {!map}. *)
 
 type counters = { computed : int; cached : int }
 

@@ -631,19 +631,21 @@ let all =
     entry "f1" "fairness: bypass counts per lock" (fun engine -> f1_fairness ~engine ());
   ]
 
-let select ids =
-  let found, unknown =
-    List.partition_map
-      (fun id ->
-        match List.find_opt (fun e -> e.id = id) all with
-        | Some e -> Left e
-        | None -> Right (Printf.sprintf "%S" id))
-      ids
-  in
-  if unknown = [] then Ok found
-  else
-    Error
-      (Printf.sprintf "unknown experiment%s %s (available: %s)"
-         (if List.length unknown > 1 then "s" else "")
-         (String.concat ", " unknown)
-         (String.concat ", " (List.map (fun e -> e.id) all)))
+let select = function
+  | [ "all" ] -> Ok all
+  | ids ->
+      let found, unknown =
+        List.partition_map
+          (fun id ->
+            match List.find_opt (fun e -> e.id = id) all with
+            | Some e -> Left e
+            | None -> Right (Printf.sprintf "%S" id))
+          ids
+      in
+      if unknown = [] then Ok found
+      else
+        Error
+          (Printf.sprintf "unknown experiment%s %s (available: %s, all)"
+             (if List.length unknown > 1 then "s" else "")
+             (String.concat ", " unknown)
+             (String.concat ", " (List.map (fun e -> e.id) all)))

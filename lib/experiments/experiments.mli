@@ -121,4 +121,5 @@ val all : entry list
 val select : string list -> (entry list, string) result
 (** [select ids] checks every id against {!all} before anything runs,
     so an unknown id fails fast. The error names the unknown ids and
-    lists the available ones. *)
+    lists the available ones. A lone ["all"] selects every experiment,
+    in order; ["all"] among other ids is unknown. *)

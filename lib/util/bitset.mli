@@ -2,10 +2,13 @@
 
     The hot-path complement to {!Intset}: where [Intset] is a persistent
     functional set used for schedule bookkeeping, [Bitset] is a flat
-    [int array] of bit words used where allocation per operation is
-    unacceptable — the RMR cache's page-presence tracking, notably.
-    Membership, insertion and removal are O(1); iteration is ascending,
-    matching [Intset]'s ordering so the two agree wherever both appear. *)
+    [int array] of bit words for where allocation per operation is
+    unacceptable. No library module uses it yet (the RMR cache tracks
+    page presence with per-pid stamp tables); it is kept for the
+    flat-hypergraph representation of the Process-Hiding solver that
+    ROADMAP.md plans. Membership, insertion and removal are O(1);
+    iteration is ascending, matching [Intset]'s ordering so the two
+    agree wherever both appear. *)
 
 type t
 

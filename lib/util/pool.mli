@@ -1,50 +1,38 @@
-(** A small fixed-size domain pool with shared-counter work distribution.
+(** Fork-join parallel maps over OCaml 5 domains.
 
-    [map_array] fans independent tasks out over OCaml 5 domains and
-    returns results in index order, so the output is identical to a
-    sequential run no matter how the domains interleave. The calling
-    domain participates in the work (the pool only ever adds [jobs - 1]
-    helper domains), which also guarantees progress even when every
-    helper is busy serving another map.
+    Each parallel [map_array] spawns its own helper domains, shares the
+    tasks with them through an atomic counter, and joins every helper
+    before it returns: no domain outlives the map that spawned it, so
+    there is nothing to create or shut down. The calling domain works
+    too, and results land at their own index, so the output is
+    identical to a sequential run no matter how the domains interleave.
 
     Tasks must be independent: they may not assume any ordering among
     themselves, and any shared state they touch must be domain-safe.
     The experiment engine satisfies this by giving every trial cell its
-    own memory, RNG and RMR accounting. *)
+    own memory, RNG and RMR accounting. A task may itself call
+    [map_array]; the inner map forks and joins its own helpers, so each
+    level of nesting adds up to [jobs - 1] live domains (OCaml 5.1 allows
+    128 at once). *)
 
-type t
+val map_array : jobs:int -> int -> (int -> 'a) -> 'a array
+(** [map_array ~jobs n f] computes [[| f 0; ...; f (n-1) |]] over
+    [jobs] domains in total: the caller plus [min (jobs - 1) (n - 1)]
+    helpers spawned for this map. With [jobs <= 1] or [n <= 1] it is
+    [Array.init n f] in the caller, spawning nothing.
 
-val create : jobs:int -> t
-(** [create ~jobs] returns a pool of total parallelism [jobs] (the
-    caller plus [jobs - 1] helper domains). [jobs <= 0] selects
-    [Domain.recommended_domain_count ()]. [jobs = 1] allocates no
-    queue, mutex or condition and makes every [map_array] run
-    sequentially in the caller. A larger pool spawns its helpers at its
-    first [map_array] of more than one task, so creating a pool spawns
-    nothing. Helpers are joined by {!shutdown}; a pool whose helpers
-    are still running at program exit is shut down by one process-wide
-    [at_exit], and a pool shut down before then is no longer held by
-    it. *)
+    Contiguous index chunks are handed out through a shared atomic
+    counter, so load balances dynamically. The chunk size is picked
+    from the task count: about four chunks per domain, capped at 64 and
+    floored at 1 — so batches of microsecond tasks (trial cells at
+    n <= 8) stop paying one atomic fetch each, while small batches of
+    coarse tasks degrade to chunk 1 and keep full dynamic balance.
 
-val jobs : t -> int
-(** Total parallelism, including the calling domain. *)
+    If any [f i] raises, every other task still runs, and the first
+    exception recorded is re-raised in the caller once all helpers have
+    been joined. If spawning a helper fails, the helpers already running
+    finish their current chunk and are joined before that exception is
+    re-raised. *)
 
-val map_array : t -> int -> (int -> 'a) -> 'a array
-(** [map_array t n f] computes [[| f 0; ...; f (n-1) |]]. Contiguous
-    index chunks are handed out through a shared atomic counter, so
-    load balances dynamically; results land at their own index, keeping
-    the output order canonical regardless of chunking or interleaving.
-
-    The chunk size is picked from the task count: about four chunks per
-    domain, capped at 64 and floored at 1 — so batches of microsecond
-    tasks (trial cells at n <= 8) stop paying one atomic fetch each,
-    while small batches of coarse tasks degrade to chunk 1 and keep
-    full dynamic balance. If any [f i] raises, one of the exceptions
-    is re-raised in the caller after all started tasks finish. *)
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_list t f xs] is {!map_array} over a list, preserving order. *)
-
-val shutdown : t -> unit
-(** Drain outstanding work, stop and join the helper domains.
-    Idempotent; the pool must not be used afterwards. *)
+val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map_list ~jobs f xs] is {!map_array} over a list, preserving order. *)

@@ -57,6 +57,17 @@ let test_catalogue () =
     (let ids = List.map (fun e -> e.E.id) E.all in
      List.length ids = List.length (List.sort_uniq compare ids))
 
+let test_select_all () =
+  let ids = List.map (fun e -> e.E.id) in
+  (match E.select [ "all" ] with
+  | Ok entries ->
+      Alcotest.(check (list string)) "every entry, in order" (ids E.all) (ids entries)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "unknown id" true (Result.is_error (E.select [ "zzz" ]));
+  match E.select [ "e1"; "zzz" ] with
+  | Ok _ -> Alcotest.fail "expected an error"
+  | Error e -> Alcotest.(check bool) "error lists all" true (contains ~needle:", all)" e)
+
 let suite =
   ( "experiments",
     [
@@ -71,4 +82,5 @@ let suite =
       Alcotest.test_case "a2 k ablation" `Quick test_a2;
       Alcotest.test_case "a3 adaptivity" `Quick test_a3;
       Alcotest.test_case "catalogue" `Quick test_catalogue;
+      Alcotest.test_case "select all" `Quick test_select_all;
     ] )
