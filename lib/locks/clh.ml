@@ -2,7 +2,7 @@ module Memory = Rme_memory.Memory
 module Bitword = Rme_util.Bitword
 module Lock_intf = Rme_sim.Lock_intf
 module Prog = Rme_sim.Prog
-open Prog.Infix
+open Prog.K
 
 (* Cells are indexed 0 .. 2n; cell values: 1 = locked (request pending),
    0 = granted. The tail stores a cell index. Cell 0 is the initial
@@ -38,15 +38,15 @@ let make memory ~n =
   ignore (Array.length t.pred_cell);
   let entry ~pid =
     let mine = t.my_cell.(pid) in
-    let* () = Prog.write t.cells.(mine) 1 in
-    let* pred = Prog.fas t.tail mine in
+    let@ _ = write t.cells.(mine) 1 in
+    let@ pred = fas t.tail mine in
     t.pred_cell.(pid) <- pred;
-    let* _ = Prog.await t.cells.(pred) (fun v -> v = 0) in
+    let@ _ = await t.cells.(pred) (fun v -> v = 0) in
     Prog.return ()
   in
   let exit ~pid =
     let mine = t.my_cell.(pid) in
-    let* () = Prog.write t.cells.(mine) 0 in
+    let@ _ = write t.cells.(mine) 0 in
     (* Rotate: reuse the predecessor's (now quiescent) cell next time. *)
     t.my_cell.(pid) <- t.pred_cell.(pid);
     Prog.return ()

@@ -2,7 +2,7 @@ module Memory = Rme_memory.Memory
 module Bitword = Rme_util.Bitword
 module Lock_intf = Rme_sim.Lock_intf
 module Prog = Rme_sim.Prog
-open Prog.Infix
+open Prog.K
 
 (* Per-process, per-level persistent status encoding for [succ]:
    0 = successor not chosen yet; 1 = committed: no successor;
@@ -35,13 +35,11 @@ type t = {
 
 (* [slot_of t pid k] and [node_of t pid k]: process [pid]'s position at
    level [k] of the [b]-ary tree. The whole path is static. *)
-let slot_of t ~pid ~k =
-  let rec div p i = if i = 0 then p else div (p / t.b) (i - 1) in
-  div pid k mod t.b
+let rec div b p i = if i = 0 then p else div b (p / b) (i - 1)
 
-let node_of t ~pid ~k =
-  let rec div p i = if i = 0 then p else div (p / t.b) (i - 1) in
-  div pid (k + 1)
+let slot_of t ~pid ~k = div t.b pid k mod t.b
+
+let node_of t ~pid ~k = div t.b pid (k + 1)
 
 let levels_for ~b ~n =
   if n <= 1 then 0
@@ -102,20 +100,23 @@ let make_with_arity ~arity memory ~n =
   in
   let node t ~pid ~k = t.nodes.(k).(node_of t ~pid ~k) in
   let chunk_mask = Bitword.mask width in
-  let write_pid_chunks locs pid =
+  (* The sub-protocols below take their continuation last, so
+     [let@ () = acquire_level ~pid ~k in climb (k + 1)] resumes
+     straight into the caller. *)
+  let write_pid_chunks locs pid next =
     let rec loop i v =
-      if i >= Array.length locs then Prog.return ()
+      if i >= Array.length locs then next ()
       else
-        let* () = Prog.write locs.(i) (v land chunk_mask) in
+        let@ _ = write locs.(i) (v land chunk_mask) in
         loop (i + 1) (v lsr width)
     in
     loop 0 pid
   in
-  let read_pid_chunks locs =
+  let read_pid_chunks locs next =
     let rec loop i acc shift =
-      if i >= Array.length locs then Prog.return acc
+      if i >= Array.length locs then next acc
       else
-        let* c = Prog.read locs.(i) in
+        let@ c = read locs.(i) in
         loop (i + 1) (acc lor (c lsl shift)) (shift + width)
     in
     loop 0 0 0
@@ -123,49 +124,51 @@ let make_with_arity ~arity memory ~n =
   (* Ring the doorbell of the occupant of [slot] at node [nd] for level
      [k]. Safe to call spuriously: a woken waiter believes nothing until
      it sees [owner = its slot + 1]. A torn pid (possible only on
-     crash-recovery re-rings while the slot transitions) is skipped. *)
-  let ring nd ~k ~slot =
-    let* q = read_pid_chunks nd.who.(slot) in
-    if q >= 0 && q < n then Prog.write t.bell.(q).(k) 1 else Prog.return ()
+     crash-recovery re-rings while the slot transitions) is skipped.
+     [next] receives an ignored value, as a [write]'s continuation
+     does. *)
+  let ring nd ~k ~slot next =
+    let@ q = read_pid_chunks nd.who.(slot) in
+    if q >= 0 && q < n then write t.bell.(q).(k) 1 next else next 0
   in
   (* Acquire one level: register in the node mask (idempotently — the own
      bit tells whether a crashed run already registered), then take or
      await ownership. *)
-  let acquire_level ~pid ~k =
+  let acquire_level ~pid ~k next =
     let nd = node t ~pid ~k in
     let s = slot_of t ~pid ~k in
-    let* m = Prog.read nd.mask in
-    let* () =
-      if Bitword.test_bit m s then Prog.return ()
+    let take () =
+      let@ won = cas nd.owner ~expected:0 ~desired:(s + 1) in
+      if won then next ()
       else begin
-        (* Fresh registration: reset this level's release bookkeeping for
-           the new passage, publish the pid, then set the bit. The FAA is
-           the commit point; everything before it may be harmlessly
-           re-done after a crash. *)
-        let* () = Prog.write t.xdone.(pid).(k) 0 in
-        let* () = Prog.write t.succ.(pid).(k) succ_unset in
-        let* () = write_pid_chunks nd.who.(s) pid in
-        let* _ = Prog.faa nd.mask (1 lsl s) in
-        Prog.return ()
+        let rec park () =
+          let@ o = read nd.owner in
+          if o = s + 1 then next ()
+          else begin
+            let@ _ = write t.bell.(pid).(k) 0 in
+            let@ o = read nd.owner in
+            if o = s + 1 then next ()
+            else begin
+              let@ _ = await t.bell.(pid).(k) (fun v -> v = 1) in
+              park ()
+            end
+          end
+        in
+        park ()
       end
     in
-    let* won = Prog.cas nd.owner ~expected:0 ~desired:(s + 1) in
-    if won then Prog.return ()
+    let@ m = read nd.mask in
+    if Bitword.test_bit m s then take ()
     else begin
-      let rec park () =
-        let* o = Prog.read nd.owner in
-        if o = s + 1 then Prog.return ()
-        else begin
-          let* () = Prog.write t.bell.(pid).(k) 0 in
-          let* o = Prog.read nd.owner in
-          if o = s + 1 then Prog.return ()
-          else begin
-            let* _ = Prog.await t.bell.(pid).(k) (fun v -> v = 1) in
-            park ()
-          end
-        end
-      in
-      park ()
+      (* Fresh registration: reset this level's release bookkeeping for
+         the new passage, publish the pid, then set the bit. The FAA is
+         the commit point; everything before it may be harmlessly
+         re-done after a crash. *)
+      let@ _ = write t.xdone.(pid).(k) 0 in
+      let@ _ = write t.succ.(pid).(k) succ_unset in
+      let@ () = write_pid_chunks nd.who.(s) pid in
+      let@ _ = faa nd.mask (1 lsl s) in
+      take ()
     end
   in
   (* Ownership of the path is re-derivable from shared memory: [pid]
@@ -174,119 +177,117 @@ let make_with_arity ~arity memory ~n =
      holder of a higher node must have come through the child node [pid]
      holds, hence is [pid] itself; at level 0 the slot denotes a unique
      process). *)
-  let held_prefix ~pid =
+  let held_prefix ~pid next =
     let rec scan k =
-      if k >= t.levels then Prog.return t.levels
+      if k >= t.levels then next t.levels
       else begin
         let nd = node t ~pid ~k in
         let s = slot_of t ~pid ~k in
-        let* o = Prog.read nd.owner in
-        if o = s + 1 then scan (k + 1) else Prog.return k
+        let@ o = read nd.owner in
+        if o = s + 1 then scan (k + 1) else next k
       end
     in
     scan 0
   in
   let entry ~pid =
-    let* () = Prog.write t.pstatus.(pid) st_trying in
-    let* h = held_prefix ~pid in
+    let@ _ = write t.pstatus.(pid) st_trying in
+    let@ h = held_prefix ~pid in
     let rec climb k =
       if k >= t.levels then Prog.return ()
       else
-        let* () = acquire_level ~pid ~k in
+        let@ () = acquire_level ~pid ~k in
         climb (k + 1)
     in
     climb h
   in
-  (* Release one level. Idempotent: [xdone] marks completion, [succ]
-     commits the successor choice before the ownership transfer, and
-     every shared-memory write is guarded so a crashed release re-executes
-     exactly the same handoff. *)
-  let release_level ~pid ~k =
+  (* Release one level, then [next]. Idempotent: [xdone] marks
+     completion, [succ] commits the successor choice before the
+     ownership transfer, and every shared-memory write is guarded so a
+     crashed release re-executes exactly the same handoff. The join
+     points below ignore their argument, the value of the write (or
+     CAS) before them. *)
+  let release_level ~pid ~k next =
     let nd = node t ~pid ~k in
     let s = slot_of t ~pid ~k in
-    let* xd = Prog.read t.xdone.(pid).(k) in
-    if xd = 1 then Prog.return ()
+    let@ xd = read t.xdone.(pid).(k) in
+    if xd = 1 then next ()
     else begin
-      (* Clear the own registration bit first, so no later releaser can
-         pick this process as a successor. Only this process touches its
-         bit while it occupies the slot, so read-then-FAA is crash-safe. *)
-      let* m0 = Prog.read nd.mask in
-      let* () =
-        if Bitword.test_bit m0 s then
-          let* _ = Prog.faa nd.mask (- (1 lsl s)) in
-          Prog.return ()
-        else Prog.return ()
+      let finish _ =
+        let@ _ = write t.xdone.(pid).(k) 1 in
+        next ()
       in
-      let* sc0 = Prog.read t.succ.(pid).(k) in
-      let* sc =
-        if sc0 <> succ_unset then Prog.return sc0
+      (* Grant the node to the committed choice [sc], then ring it. *)
+      let hand_off sc =
+        if sc = succ_none then finish 0
         else begin
-          let* m = Prog.read nd.mask in
+          let x = sc - 2 in
+          let ring_x _ = ring nd ~k ~slot:x finish in
+          let@ o = read nd.owner in
+          if o = s + 1 then write nd.owner (x + 1) ring_x
+          else if o = 0 then begin
+            (* Crash-recovery or helped-grant path: grant only if slot
+               [x] is still occupied (its bit is set); otherwise the
+               handoff already happened in a previous attempt. *)
+            let@ mm = read nd.mask in
+            if Bitword.test_bit mm x then
+              cas nd.owner ~expected:0 ~desired:(x + 1) ring_x
+            else ring_x 0
+          end
+          else ring_x 0
+        end
+      in
+      let choose _ =
+        let@ sc0 = read t.succ.(pid).(k) in
+        if sc0 <> succ_unset then hand_off sc0
+        else begin
+          let@ m = read nd.mask in
           match Bitword.lowest_set_bit m with
           | Some x ->
-              let* () = Prog.write t.succ.(pid).(k) (x + 2) in
-              Prog.return (x + 2)
+              let@ _ = write t.succ.(pid).(k) (x + 2) in
+              hand_off (x + 2)
           | None ->
               (* Nobody visible: free the node, then look again — an
                  arrival that registered before we freed may have already
                  failed its ownership CAS and parked. *)
-              let* o = Prog.read nd.owner in
-              let* () =
-                if o = s + 1 then Prog.write nd.owner 0 else Prog.return ()
+              let@ o = read nd.owner in
+              let recheck _ =
+                let@ m2 = read nd.mask in
+                let choice =
+                  match Bitword.lowest_set_bit m2 with
+                  | Some x -> x + 2
+                  | None -> succ_none
+                in
+                let@ _ = write t.succ.(pid).(k) choice in
+                hand_off choice
               in
-              let* m2 = Prog.read nd.mask in
-              let choice =
-                match Bitword.lowest_set_bit m2 with
-                | Some x -> x + 2
-                | None -> succ_none
-              in
-              let* () = Prog.write t.succ.(pid).(k) choice in
-              Prog.return choice
+              if o = s + 1 then write nd.owner 0 recheck else recheck 0
         end
       in
-      let* () =
-        if sc = succ_none then Prog.return ()
-        else begin
-          let x = sc - 2 in
-          let* o = Prog.read nd.owner in
-          let* () =
-            if o = s + 1 then Prog.write nd.owner (x + 1)
-            else if o = 0 then begin
-              (* Crash-recovery or helped-grant path: grant only if slot
-                 [x] is still occupied (its bit is set); otherwise the
-                 handoff already happened in a previous attempt. *)
-              let* mm = Prog.read nd.mask in
-              if Bitword.test_bit mm x then
-                let* _ = Prog.cas nd.owner ~expected:0 ~desired:(x + 1) in
-                Prog.return ()
-              else Prog.return ()
-            end
-            else Prog.return ()
-          in
-          ring nd ~k ~slot:x
-        end
-      in
-      Prog.write t.xdone.(pid).(k) 1
+      (* Clear the own registration bit first, so no later releaser can
+         pick this process as a successor. Only this process touches its
+         bit while it occupies the slot, so read-then-FAA is crash-safe. *)
+      let@ m0 = read nd.mask in
+      if Bitword.test_bit m0 s then faa nd.mask (- (1 lsl s)) choose
+      else choose 0
     end
   in
   let exit ~pid =
-    let* () = Prog.write t.pstatus.(pid) st_releasing in
+    let@ _ = write t.pstatus.(pid) st_releasing in
     let rec descend k =
-      if k < 0 then Prog.return ()
+      if k < 0 then Prog.write t.pstatus.(pid) st_idle
       else
-        let* () = release_level ~pid ~k in
+        let@ () = release_level ~pid ~k in
         descend (k - 1)
     in
-    let* () = descend (t.levels - 1) in
-    Prog.write t.pstatus.(pid) st_idle
+    descend (t.levels - 1)
   in
   let recover ~pid =
-    let* st = Prog.read t.pstatus.(pid) in
+    let@ st = read t.pstatus.(pid) in
     (* idle = the crash hit before the first entry step (see Rcas). *)
     if st = st_idle then Prog.return Lock_intf.Resume_entry
     else if st = st_releasing then Prog.return Lock_intf.Resume_exit
     else begin
-      let* h = held_prefix ~pid in
+      let@ h = held_prefix ~pid in
       if h = t.levels then Prog.return Lock_intf.In_cs
       else Prog.return Lock_intf.Resume_entry
     end

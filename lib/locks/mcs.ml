@@ -2,7 +2,7 @@ module Memory = Rme_memory.Memory
 module Bitword = Rme_util.Bitword
 module Lock_intf = Rme_sim.Lock_intf
 module Prog = Rme_sim.Prog
-open Prog.Infix
+open Prog.K
 
 (* Queue-node pointers are encoded as pid + 1, with 0 meaning nil. *)
 let nil = 0
@@ -25,26 +25,26 @@ let make memory ~n =
   in
   let entry ~pid =
     let me = pid + 1 in
-    let* () = Prog.write t.next.(pid) nil in
-    let* () = Prog.write t.locked.(pid) 1 in
-    let* pred = Prog.fas t.tail me in
+    let@ _ = write t.next.(pid) nil in
+    let@ _ = write t.locked.(pid) 1 in
+    let@ pred = fas t.tail me in
     if pred = nil then Prog.return ()
     else begin
-      let* () = Prog.write t.next.(pred - 1) me in
-      let* _ = Prog.await t.locked.(pid) (fun v -> v = 0) in
+      let@ _ = write t.next.(pred - 1) me in
+      let@ _ = await t.locked.(pid) (fun v -> v = 0) in
       Prog.return ()
     end
   in
   let exit ~pid =
     let me = pid + 1 in
-    let* succ = Prog.read t.next.(pid) in
+    let@ succ = read t.next.(pid) in
     if succ <> nil then Prog.write t.locked.(succ - 1) 0
     else begin
-      let* swung = Prog.cas t.tail ~expected:me ~desired:nil in
+      let@ swung = cas t.tail ~expected:me ~desired:nil in
       if swung then Prog.return ()
       else begin
         (* A successor swapped the tail but has not linked yet. *)
-        let* succ = Prog.await t.next.(pid) (fun v -> v <> nil) in
+        let@ succ = await t.next.(pid) (fun v -> v <> nil) in
         Prog.write t.locked.(succ - 1) 0
       end
     end

@@ -1,7 +1,7 @@
 module Memory = Rme_memory.Memory
 module Lock_intf = Rme_sim.Lock_intf
 module Prog = Rme_sim.Prog
-open Prog.Infix
+open Prog.K
 
 type t = {
   flag : Memory.loc array array; (* flag.(node).(side) *)
@@ -17,18 +17,18 @@ let make memory ~n =
       victim = Memory.alloc_array memory ~init:0 ~len:(nodes + 1);
     }
   in
-  (* Two-process Peterson acquisition at one node. The wait tests two
-     locations, so it is written as an explicit read loop rather than
-     [Prog.await]. *)
-  let acquire_node node side =
-    let* () = Prog.write t.flag.(node).(side) 1 in
-    let* () = Prog.write t.victim.(node) side in
+  (* Two-process Peterson acquisition at one node, then [next]. The
+     wait tests two locations, so it is written as an explicit read loop
+     rather than [await]. *)
+  let acquire_node node side next =
+    let@ _ = write t.flag.(node).(side) 1 in
+    let@ _ = write t.victim.(node) side in
     let rec wait () =
-      let* other_flag = Prog.read t.flag.(node).(1 - side) in
-      if other_flag = 0 then Prog.return ()
+      let@ other_flag = read t.flag.(node).(1 - side) in
+      if other_flag = 0 then next ()
       else begin
-        let* v = Prog.read t.victim.(node) in
-        if v <> side then Prog.return () else wait ()
+        let@ v = read t.victim.(node) in
+        if v <> side then next () else wait ()
       end
     in
     wait ()
@@ -39,7 +39,7 @@ let make memory ~n =
       if i >= Array.length path then Prog.return ()
       else begin
         let node, side = path.(i) in
-        let* () = acquire_node node side in
+        let@ () = acquire_node node side in
         climb (i + 1)
       end
     in
@@ -51,7 +51,7 @@ let make memory ~n =
       if i < 0 then Prog.return ()
       else begin
         let node, side = path.(i) in
-        let* () = Prog.write t.flag.(node).(side) 0 in
+        let@ _ = write t.flag.(node).(side) 0 in
         descend (i - 1)
       end
     in

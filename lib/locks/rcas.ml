@@ -2,7 +2,7 @@ module Memory = Rme_memory.Memory
 module Bitword = Rme_util.Bitword
 module Lock_intf = Rme_sim.Lock_intf
 module Prog = Rme_sim.Prog
-open Prog.Infix
+open Prog.K
 
 type t = {
   lock_word : Memory.loc; (* owner pid + 1; 0 = free *)
@@ -23,24 +23,24 @@ let make memory ~n =
   in
   let entry ~pid =
     let me = pid + 1 in
-    let* () = Prog.write t.status.(pid) st_trying in
+    let@ _ = write t.status.(pid) st_trying in
     let rec acquire () =
-      let* _ = Prog.await t.lock_word (fun v -> v = 0) in
-      let* won = Prog.cas t.lock_word ~expected:0 ~desired:me in
+      let@ _ = await t.lock_word (fun v -> v = 0) in
+      let@ won = cas t.lock_word ~expected:0 ~desired:me in
       if won then Prog.return () else acquire ()
     in
     acquire ()
   in
   let exit ~pid =
     let me = pid + 1 in
-    let* () = Prog.write t.status.(pid) st_releasing in
-    let* v = Prog.read t.lock_word in
-    let* () = if v = me then Prog.write t.lock_word 0 else Prog.return () in
-    Prog.write t.status.(pid) st_idle
+    let@ _ = write t.status.(pid) st_releasing in
+    let@ v = read t.lock_word in
+    let idle _ = Prog.write t.status.(pid) st_idle in
+    if v = me then write t.lock_word 0 idle else idle 0
   in
   let recover ~pid =
     let me = pid + 1 in
-    let* st = Prog.read t.status.(pid) in
+    let@ st = read t.status.(pid) in
     (* idle means the crash struck before the first entry step: exit's
        final status write is the last step of the passage, so a crash can
        never observe idle *after* completing a super-passage. The entry
@@ -48,7 +48,7 @@ let make memory ~n =
     if st = st_idle then Prog.return Lock_intf.Resume_entry
     else if st = st_releasing then Prog.return Lock_intf.Resume_exit
     else begin
-      let* v = Prog.read t.lock_word in
+      let@ v = read t.lock_word in
       if v = me then Prog.return Lock_intf.In_cs
       else Prog.return Lock_intf.Resume_entry
     end

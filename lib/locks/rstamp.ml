@@ -2,7 +2,7 @@ module Memory = Rme_memory.Memory
 module Bitword = Rme_util.Bitword
 module Lock_intf = Rme_sim.Lock_intf
 module Prog = Rme_sim.Prog
-open Prog.Infix
+open Prog.K
 
 type t = {
   lock_word : Memory.loc;
@@ -29,30 +29,31 @@ let make memory ~n =
         Array.init n (fun p -> Memory.alloc memory ~owner:p ~init:st_idle);
     }
   in
+  (* Each process's two operations, built once rather than per attempt. *)
+  let claims = Array.init n (fun pid -> claim ~me:(pid + 1)) in
+  let releases = Array.init n (fun pid -> release ~me:(pid + 1)) in
   let entry ~pid =
-    let me = pid + 1 in
-    let* () = Prog.write t.status.(pid) st_trying in
+    let@ _ = write t.status.(pid) st_trying in
     let rec acquire () =
-      let* _ = Prog.await t.lock_word (fun v -> v = 0) in
-      let* old = Prog.op t.lock_word (claim ~me) in
+      let@ _ = await t.lock_word (fun v -> v = 0) in
+      let@ old = op t.lock_word claims.(pid) in
       if old = 0 then Prog.return () else acquire ()
     in
     acquire ()
   in
   let exit ~pid =
-    let me = pid + 1 in
-    let* () = Prog.write t.status.(pid) st_releasing in
+    let@ _ = write t.status.(pid) st_releasing in
     (* The release RMW is idempotent by construction. *)
-    let* _ = Prog.op t.lock_word (release ~me) in
+    let@ _ = op t.lock_word releases.(pid) in
     Prog.write t.status.(pid) st_idle
   in
   let recover ~pid =
     let me = pid + 1 in
-    let* st = Prog.read t.status.(pid) in
+    let@ st = read t.status.(pid) in
     if st = st_idle then Prog.return Lock_intf.Resume_entry
     else if st = st_releasing then Prog.return Lock_intf.Resume_exit
     else begin
-      let* v = Prog.read t.lock_word in
+      let@ v = read t.lock_word in
       if v = me then Prog.return Lock_intf.In_cs
       else Prog.return Lock_intf.Resume_entry
     end

@@ -1,7 +1,7 @@
 module Memory = Rme_memory.Memory
 module Lock_intf = Rme_sim.Lock_intf
 module Prog = Rme_sim.Prog
-open Prog.Infix
+open Prog.K
 
 type t = {
   node : Memory.loc array; (* node.(i): 0 free, side + 1 held; i in 1..num *)
@@ -23,17 +23,17 @@ Memory.alloc_array memory ~init:0 ~len:(num + 1);
     }
   in
   (* Index (exclusive) of the top of the contiguous held segment of
-     [path]: [held_top path] returns the smallest [h] such that levels
-     [0 .. h-1] are held and level [h] is not (so [h = length] means the
-     whole path, hence the lock, is held). *)
-  let held_top path =
+     [path]: [held_top path next] passes [next] the smallest [h] such
+     that levels [0 .. h-1] are held and level [h] is not (so
+     [h = length] means the whole path, hence the lock, is held). *)
+  let held_top path next =
     let len = Array.length path in
     let rec scan h =
-      if h >= len then Prog.return len
+      if h >= len then next len
       else begin
         let node, side = path.(h) in
-        let* v = Prog.read t.node.(node) in
-        if v = side + 1 then scan (h + 1) else Prog.return h
+        let@ v = read t.node.(node) in
+        if v = side + 1 then scan (h + 1) else next h
       end
     in
     scan 0
@@ -41,46 +41,44 @@ Memory.alloc_array memory ~init:0 ~len:(num + 1);
   let entry ~pid =
     let path = Tree.path ~n ~pid in
     let len = Array.length path in
-    let* () = Prog.write t.status.(pid) st_trying in
+    let@ _ = write t.status.(pid) st_trying in
     let rec climb h =
       if h >= len then Prog.return ()
       else begin
         let node, side = path.(h) in
         let rec acquire () =
-          let* _ = Prog.await t.node.(node) (fun v -> v = 0) in
-          let* won = Prog.cas t.node.(node) ~expected:0 ~desired:(side + 1) in
-          if won then Prog.return () else acquire ()
+          let@ _ = await t.node.(node) (fun v -> v = 0) in
+          let@ won = cas t.node.(node) ~expected:0 ~desired:(side + 1) in
+          if won then climb (h + 1) else acquire ()
         in
-        let* () = acquire () in
-        climb (h + 1)
+        acquire ()
       end
     in
-    let* h = held_top path in
+    let@ h = held_top path in
     climb h
   in
   let exit ~pid =
     let path = Tree.path ~n ~pid in
-    let* () = Prog.write t.status.(pid) st_releasing in
-    let* h = held_top path in
+    let@ _ = write t.status.(pid) st_releasing in
+    let@ h = held_top path in
     let rec descend i =
-      if i < 0 then Prog.return ()
+      if i < 0 then Prog.write t.status.(pid) st_idle
       else begin
         let node, _side = path.(i) in
-        let* () = Prog.write t.node.(node) 0 in
+        let@ _ = write t.node.(node) 0 in
         descend (i - 1)
       end
     in
-    let* () = descend (h - 1) in
-    Prog.write t.status.(pid) st_idle
+    descend (h - 1)
   in
   let recover ~pid =
     let path = Tree.path ~n ~pid in
-    let* st = Prog.read t.status.(pid) in
+    let@ st = read t.status.(pid) in
     (* idle = the crash hit before the first entry step (see Rcas). *)
     if st = st_idle then Prog.return Lock_intf.Resume_entry
     else if st = st_releasing then Prog.return Lock_intf.Resume_exit
     else begin
-      let* h = held_top path in
+      let@ h = held_top path in
       if h = Array.length path then Prog.return Lock_intf.In_cs
       else Prog.return Lock_intf.Resume_entry
     end

@@ -1,7 +1,7 @@
 module Memory = Rme_memory.Memory
 module Lock_intf = Rme_sim.Lock_intf
 module Prog = Rme_sim.Prog
-open Prog.Infix
+open Prog.K
 
 type t = { bit : Memory.loc }
 
@@ -9,8 +9,8 @@ let make memory ~n:_ =
   let bit = Memory.alloc memory ~init:0 in
   let t = { bit } in
   let rec acquire () =
-    let* _ = Prog.await t.bit (fun v -> v = 0) in
-    let* old = Prog.fas t.bit 1 in
+    let@ _ = await t.bit (fun v -> v = 0) in
+    let@ old = fas t.bit 1 in
     if old = 0 then Prog.return () else acquire ()
   in
   {

@@ -2,7 +2,7 @@ module Memory = Rme_memory.Memory
 module Bitword = Rme_util.Bitword
 module Lock_intf = Rme_sim.Lock_intf
 module Prog = Rme_sim.Prog
-open Prog.Infix
+open Prog.K
 
 type t = {
   next : Memory.loc;
@@ -21,9 +21,9 @@ let make memory ~n =
     }
   in
   let entry ~pid =
-    let* ticket = Prog.fai t.next in
+    let@ ticket = fai t.next in
     t.my_ticket.(pid) <- ticket;
-    let* _ = Prog.await t.serving (fun v -> v = ticket) in
+    let@ _ = await t.serving (fun v -> v = ticket) in
     Prog.return ()
   in
   let exit ~pid =

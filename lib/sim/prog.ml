@@ -20,18 +20,14 @@ let read loc = op loc Op.Read
 
 let write loc v = Step (loc, Op.Write v, fun _ -> Return ())
 
-let cas_old loc ~expected ~desired = op loc (Op.Cas { expected; desired })
-
 let cas loc ~expected ~desired =
-  map (fun old -> old = expected) (cas_old loc ~expected ~desired)
+  Step (loc, Op.Cas { expected; desired }, fun old -> Return (old = expected))
 
 let fas loc v = op loc (Op.Fas v)
 
 let faa loc d = op loc (Op.Faa d)
 
 let fai loc = op loc Op.fai
-
-let rmw loc ~name f = op loc (Op.Rmw { name; f })
 
 let await loc cond =
   let rec spin () =
@@ -53,4 +49,27 @@ module Infix = struct
   let ( let* ) = bind
   let ( let+ ) m f = map f m
   let ( >>= ) = bind
+end
+
+module K = struct
+  let ( let@ ) f k = f k
+
+  let op loc o k = Step (loc, o, k)
+
+  let read loc k = Step (loc, Op.Read, k)
+
+  let write loc v k = Step (loc, Op.Write v, k)
+
+  let cas loc ~expected ~desired k =
+    Step (loc, Op.Cas { expected; desired }, fun old -> k (old = expected))
+
+  let fas loc v k = Step (loc, Op.Fas v, k)
+
+  let faa loc d k = Step (loc, Op.Faa d, k)
+
+  let fai loc k = Step (loc, Op.fai, k)
+
+  let await loc cond k =
+    let rec spin = Step (loc, Op.Read, fun v -> if cond v then k v else spin) in
+    spin
 end

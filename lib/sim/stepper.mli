@@ -17,11 +17,14 @@
     With no trace, the stepper's own bookkeeping allocates nothing, and
     neither do [Memory], [Rmr] and [Cache] when they apply and account a
     step. What a step does allocate is the lock program's continuation:
-    resuming it builds the process's next program, and {!Prog.bind}
-    rewraps that program in every enclosing bind. Measured with
-    [Gc.minor_words], a harness step allocates about 50 words on
-    Katzan–Morrison at n = 512–1024 and 25–50 on the other locks at
-    n = 16 with crashes.
+    resuming it builds the process's next program. Every registry lock
+    is written with {!Prog.K}, so that is one [Step] (plus the closure
+    of the rest of the body) per step, with no enclosing bind to
+    rewrap. Measured with [Gc.minor_words], a harness step allocates
+    about 26 words on Katzan–Morrison at n = 512–1024 (51 when the
+    locks were monadic) and 8–38 on the other locks at n = 16 with
+    crashes (22–50 monadic); [test/test_alloc.ml] holds ceilings on
+    four of them.
 
     The only rewind is {!reset}, back to the just-created state: the
     adversary and its schedule-table check reach every other state by

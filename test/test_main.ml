@@ -28,6 +28,8 @@ let () =
       Test_experiments.suite;
       Test_tables.suite;
       Test_trace.suite;
+      Test_lock_traces.suite;
+      Test_alloc.suite;
       Test_parallel.suite;
       Test_resilience.suite;
       Test_cli.suite;

@@ -103,6 +103,54 @@ let test_map () =
   let p = Prog.map (fun v -> v + 1) (Prog.read l) in
   Alcotest.(check int) "map applies" 21 (interp m ~pid:0 p)
 
+(* Each continuation-passing primitive poises the same operation as its
+   monadic namesake and hands its continuation the same value. *)
+let test_k_matches_monadic () =
+  let module K = Prog.K in
+  let same name (mono : int Prog.t) (cps : int Prog.t) =
+    Alcotest.(check bool) (name ^ ": same poised op") true
+      (Prog.peek mono = Prog.peek cps);
+    let run p =
+      let m = Memory.create ~width:8 in
+      let l = Memory.alloc m ~init:5 in
+      assert (l = 0);
+      let v = interp m ~pid:0 p in
+      (v, Memory.value m l)
+    in
+    Alcotest.(check (pair int int)) (name ^ ": same result") (run mono) (run cps)
+  in
+  let ret v = Prog.return v in
+  same "read" (Prog.read 0) (K.read 0 ret);
+  same "write" (Prog.map (fun () -> 5) (Prog.write 0 9)) (K.write 0 9 ret);
+  same "cas" (Prog.map Bool.to_int (Prog.cas 0 ~expected:5 ~desired:7))
+    (K.cas 0 ~expected:5 ~desired:7 (fun b -> ret (Bool.to_int b)));
+  same "fas" (Prog.fas 0 3) (K.fas 0 3 ret);
+  same "faa" (Prog.faa 0 3) (K.faa 0 3 ret);
+  same "fai" (Prog.fai 0) (K.fai 0 ret);
+  same "op" (Prog.op 0 (Op.Faa 2)) (K.op 0 (Op.Faa 2) ret);
+  same "await" (Prog.await 0 (fun v -> v = 5)) (K.await 0 (fun v -> v = 5) ret);
+  let open K in
+  same "let@ sequencing" (Prog.Infix.( let* ) (Prog.faa 0 1) (fun v -> Prog.faa 0 v))
+    (let@ v = faa 0 1 in
+     faa 0 v ret)
+
+(* [K.await] re-reads with one [Read] step per spin, the same step
+   each time, and resumes into its continuation once the value fits. *)
+let test_k_await_spins () =
+  let m = Memory.create ~width:8 in
+  let l = Memory.alloc m ~init:0 in
+  let first = Prog.K.await l (fun v -> v = 3) (fun v -> Prog.return (v * 10)) in
+  let step = function
+    | Prog.Step (loc, op, k) -> k (Memory.apply m ~pid:0 loc op)
+    | Prog.Return _ -> Alcotest.fail "returned early"
+  in
+  let p = step first in
+  Alcotest.(check bool) "spin is the same step" true (p == first);
+  ignore (Memory.apply m ~pid:1 l (Op.Write 3));
+  match step p with
+  | Prog.Return v -> Alcotest.(check int) "continuation gets the value" 30 v
+  | Prog.Step _ -> Alcotest.fail "still spinning"
+
 let suite =
   ( "prog",
     [
@@ -116,4 +164,7 @@ let suite =
       Alcotest.test_case "repeat_until" `Quick test_repeat_until;
       Alcotest.test_case "bind associativity" `Quick test_bind_associativity;
       Alcotest.test_case "map" `Quick test_map;
+      Alcotest.test_case "K primitives match monadic steps" `Quick
+        test_k_matches_monadic;
+      Alcotest.test_case "K.await spins on one step" `Quick test_k_await_spins;
     ] )
