@@ -35,20 +35,12 @@ let await loc cond =
   in
   spin ()
 
-let repeat_until body =
-  let rec loop () =
-    bind (body ()) (function Some x -> Return x | None -> loop ())
-  in
-  loop ()
-
 let peek = function
   | Return _ -> None
   | Step (loc, o, _) -> Some (loc, o)
 
 module Infix = struct
   let ( let* ) = bind
-  let ( let+ ) m f = map f m
-  let ( >>= ) = bind
 end
 
 module K = struct

@@ -65,17 +65,12 @@ val await : Rme_memory.Memory.loc -> (int -> bool) -> int t
     model the re-reads hit the cache and incur no RMRs; under DSM they are
     local only if the process owns [loc]. *)
 
-val repeat_until : (unit -> 'a option t) -> 'a t
-(** Re-run a program until it produces [Some]. *)
-
 val peek : 'a t -> (Rme_memory.Memory.loc * Rme_memory.Op.t) option
 (** The next shared-memory operation of a suspended program, or [None] if
     it has returned. *)
 
 module Infix : sig
   val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
-  val ( let+ ) : 'a t -> ('a -> 'b) -> 'b t
-  val ( >>= ) : 'a t -> ('a -> 'b t) -> 'b t
 end
 
 (** Continuation-passing primitives. Each builds exactly one [Step],

@@ -20,11 +20,15 @@
     resuming it builds the process's next program. Every registry lock
     is written with {!Prog.K}, so that is one [Step] (plus the closure
     of the rest of the body) per step, with no enclosing bind to
-    rewrap. Measured with [Gc.minor_words], a harness step allocates
-    about 26 words on Katzan–Morrison at n = 512–1024 (51 when the
-    locks were monadic) and 8–38 on the other locks at n = 16 with
-    crashes (22–50 monadic); [test/test_alloc.ml] holds ceilings on
-    four of them.
+    rewrap. Measured with [Gc.minor_words] in the default (release)
+    build, a harness step allocates about 23 words on Katzan–Morrison
+    at n = 512–1024 (about 50 when the locks were monadic) and 7–32 on
+    the other locks at n = 16 with crashes. Dev's [-opaque] build adds
+    1–6 words per step (2.3 on Katzan–Morrison): there [( let@ )] and
+    the [K] primitives cannot be inlined, so each [let@ v = K.read l in
+    body] first builds the partial application [K.read l].
+    [test/test_alloc.ml] holds ceilings on four of them, which hold
+    under both profiles.
 
     The only rewind is {!reset}, back to the just-created state: the
     adversary and its schedule-table check reach every other state by

@@ -8,14 +8,38 @@ module Splitmix = Rme_util.Splitmix
 module Bitword = Rme_util.Bitword
 
 (* Operation families as f_y functions on tuples (step order = tuple
-   order). *)
+   order). Lemma 2 needs each to keep an ell-bit object's value in
+   [0, 2^ell). *)
 let f_fas ~y e = if Array.length e = 0 then y else e.(Array.length e - 1) mod 2
-let f_or ~y e = Array.fold_left (fun acc p -> acc lor (1 lsl (p mod 2))) y e
+
+(* Katzan–Morrison's bit-setting pattern on an ell-bit word. *)
+let f_or ~ell ~y e = Array.fold_left (fun acc p -> acc lor (1 lsl (p mod ell))) y e
 
 let f_faa ~width ~y e =
   Array.fold_left (fun acc p -> Bitword.add ~width acc (1 + (p mod 3))) y e
 
 let f_parity ~y e = Array.fold_left (fun acc p -> acc lxor (p land 1)) y e
+
+let families =
+  [ ("fas", f_fas); ("or", f_or ~ell:1); ("faa-w1", f_faa ~width:1); ("parity", f_parity) ]
+
+(* Every family keeps the value in [0, 2^ell) at ell = 1, from every
+   starting value and on random tuples of random length. *)
+let test_families_closed () =
+  let values = 2 in
+  let rng = Splitmix.create 17 in
+  List.iter
+    (fun (name, f) ->
+      for _ = 1 to 1000 do
+        let e = Array.init (Splitmix.int rng 9) (fun _ -> Splitmix.int rng 1000) in
+        for y = 0 to values - 1 do
+          let y' = f ~y e in
+          if y' < 0 || y' >= values then
+            Alcotest.failf "%s: f_%d of a %d-tuple is %d, outside [0, %d)" name y
+              (Array.length e) y' values
+        done
+      done)
+    families
 
 let groups_for p m =
   let g = Hiding.min_group_size p in
@@ -57,7 +81,7 @@ let solve_and_verify ?(m = 3) p f =
   | Error e -> Alcotest.failf "verify failed: %s" e);
   (t, groups)
 
-(* Paper constants with three operation families. The FAS family is the
+(* Paper constants with four operation families. The FAS family is the
    one the Chan–Woelfel lower bound handles; OR is the Katzan–Morrison
    bit-setting pattern at width 1; parity is a genuinely arbitrary op. *)
 let test_solve_paper_constants () =
@@ -81,7 +105,7 @@ let test_solve_paper_constants () =
       match Hiding.verify_query t ~f ~d hs with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: query verify failed: %s" name e)
-    [ ("fas", f_fas); ("or", f_or); ("faa-w1", f_faa ~width:1); ("parity", f_parity) ]
+    families
 
 (* Target one group's hidden-candidate pool explicitly: the lemma must
    still hand back at least m/2 groups. *)
@@ -106,7 +130,7 @@ let test_targeted_discovery () =
 
 let test_empty_discovery () =
   let p = Hiding.paper_params ~ell:1 ~delta:1.0 in
-  let t, _ = solve_and_verify p f_or in
+  let t, _ = solve_and_verify p (f_or ~ell:1) in
   let hs = Hiding.query t ~d:Intset.empty in
   Alcotest.(check int) "every group yields a hidden process" 3 (List.length hs);
   List.iter
@@ -170,6 +194,8 @@ let suite =
     [
       Alcotest.test_case "paper constants" `Quick test_paper_params_values;
       Alcotest.test_case "parameter validation" `Quick test_param_validation;
+      Alcotest.test_case "op families keep values in [0, 2^ell)" `Quick
+        test_families_closed;
       Alcotest.test_case "solve with paper constants (4 op families)" `Slow
         test_solve_paper_constants;
       Alcotest.test_case "targeted discovery set" `Slow test_targeted_discovery;

@@ -74,17 +74,8 @@ let test_await_spins () =
   step ();
   Alcotest.(check bool) "done after condition" true (Prog.peek !p = None)
 
-let test_repeat_until () =
-  let m = Memory.create ~width:8 in
-  let l = Memory.alloc m ~init:0 in
-  let body () =
-    let* v = Prog.fai l in
-    Prog.return (if v >= 4 then Some v else None)
-  in
-  Alcotest.(check int) "loops until Some" 4 (interp m ~pid:0 (Prog.repeat_until body))
-
 let test_bind_associativity () =
-  (* (m >>= f) >>= g behaves as m >>= (fun x -> f x >>= g). *)
+  (* bind (bind m f) g behaves as bind m (fun x -> bind (f x) g). *)
   let mem () =
     let m = Memory.create ~width:8 in
     (m, Memory.alloc m ~init:1)
@@ -161,7 +152,6 @@ let suite =
       Alcotest.test_case "peek reveals poised op" `Quick test_peek;
       Alcotest.test_case "peek has no effect" `Quick test_peek_does_not_execute;
       Alcotest.test_case "await spins one read per step" `Quick test_await_spins;
-      Alcotest.test_case "repeat_until" `Quick test_repeat_until;
       Alcotest.test_case "bind associativity" `Quick test_bind_associativity;
       Alcotest.test_case "map" `Quick test_map;
       Alcotest.test_case "K primitives match monadic steps" `Quick
