@@ -79,6 +79,11 @@ let bechamel_tests () =
         (Rme_core.Machine.run_to_completion m ~pid:p ~cap:10_000 ~on_step:(fun _ -> ()))
     done
   in
+  let stepper_create () =
+    ignore
+      (Rme_sim.Stepper.create ~n:1024 ~width:4 ~model:Rmr.Cc ~superpassages:1 ~cs:None
+         Rme_locks.Katzan_morrison.factory)
+  in
   (* The CC access stream of one KM super-passage at n = 1024, w = 4,
      replayed through a fresh cache: every process reads dozens of
      locations spread over ~21k, the footprint the n <= 64 probes miss. *)
@@ -132,6 +137,9 @@ let bechamel_tests () =
     Test.make ~name:"lemma5: complete 3^4" (Staged.stage lemma5_run);
     Test.make ~name:"machine: 8 km completions" (Staged.stage machine_completion);
     Test.make ~name:"cache: km n=1024 CC stream" (Staged.stage cache_stream_run);
+    (* The fixed cost of a cell before its first step: the memory, the
+       lock's layout and the RMR accounting. *)
+    Test.make ~name:"setup: km n=1024 w=4 CC" (Staged.stage stepper_create);
   ]
 
 let pp_ns x =

@@ -38,15 +38,15 @@ let make memory ~n =
   ignore (Array.length t.pred_cell);
   let entry ~pid =
     let mine = t.my_cell.(pid) in
-    let@ _ = write t.cells.(mine) 1 in
-    let@ pred = fas t.tail mine in
+    write t.cells.(mine) 1 @@ fun _ ->
+    fas t.tail mine @@ fun pred ->
     t.pred_cell.(pid) <- pred;
-    let@ _ = await t.cells.(pred) (fun v -> v = 0) in
+    await t.cells.(pred) (fun v -> v = 0) @@ fun _ ->
     Prog.return ()
   in
   let exit ~pid =
     let mine = t.my_cell.(pid) in
-    let@ _ = write t.cells.(mine) 0 in
+    write t.cells.(mine) 0 @@ fun _ ->
     (* Rotate: reuse the predecessor's (now quiescent) cell next time. *)
     t.my_cell.(pid) <- t.pred_cell.(pid);
     Prog.return ()

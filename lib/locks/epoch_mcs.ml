@@ -45,19 +45,19 @@ let make memory ~n =
      a system-wide crash no process from the previous epoch has steps in
      flight. *)
   let ensure_reset next =
-    let@ e = read t.epoch in
-    let@ rd = read t.reset_done in
+    read t.epoch @@ fun e ->
+    read t.reset_done @@ fun rd ->
     if rd = e then next ()
     else begin
-      let@ c = read t.cleaner_for in
+      read t.cleaner_for @@ fun c ->
       let elected won =
         if won then begin
-          let@ _ = write t.tail nil in
-          let@ _ = write t.reset_done e in
+          write t.tail nil @@ fun _ ->
+          write t.reset_done e @@ fun _ ->
           next ()
         end
         else begin
-          let@ _ = await t.reset_done (fun v -> v = e) in
+          await t.reset_done (fun v -> v = e) @@ fun _ ->
           next ()
         end
       in
@@ -67,29 +67,29 @@ let make memory ~n =
   in
   let entry ~pid =
     let me = pid + 1 in
-    let@ _ = write t.status.(pid) st_trying in
-    let@ _ = write t.detached.(pid) 0 in
-    let@ () = ensure_reset in
+    write t.status.(pid) st_trying @@ fun _ ->
+    write t.detached.(pid) 0 @@ fun _ ->
+    ensure_reset @@ fun () ->
     (* Plain MCS enqueue. *)
-    let@ _ = write t.next.(pid) nil in
-    let@ _ = write t.locked.(pid) 1 in
-    let@ pred = fas t.tail me in
+    write t.next.(pid) nil @@ fun _ ->
+    write t.locked.(pid) 1 @@ fun _ ->
+    fas t.tail me @@ fun pred ->
     (* Queue won; additionally wait out a pre-crash owner, then claim. *)
     let claim _ =
-      let@ _ = await t.owner (fun v -> v = 0) in
+      await t.owner (fun v -> v = 0) @@ fun _ ->
       Prog.write t.owner me
     in
     if pred = nil then claim 0
     else begin
-      let@ _ = write t.next.(pred - 1) me in
+      write t.next.(pred - 1) me @@ fun _ ->
       await t.locked.(pid) (fun v -> v = 0) claim
     end
   in
   let exit ~pid =
     let me = pid + 1 in
-    let@ _ = write t.status.(pid) st_releasing in
-    let@ det = read t.detached.(pid) in
-    let@ o = read t.owner in
+    write t.status.(pid) st_releasing @@ fun _ ->
+    read t.detached.(pid) @@ fun det ->
+    read t.owner @@ fun o ->
     let idle _ = Prog.write t.status.(pid) st_idle in
     let hand_off _ =
       if det = 1 then
@@ -99,13 +99,13 @@ let make memory ~n =
         write t.detached.(pid) 0 idle
       else begin
         (* Plain MCS handoff. *)
-        let@ succ = read t.next.(pid) in
+        read t.next.(pid) @@ fun succ ->
         if succ <> nil then write t.locked.(succ - 1) 0 idle
         else begin
-          let@ swung = cas t.tail ~expected:me ~desired:nil in
+          cas t.tail ~expected:me ~desired:nil @@ fun swung ->
           if swung then idle 0
           else begin
-            let@ succ = await t.next.(pid) (fun v -> v <> nil) in
+            await t.next.(pid) (fun v -> v <> nil) @@ fun succ ->
             write t.locked.(succ - 1) 0 idle
           end
         end
@@ -118,16 +118,16 @@ let make memory ~n =
      previous epoch is garbage and is rebuilt. *)
   let recover ~pid =
     let me = pid + 1 in
-    let@ () = ensure_reset in
-    let@ st = read t.status.(pid) in
+    ensure_reset @@ fun () ->
+    read t.status.(pid) @@ fun st ->
     if st = st_idle then Prog.return Lock_intf.Resume_entry
     else begin
-      let@ o = read t.owner in
+      read t.owner @@ fun o ->
       if st = st_trying then begin
         if o = me then begin
           (* We held (or had just claimed) the lock: re-enter the CS. Our
              queue node is gone; mark the exit to skip the handoff. *)
-          let@ _ = write t.detached.(pid) 1 in
+          write t.detached.(pid) 1 @@ fun _ ->
           Prog.return Lock_intf.In_cs
         end
         else Prog.return Lock_intf.Resume_entry
@@ -135,13 +135,13 @@ let make memory ~n =
       else begin
         (* st_releasing *)
         if o = me then begin
-          let@ _ = write t.detached.(pid) 1 in
+          write t.detached.(pid) 1 @@ fun _ ->
           Prog.return Lock_intf.Resume_exit
         end
         else begin
           (* The release was committed before the crash; the rest of the
              exit was queue handoff, which the reset obsoleted. *)
-          let@ _ = write t.status.(pid) st_idle in
+          write t.status.(pid) st_idle @@ fun _ ->
           Prog.return Lock_intf.Passage_done
         end
       end

@@ -25,26 +25,26 @@ let make memory ~n =
   in
   let entry ~pid =
     let me = pid + 1 in
-    let@ _ = write t.next.(pid) nil in
-    let@ _ = write t.locked.(pid) 1 in
-    let@ pred = fas t.tail me in
+    write t.next.(pid) nil @@ fun _ ->
+    write t.locked.(pid) 1 @@ fun _ ->
+    fas t.tail me @@ fun pred ->
     if pred = nil then Prog.return ()
     else begin
-      let@ _ = write t.next.(pred - 1) me in
-      let@ _ = await t.locked.(pid) (fun v -> v = 0) in
+      write t.next.(pred - 1) me @@ fun _ ->
+      await t.locked.(pid) (fun v -> v = 0) @@ fun _ ->
       Prog.return ()
     end
   in
   let exit ~pid =
     let me = pid + 1 in
-    let@ succ = read t.next.(pid) in
+    read t.next.(pid) @@ fun succ ->
     if succ <> nil then Prog.write t.locked.(succ - 1) 0
     else begin
-      let@ swung = cas t.tail ~expected:me ~desired:nil in
+      cas t.tail ~expected:me ~desired:nil @@ fun swung ->
       if swung then Prog.return ()
       else begin
         (* A successor swapped the tail but has not linked yet. *)
-        let@ succ = await t.next.(pid) (fun v -> v <> nil) in
+        await t.next.(pid) (fun v -> v <> nil) @@ fun succ ->
         Prog.write t.locked.(succ - 1) 0
       end
     end

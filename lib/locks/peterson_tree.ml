@@ -21,13 +21,13 @@ let make memory ~n =
      wait tests two locations, so it is written as an explicit read loop
      rather than [await]. *)
   let acquire_node node side next =
-    let@ _ = write t.flag.(node).(side) 1 in
-    let@ _ = write t.victim.(node) side in
+    write t.flag.(node).(side) 1 @@ fun _ ->
+    write t.victim.(node) side @@ fun _ ->
     let rec wait () =
-      let@ other_flag = read t.flag.(node).(1 - side) in
+      read t.flag.(node).(1 - side) @@ fun other_flag ->
       if other_flag = 0 then next ()
       else begin
-        let@ v = read t.victim.(node) in
+        read t.victim.(node) @@ fun v ->
         if v <> side then next () else wait ()
       end
     in
@@ -39,8 +39,7 @@ let make memory ~n =
       if i >= Array.length path then Prog.return ()
       else begin
         let node, side = path.(i) in
-        let@ () = acquire_node node side in
-        climb (i + 1)
+        acquire_node node side @@ fun () -> climb (i + 1)
       end
     in
     climb 0
@@ -51,8 +50,7 @@ let make memory ~n =
       if i < 0 then Prog.return ()
       else begin
         let node, side = path.(i) in
-        let@ _ = write t.flag.(node).(side) 0 in
-        descend (i - 1)
+        write t.flag.(node).(side) 0 @@ fun _ -> descend (i - 1)
       end
     in
     descend (Array.length path - 1)

@@ -23,24 +23,24 @@ let make memory ~n =
   in
   let entry ~pid =
     let me = pid + 1 in
-    let@ _ = write t.status.(pid) st_trying in
+    write t.status.(pid) st_trying @@ fun _ ->
     let rec acquire () =
-      let@ _ = await t.lock_word (fun v -> v = 0) in
-      let@ won = cas t.lock_word ~expected:0 ~desired:me in
+      await t.lock_word (fun v -> v = 0) @@ fun _ ->
+      cas t.lock_word ~expected:0 ~desired:me @@ fun won ->
       if won then Prog.return () else acquire ()
     in
     acquire ()
   in
   let exit ~pid =
     let me = pid + 1 in
-    let@ _ = write t.status.(pid) st_releasing in
-    let@ v = read t.lock_word in
+    write t.status.(pid) st_releasing @@ fun _ ->
+    read t.lock_word @@ fun v ->
     let idle _ = Prog.write t.status.(pid) st_idle in
     if v = me then write t.lock_word 0 idle else idle 0
   in
   let recover ~pid =
     let me = pid + 1 in
-    let@ st = read t.status.(pid) in
+    read t.status.(pid) @@ fun st ->
     (* idle means the crash struck before the first entry step: exit's
        final status write is the last step of the passage, so a crash can
        never observe idle *after* completing a super-passage. The entry
@@ -48,7 +48,7 @@ let make memory ~n =
     if st = st_idle then Prog.return Lock_intf.Resume_entry
     else if st = st_releasing then Prog.return Lock_intf.Resume_exit
     else begin
-      let@ v = read t.lock_word in
+      read t.lock_word @@ fun v ->
       if v = me then Prog.return Lock_intf.In_cs
       else Prog.return Lock_intf.Resume_entry
     end

@@ -33,27 +33,27 @@ let make memory ~n =
   let claims = Array.init n (fun pid -> claim ~me:(pid + 1)) in
   let releases = Array.init n (fun pid -> release ~me:(pid + 1)) in
   let entry ~pid =
-    let@ _ = write t.status.(pid) st_trying in
+    write t.status.(pid) st_trying @@ fun _ ->
     let rec acquire () =
-      let@ _ = await t.lock_word (fun v -> v = 0) in
-      let@ old = op t.lock_word claims.(pid) in
+      await t.lock_word (fun v -> v = 0) @@ fun _ ->
+      op t.lock_word claims.(pid) @@ fun old ->
       if old = 0 then Prog.return () else acquire ()
     in
     acquire ()
   in
   let exit ~pid =
-    let@ _ = write t.status.(pid) st_releasing in
+    write t.status.(pid) st_releasing @@ fun _ ->
     (* The release RMW is idempotent by construction. *)
-    let@ _ = op t.lock_word releases.(pid) in
+    op t.lock_word releases.(pid) @@ fun _ ->
     Prog.write t.status.(pid) st_idle
   in
   let recover ~pid =
     let me = pid + 1 in
-    let@ st = read t.status.(pid) in
+    read t.status.(pid) @@ fun st ->
     if st = st_idle then Prog.return Lock_intf.Resume_entry
     else if st = st_releasing then Prog.return Lock_intf.Resume_exit
     else begin
-      let@ v = read t.lock_word in
+      read t.lock_word @@ fun v ->
       if v = me then Prog.return Lock_intf.In_cs
       else Prog.return Lock_intf.Resume_entry
     end

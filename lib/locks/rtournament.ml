@@ -32,7 +32,7 @@ Memory.alloc_array memory ~init:0 ~len:(num + 1);
       if h >= len then next len
       else begin
         let node, side = path.(h) in
-        let@ v = read t.node.(node) in
+        read t.node.(node) @@ fun v ->
         if v = side + 1 then scan (h + 1) else next h
       end
     in
@@ -41,44 +41,42 @@ Memory.alloc_array memory ~init:0 ~len:(num + 1);
   let entry ~pid =
     let path = Tree.path ~n ~pid in
     let len = Array.length path in
-    let@ _ = write t.status.(pid) st_trying in
+    write t.status.(pid) st_trying @@ fun _ ->
     let rec climb h =
       if h >= len then Prog.return ()
       else begin
         let node, side = path.(h) in
         let rec acquire () =
-          let@ _ = await t.node.(node) (fun v -> v = 0) in
-          let@ won = cas t.node.(node) ~expected:0 ~desired:(side + 1) in
+          await t.node.(node) (fun v -> v = 0) @@ fun _ ->
+          cas t.node.(node) ~expected:0 ~desired:(side + 1) @@ fun won ->
           if won then climb (h + 1) else acquire ()
         in
         acquire ()
       end
     in
-    let@ h = held_top path in
-    climb h
+    held_top path climb
   in
   let exit ~pid =
     let path = Tree.path ~n ~pid in
-    let@ _ = write t.status.(pid) st_releasing in
-    let@ h = held_top path in
+    write t.status.(pid) st_releasing @@ fun _ ->
+    held_top path @@ fun h ->
     let rec descend i =
       if i < 0 then Prog.write t.status.(pid) st_idle
       else begin
         let node, _side = path.(i) in
-        let@ _ = write t.node.(node) 0 in
-        descend (i - 1)
+        write t.node.(node) 0 @@ fun _ -> descend (i - 1)
       end
     in
     descend (h - 1)
   in
   let recover ~pid =
     let path = Tree.path ~n ~pid in
-    let@ st = read t.status.(pid) in
+    read t.status.(pid) @@ fun st ->
     (* idle = the crash hit before the first entry step (see Rcas). *)
     if st = st_idle then Prog.return Lock_intf.Resume_entry
     else if st = st_releasing then Prog.return Lock_intf.Resume_exit
     else begin
-      let@ h = held_top path in
+      held_top path @@ fun h ->
       if h = Array.length path then Prog.return Lock_intf.In_cs
       else Prog.return Lock_intf.Resume_entry
     end

@@ -9,8 +9,8 @@ let make memory ~n:_ =
   let bit = Memory.alloc memory ~init:0 in
   let t = { bit } in
   let rec acquire () =
-    let@ _ = await t.bit (fun v -> v = 0) in
-    let@ old = fas t.bit 1 in
+    await t.bit (fun v -> v = 0) @@ fun _ ->
+    fas t.bit 1 @@ fun old ->
     if old = 0 then Prog.return () else acquire ()
   in
   {

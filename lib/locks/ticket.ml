@@ -21,9 +21,9 @@ let make memory ~n =
     }
   in
   let entry ~pid =
-    let@ ticket = fai t.next in
+    fai t.next @@ fun ticket ->
     t.my_ticket.(pid) <- ticket;
-    let@ _ = await t.serving (fun v -> v = ticket) in
+    await t.serving (fun v -> v = ticket) @@ fun _ ->
     Prog.return ()
   in
   let exit ~pid =

@@ -18,7 +18,12 @@
     Representation: one flat array per field (value, initial value, last
     accessor, owner), indexed by location and doubling from a small
     capacity as locations are allocated, so a step reads and writes
-    unboxed array slots rather than a per-location record.
+    unboxed array slots rather than a per-location record. A lock with
+    many locations builds its layout from a few blocks
+    ({!alloc_block}), each a base location plus offsets, after one
+    {!reserve} for all of them: the arrays are then reallocated once,
+    not once per doubling, and the lock keeps ints rather than one
+    small array of locations per process or node.
 
     The only rewind is {!reset_values}, back to the initial values: a
     state in between is reached again by replaying the steps that led
@@ -43,6 +48,20 @@ val alloc : ?owner:int -> t -> init:int -> loc
 
 val alloc_array : ?owner:int -> t -> init:int -> len:int -> loc array
 (** Allocate [len] consecutive locations. *)
+
+val alloc_block : ?per_process:int -> t -> init:int -> len:int -> loc
+(** Allocate [len] consecutive locations and return the first; location
+    [i] of the block is [first + i]. With [~per_process:r] the block is
+    [len / r] runs of [r] locations, run [p] in process [p]'s segment
+    (owned by [p]); raises [Invalid_argument] unless [len = 0] or
+    [r >= 1] divides [len]. Without it, no location has an owner. *)
+
+val reserve : t -> int -> unit
+(** [reserve t k] makes room for [k] more locations, so allocating up to
+    [k] of them copies no array. When the arrays must grow, they grow
+    once, to the larger of twice their capacity and [k] more locations
+    plus 16 spare: the few single allocations that follow a lock's
+    layout (the stepper's cs-cell) fit as well. *)
 
 val value : t -> loc -> int
 (** Current stored value (no RMR bookkeeping — simulator internal). *)

@@ -14,26 +14,9 @@ let rec bind m f =
 
 let map f m = bind m (fun x -> Return (f x))
 
-let op loc o = Step (loc, o, fun v -> Return v)
-
-let read loc = op loc Op.Read
+let read loc = Step (loc, Op.Read, fun v -> Return v)
 
 let write loc v = Step (loc, Op.Write v, fun _ -> Return ())
-
-let cas loc ~expected ~desired =
-  Step (loc, Op.Cas { expected; desired }, fun old -> Return (old = expected))
-
-let fas loc v = op loc (Op.Fas v)
-
-let faa loc d = op loc (Op.Faa d)
-
-let fai loc = op loc Op.fai
-
-let await loc cond =
-  let rec spin () =
-    Step (loc, Op.Read, fun v -> if cond v then Return v else spin ())
-  in
-  spin ()
 
 let peek = function
   | Return _ -> None
@@ -44,8 +27,6 @@ module Infix = struct
 end
 
 module K = struct
-  let ( let@ ) f k = f k
-
   let op loc o k = Step (loc, o, k)
 
   let read loc k = Step (loc, Op.Read, k)

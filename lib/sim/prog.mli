@@ -19,17 +19,19 @@
     - {b Continuation passing} ({!K}), used by every lock under
       [lib/locks]: each primitive takes the rest of the program as its
       last argument and builds one [Step] whose continuation {e is}
-      that rest, so [let@ v = K.read loc in body] resumes straight into
-      [body]. A sub-protocol takes its continuation the same way
-      ([acquire_level ~pid ~k next]), and stays polymorphic in the
-      answer type when [entry] and [recover] share it. Resuming a step
-      allocates only what the body itself builds.
-    - {b Monadic} ({!Infix}'s [let*]), for one-off programs: critical
-      section bodies, examples and tests. [bind] rewraps the
-      continuation of every step once per enclosing [let*], so a step
-      nested in [d] binds allocates about [d] more closures and [Step]
-      blocks when it resumes; Katzan–Morrison written this way
-      allocated about twice the words per harness step. *)
+      that rest, written [K.read loc @@ fun v -> body]. A sub-protocol
+      takes its continuation the same way
+      ([acquire_level ~pid ~k @@ fun () -> climb (k + 1)]), and stays
+      polymorphic in the answer type when [entry] and [recover] share
+      it. Resuming a step allocates the [Step], its operation and the
+      closure of the rest of the body, and nothing else.
+    - {b Monadic} ({!Infix}'s [let*] over {!read}, {!write}, {!map}),
+      for one-off programs: critical-section bodies and examples.
+      [bind] rewraps the continuation of every step once per enclosing
+      [let*], so a step nested in [d] binds allocates about [d] more
+      closures and [Step] blocks when it resumes; Katzan–Morrison
+      written this way allocated about twice the words per harness
+      step. *)
 
 type 'a t =
   | Return of 'a
@@ -43,27 +45,10 @@ val bind : 'a t -> ('a -> 'b t) -> 'b t
 
 val map : ('a -> 'b) -> 'a t -> 'b t
 
-val op : Rme_memory.Memory.loc -> Rme_memory.Op.t -> int t
-(** A single operation returning the pre-operation value. *)
-
-(** {2 Operation shorthands} *)
+(** {2 One-step programs} *)
 
 val read : Rme_memory.Memory.loc -> int t
 val write : Rme_memory.Memory.loc -> int -> unit t
-val cas : Rme_memory.Memory.loc -> expected:int -> desired:int -> bool t
-(** Returns whether the CAS succeeded. *)
-
-val fas : Rme_memory.Memory.loc -> int -> int t
-val faa : Rme_memory.Memory.loc -> int -> int t
-val fai : Rme_memory.Memory.loc -> int t
-
-(** {2 Control} *)
-
-val await : Rme_memory.Memory.loc -> (int -> bool) -> int t
-(** [await loc cond] spins — one read per scheduling step — until the
-    value satisfies [cond]; returns the satisfying value. Under the CC
-    model the re-reads hit the cache and incur no RMRs; under DSM they are
-    local only if the process owns [loc]. *)
 
 val peek : 'a t -> (Rme_memory.Memory.loc * Rme_memory.Op.t) option
 (** The next shared-memory operation of a suspended program, or [None] if
@@ -73,22 +58,38 @@ module Infix : sig
   val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
 end
 
-(** Continuation-passing primitives. Each builds exactly one [Step],
-    with the same location and operation as its monadic namesake, so a
-    program moves to this style without changing a single step. A
-    program's last step may be the one-step monadic program itself
-    ([Prog.write loc v] where the program then returns [()]): that
-    involves no [bind]. *)
-module K : sig
-  val ( let@ ) : ('a -> 'b) -> 'a -> 'b
-  (** [let@ x = prim in body] is [prim (fun x -> body)]. *)
+(** Continuation-passing primitives. Each builds exactly one [Step]
+    whose continuation is the one given, so [K.read loc k] poises a
+    [Read] of [loc] and resumes into [k] with the value read. A
+    program's last step may be a one-step monadic program ([Prog.write
+    loc v] where the program then returns [()]): that involves no
+    [bind].
 
+    There is no binding operator. With one defined as [f k = f k],
+    binding [v] to [K.read loc] in [body] would, without flambda,
+    evaluate [K.read loc] as a value before applying it to
+    [fun v -> body], so every step would first build a
+    partial-application closure and then call through it, in the
+    release build as well as in dev's [-opaque] one. [@@] is the
+    [%apply] primitive: [K.read loc @@ fun v -> body] is the one full
+    application [K.read loc (fun v -> body)], which the release build
+    inlines down to the [Step] itself.
+
+    An inline [@@ fun] is the right form for a continuation used once:
+    its closure is built only when the step before it is. A loop or a
+    join point reached from several places (a spin, a walk up or down
+    a tree, a handoff) is better a named function defined once per
+    lock instance, taking the per-call state as explicit int
+    arguments: a local [let rec] inside a sub-protocol is itself a
+    closure built on every call, even on paths that never use it, and
+    the continuations it builds capture ints rather than records. *)
+module K : sig
   val op : Rme_memory.Memory.loc -> Rme_memory.Op.t -> (int -> 'a t) -> 'a t
   val read : Rme_memory.Memory.loc -> (int -> 'a t) -> 'a t
 
   val write : Rme_memory.Memory.loc -> int -> (int -> 'a t) -> 'a t
   (** The continuation receives the overwritten value, which callers
-      ignore ([let@ _ = K.write loc v in ...]): passing the caller's
+      ignore ([K.write loc v @@ fun _ -> ...]): passing the caller's
       continuation through unwrapped saves a closure per write. *)
 
   val cas :
@@ -100,8 +101,10 @@ module K : sig
   val fai : Rme_memory.Memory.loc -> (int -> 'a t) -> 'a t
 
   val await : Rme_memory.Memory.loc -> (int -> bool) -> (int -> 'a t) -> 'a t
-  (** As the monadic [await]: one [Read] of the location per step until the
-      value satisfies the condition, which the continuation then
-      receives. Every spin is the same [Step] value, so re-reads
-      allocate nothing. *)
+  (** [await loc cond k] spins — one [Read] of [loc] per scheduling
+      step — until the value satisfies [cond], then resumes into [k]
+      with it. Every spin is the same [Step] value, so re-reads
+      allocate nothing. Under the CC model the re-reads hit the cache
+      and incur no RMRs; under DSM they are local only if the process
+      owns [loc]. *)
 end

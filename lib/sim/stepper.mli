@@ -18,17 +18,17 @@
     neither do [Memory], [Rmr] and [Cache] when they apply and account a
     step. What a step does allocate is the lock program's continuation:
     resuming it builds the process's next program. Every registry lock
-    is written with {!Prog.K}, so that is one [Step] (plus the closure
-    of the rest of the body) per step, with no enclosing bind to
-    rewrap. Measured with [Gc.minor_words] in the default (release)
-    build, a harness step allocates about 23 words on Katzan–Morrison
-    at n = 512–1024 (about 50 when the locks were monadic) and 7–32 on
-    the other locks at n = 16 with crashes. Dev's [-opaque] build adds
-    1–6 words per step (2.3 on Katzan–Morrison): there [( let@ )] and
-    the [K] primitives cannot be inlined, so each [let@ v = K.read l in
-    body] first builds the partial application [K.read l].
-    [test/test_alloc.ml] holds ceilings on four of them, which hold
-    under both profiles.
+    is written with {!Prog.K}, so that is one [Step], its operation
+    (unless a read) and the closure of the rest of the body, with no
+    enclosing bind to rewrap and no partial application. Measured with
+    [Gc.minor_words] in the default (release) build, a harness step
+    allocates about 17 words on Katzan–Morrison at n = 256, w = 4 (CC;
+    23 when every step went through a binding operator over [K],
+    about 50 when the locks were monadic) and 7–25 on the registry
+    locks at n = 16, w = 8. The [-opaque] dev build calls the [K]
+    primitives instead of inlining them, each a full application, and
+    allocates 0.1–1.3 words per step more. [test/test_alloc.ml] holds a ceiling for every registry
+    lock, under both profiles.
 
     The only rewind is {!reset}, back to the just-created state: the
     adversary and its schedule-table check reach every other state by

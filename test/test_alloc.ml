@@ -5,7 +5,8 @@
    program resumes. Each lock program builds one [Prog.Step] per step
    whose continuation is the rest of its body (Prog.K); a return to
    monadic binds, which rewrap the next program once per enclosing
-   [let*], roughly doubles the figure and fails these ceilings. Each
+   [let*], roughly doubles the figure and fails these ceilings, and so
+   does a binding operator over [Prog.K] (11–38% more). Each
    run is made twice and only the second is measured, so one-time
    set-up (lazy tables, first-use buffers) is excluded. *)
 
@@ -35,15 +36,41 @@ let case name ~n ~width model factory ~ceiling =
       if w > ceiling then
         Alcotest.failf "%s: %.1f words per step, ceiling %.1f" name w ceiling)
 
+(* Each registry lock at n = 16, w = 8, CC. A ceiling sits between the
+   lock as written (both profiles) and the same lock written with a
+   binding operator over [Prog.K], which builds a partial
+   application before every step (release), so a return to that style
+   fails it. *)
+let registry_ceilings =
+  [
+    ("tas", 13.);
+    ("ticket", 7.7);
+    ("mcs", 20.);
+    ("clh", 24.);
+    ("peterson-tree", 18.);
+    ("rcas", 13.3);
+    ("rstamp", 16.5);
+    ("rtournament", 28.);
+    ("katzan-morrison", 22.5);
+    ("sublog-tournament", 21.);
+    ("epoch-mcs", 19.);
+  ]
+
+let registry_case (factory : Lock_intf.factory) =
+  let name = factory.name in
+  let ceiling =
+    match List.assoc_opt name registry_ceilings with
+    | Some c -> c
+    | None -> Alcotest.failf "alloc: no words-per-step ceiling for registry lock %s" name
+  in
+  case (name ^ " n=16 words per step") ~n:16 ~width:8 Rmr.Cc factory ~ceiling
+
 let suite =
   ( "alloc",
     [
       case "KM n=256 w=4 CC words per step" ~n:256 ~width:4 Rmr.Cc
-        Rme_locks.Katzan_morrison.factory ~ceiling:36.;
+        Rme_locks.Katzan_morrison.factory ~ceiling:20.;
       case "KM n=256 w=4 DSM words per step" ~n:256 ~width:4 Rmr.Dsm
-        Rme_locks.Katzan_morrison.factory ~ceiling:36.;
-      case "peterson-tree n=16 words per step" ~n:16 ~width:8 Rmr.Cc
-        Rme_locks.Peterson_tree.factory ~ceiling:28.;
-      case "rtournament n=16 words per step" ~n:16 ~width:8 Rmr.Cc
-        Rme_locks.Rtournament.factory ~ceiling:44.;
-    ] )
+        Rme_locks.Katzan_morrison.factory ~ceiling:20.;
+    ]
+    @ List.map registry_case Rme_locks.Registry.all )

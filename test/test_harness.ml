@@ -36,7 +36,7 @@ let stuck_lock =
         let never = Memory.alloc memory ~init:0 in
         {
           Lock_intf.entry =
-            (fun ~pid:_ -> Prog.map ignore (Prog.await never (fun v -> v = 1)));
+            (fun ~pid:_ -> Prog.K.await never (fun v -> v = 1) @@ fun _ -> Prog.return ());
           exit = (fun ~pid:_ -> Prog.return ());
           recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
           system_epoch = None;
@@ -55,9 +55,9 @@ let deadlock_factory : Lock_intf.factory =
     make =
       (fun mem ~n:_ ->
         let cell = Memory.alloc mem ~init:0 in
-        let rec churn () = Prog.bind (Prog.faa cell 1) (fun _ -> churn ()) in
+        let rec churn () = Prog.K.faa cell 1 @@ fun _ -> churn () in
         {
-          Lock_intf.entry = (fun ~pid:_ -> Prog.bind (churn ()) Prog.return);
+          Lock_intf.entry = (fun ~pid:_ -> churn ());
           exit = (fun ~pid:_ -> Prog.return ());
           recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
           system_epoch = None;

@@ -30,13 +30,14 @@ let toy_ticket ~stuck =
         let next = Memory.alloc memory ~init:0 in
         let serving = Memory.alloc memory ~init:0 in
         let entry ~pid:_ =
-          Prog.bind (Prog.faa next 1) (fun t ->
-              Prog.map ignore (Prog.await serving (fun v -> v = t)))
+          Prog.K.faa next 1 @@ fun t ->
+          Prog.K.await serving (fun v -> v = t) @@ fun _ -> Prog.return ()
         in
         {
           Lock_intf.entry;
           exit =
-            (fun ~pid:_ -> if stuck then Prog.return () else Prog.map ignore (Prog.faa serving 1));
+            (fun ~pid:_ ->
+              if stuck then Prog.return () else Prog.K.faa serving 1 @@ fun _ -> Prog.return ());
           recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
           system_epoch = None;
         });
@@ -60,14 +61,14 @@ let chain =
         let flags = Array.init n (fun p -> Memory.alloc memory ~init:(if p = 0 then 1 else 0)) in
         let scratch = Memory.alloc memory ~init:0 in
         let rec busy pid =
-          Prog.bind (Prog.read flags.(pid)) (fun v ->
-              if v = 1 then Prog.return () else Prog.bind (Prog.read scratch) (fun _ -> busy pid))
+          Prog.K.read flags.(pid) @@ fun v ->
+          if v = 1 then Prog.return () else Prog.K.read scratch @@ fun _ -> busy pid
         in
         {
           Lock_intf.entry =
             (fun ~pid ->
               if 2 * pid >= n then busy pid
-              else Prog.map ignore (Prog.await flags.(pid) (fun v -> v = 1)));
+              else Prog.K.await flags.(pid) (fun v -> v = 1) @@ fun _ -> Prog.return ());
           exit =
             (fun ~pid -> if pid + 1 < n then Prog.write flags.(pid + 1) 1 else Prog.return ());
           recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);

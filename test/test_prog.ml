@@ -1,4 +1,5 @@
-(* Tests for the free-monad process programs. *)
+(* Tests for the process programs: the monad and the continuation-passing
+   primitives. *)
 
 module Prog = Rme_sim.Prog
 module Memory = Rme_memory.Memory
@@ -28,17 +29,17 @@ let test_cas_result () =
   let m = Memory.create ~width:8 in
   let l = Memory.alloc m ~init:5 in
   Alcotest.(check bool) "cas success" true
-    (interp m ~pid:0 (Prog.cas l ~expected:5 ~desired:9));
+    (interp m ~pid:0 (Prog.K.cas l ~expected:5 ~desired:9 Prog.return));
   Alcotest.(check bool) "cas failure" false
-    (interp m ~pid:0 (Prog.cas l ~expected:5 ~desired:9));
+    (interp m ~pid:0 (Prog.K.cas l ~expected:5 ~desired:9 Prog.return));
   Alcotest.(check int) "value" 9 (Memory.value m l)
 
 let test_fas_faa () =
   let m = Memory.create ~width:8 in
   let l = Memory.alloc m ~init:5 in
-  Alcotest.(check int) "fas returns old" 5 (interp m ~pid:0 (Prog.fas l 1));
-  Alcotest.(check int) "faa returns old" 1 (interp m ~pid:0 (Prog.faa l 10));
-  Alcotest.(check int) "fai returns old" 11 (interp m ~pid:0 (Prog.fai l));
+  Alcotest.(check int) "fas returns old" 5 (interp m ~pid:0 (Prog.K.fas l 1 Prog.return));
+  Alcotest.(check int) "faa returns old" 1 (interp m ~pid:0 (Prog.K.faa l 10 Prog.return));
+  Alcotest.(check int) "fai returns old" 11 (interp m ~pid:0 (Prog.K.fai l Prog.return));
   Alcotest.(check int) "value" 12 (Memory.value m l)
 
 let test_peek () =
@@ -58,10 +59,10 @@ let test_peek_does_not_execute () =
   Alcotest.(check int) "unchanged" 0 (Memory.value m l)
 
 let test_await_spins () =
-  (* [await] re-reads one location per scheduler step. *)
+  (* [K.await] re-reads one location per scheduler step. *)
   let m = Memory.create ~width:8 in
   let l = Memory.alloc m ~init:0 in
-  let p = ref (Prog.map ignore (Prog.await l (fun v -> v = 3))) in
+  let p = ref (Prog.K.await l (fun v -> v = 3) (fun _ -> Prog.return ())) in
   let step () =
     match !p with
     | Prog.Step (loc, op, k) -> p := k (Memory.apply m ~pid:0 loc op)
@@ -80,8 +81,8 @@ let test_bind_associativity () =
     let m = Memory.create ~width:8 in
     (m, Memory.alloc m ~init:1)
   in
-  let f v = Prog.faa 0 v in
-  let g v = Prog.faa 0 (v * 2) in
+  let f v = Prog.K.faa 0 v Prog.return in
+  let g v = Prog.K.faa 0 (v * 2) Prog.return in
   let m1, _ = mem () and m2, _ = mem () in
   let left = Prog.bind (Prog.bind (Prog.read 0) f) g in
   let right = Prog.bind (Prog.read 0) (fun x -> Prog.bind (f x) g) in
@@ -94,13 +95,14 @@ let test_map () =
   let p = Prog.map (fun v -> v + 1) (Prog.read l) in
   Alcotest.(check int) "map applies" 21 (interp m ~pid:0 p)
 
-(* Each continuation-passing primitive poises the same operation as its
-   monadic namesake and hands its continuation the same value. *)
+(* Each continuation-passing primitive poises the operation of the
+   one-step program it stands for, built here by hand as a [Step], and
+   hands its continuation the same value. *)
 let test_k_matches_monadic () =
   let module K = Prog.K in
-  let same name (mono : int Prog.t) (cps : int Prog.t) =
+  let same name (oracle : int Prog.t) (cps : int Prog.t) =
     Alcotest.(check bool) (name ^ ": same poised op") true
-      (Prog.peek mono = Prog.peek cps);
+      (Prog.peek oracle = Prog.peek cps);
     let run p =
       let m = Memory.create ~width:8 in
       let l = Memory.alloc m ~init:5 in
@@ -108,22 +110,24 @@ let test_k_matches_monadic () =
       let v = interp m ~pid:0 p in
       (v, Memory.value m l)
     in
-    Alcotest.(check (pair int int)) (name ^ ": same result") (run mono) (run cps)
+    Alcotest.(check (pair int int)) (name ^ ": same result") (run oracle) (run cps)
   in
   let ret v = Prog.return v in
-  same "read" (Prog.read 0) (K.read 0 ret);
-  same "write" (Prog.map (fun () -> 5) (Prog.write 0 9)) (K.write 0 9 ret);
-  same "cas" (Prog.map Bool.to_int (Prog.cas 0 ~expected:5 ~desired:7))
+  let step op k = Prog.Step (0, op, k) in
+  same "read" (step Op.Read ret) (K.read 0 ret);
+  same "write" (step (Op.Write 9) ret) (K.write 0 9 ret);
+  same "cas"
+    (step (Op.Cas { expected = 5; desired = 7 }) (fun old -> ret (Bool.to_int (old = 5))))
     (K.cas 0 ~expected:5 ~desired:7 (fun b -> ret (Bool.to_int b)));
-  same "fas" (Prog.fas 0 3) (K.fas 0 3 ret);
-  same "faa" (Prog.faa 0 3) (K.faa 0 3 ret);
-  same "fai" (Prog.fai 0) (K.fai 0 ret);
-  same "op" (Prog.op 0 (Op.Faa 2)) (K.op 0 (Op.Faa 2) ret);
-  same "await" (Prog.await 0 (fun v -> v = 5)) (K.await 0 (fun v -> v = 5) ret);
-  let open K in
-  same "let@ sequencing" (Prog.Infix.( let* ) (Prog.faa 0 1) (fun v -> Prog.faa 0 v))
-    (let@ v = faa 0 1 in
-     faa 0 v ret)
+  same "fas" (step (Op.Fas 3) ret) (K.fas 0 3 ret);
+  same "faa" (step (Op.Faa 3) ret) (K.faa 0 3 ret);
+  same "fai" (step Op.fai ret) (K.fai 0 ret);
+  same "op" (step (Op.Faa 2) ret) (K.op 0 (Op.Faa 2) ret);
+  let rec spin = Prog.Step (0, Op.Read, fun v -> if v = 5 then ret v else spin) in
+  same "await" spin (K.await 0 (fun v -> v = 5) ret);
+  same "@@ sequencing"
+    (step (Op.Faa 1) (fun v -> step (Op.Faa v) ret))
+    (K.faa 0 1 @@ fun v -> K.faa 0 v ret)
 
 (* [K.await] re-reads with one [Read] step per spin, the same step
    each time, and resumes into its continuation once the value fits. *)
