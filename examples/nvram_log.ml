@@ -21,7 +21,7 @@ module H = Rme_sim.Harness
 module Memory = Rme_memory.Memory
 module Rmr = Rme_memory.Rmr
 module Prog = Rme_sim.Prog
-open Prog.Infix
+open Prog.K
 
 let n = 6
 let appends_per_process = 4
@@ -52,26 +52,27 @@ let build_log_cs memory =
   let rsv_for = Memory.alloc_array memory ~init:0 ~len:n in
   let append ~pid ~attempt =
     let req = attempt + 1 in
-    let* k = Prog.read done_.(pid) in
-    if k >= req then Prog.return () (* this request already committed *)
+    read done_.(pid) @@ fun committed ->
+    if committed >= req then Prog.return () (* this request already committed *)
     else begin
+      (* Fill the reserved slot and commit: where both reservation
+         branches below join. *)
+      let fill slot_plus_1 =
+        let slot = slot_plus_1 - 1 in
+        write slots.(slot) (pid + 1) @@ fun _ ->
+        write count (slot + 1) @@ fun _ ->
+        Prog.write done_.(pid) req
+      in
       (* Reserve a slot for request [req] unless a previous (crashed) run
          of this very request already did. [reserved] is written before
          [rsv_for], so a torn reservation is simply re-done. *)
-      let* tag = Prog.read rsv_for.(pid) in
-      let* slot_plus_1 =
-        if tag = req then Prog.read reserved.(pid)
-        else begin
-          let* c = Prog.read count in
-          let* () = Prog.write reserved.(pid) (c + 1) in
-          let* () = Prog.write rsv_for.(pid) req in
-          Prog.return (c + 1)
-        end
-      in
-      let slot = slot_plus_1 - 1 in
-      let* () = Prog.write slots.(slot) (pid + 1) in
-      let* () = Prog.write count (slot + 1) in
-      Prog.write done_.(pid) req
+      read rsv_for.(pid) @@ fun tag ->
+      if tag = req then read reserved.(pid) fill
+      else begin
+        read count @@ fun c ->
+        write reserved.(pid) (c + 1) @@ fun _ ->
+        write rsv_for.(pid) req @@ fun _ -> fill (c + 1)
+      end
     end
   in
   (count, slots, append)

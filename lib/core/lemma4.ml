@@ -4,7 +4,11 @@ type outcome =
 
 (* Projections are along part 0 throughout (Lemma 5 peels parts off the
    front). For each vertex z of X_1 we collect the set of tails
-   pi_z(E); for each tail we remember which vertices project onto it. *)
+   pi_z(E); for each tail we remember which vertices project onto it.
+   The tables whose order reaches the outcome (the per-vertex tail sets,
+   which [union_edges] walks, and [by_tail], whose first max-count tail
+   is case (b)'s witness) are never randomised, so the outcome does not
+   depend on the runtime's hash seed. *)
 
 type projections = {
   by_vertex : (int, (Partite.edge, unit) Hashtbl.t) Hashtbl.t;
@@ -14,7 +18,7 @@ type projections = {
 
 let project edges =
   let by_vertex = Hashtbl.create 64 in
-  let by_tail = Hashtbl.create 1024 in
+  let by_tail = Hashtbl.create ~random:false 1024 in
   List.iter
     (fun e ->
       let z = e.(0) in
@@ -23,7 +27,7 @@ let project edges =
         match Hashtbl.find_opt by_vertex z with
         | Some t -> t
         | None ->
-            let t = Hashtbl.create 64 in
+            let t = Hashtbl.create ~random:false 64 in
             Hashtbl.add by_vertex z t;
             t
       in

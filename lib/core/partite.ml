@@ -62,8 +62,10 @@ let pi_z ~part ~z edges =
       end)
     edges
 
+(* Never randomised: [Hiding.solve]'s majority fold breaks ties in
+   iteration order, which must not depend on the runtime's hash seed. *)
 let group_by_value edges ~f =
-  let tbl = Hashtbl.create 16 in
+  let tbl = Hashtbl.create ~random:false 16 in
   List.iter
     (fun e ->
       let y = f e in

@@ -42,4 +42,6 @@ val tail_key : part:int -> edge -> edge
     projection bookkeeping. *)
 
 val group_by_value : edge list -> f:(edge -> int) -> (int, edge list) Hashtbl.t
-(** Partition edges by [f]-value; used to pick the majority value [y_i]. *)
+(** Partition edges by [f]-value; used to pick the majority value [y_i].
+    The table is never randomised, so its iteration order does not
+    depend on the runtime's hash seed ([OCAMLRUNPARAM=R]). *)

@@ -116,11 +116,11 @@ let make memory ~n =
   (* Only meaningful after a system-wide crash (the only crashes this
      lock supports): every process recovers together, so the queue of the
      previous epoch is garbage and is rebuilt. *)
-  let recover ~pid =
+  let recover ~pid k =
     let me = pid + 1 in
     ensure_reset @@ fun () ->
     read t.status.(pid) @@ fun st ->
-    if st = st_idle then Prog.return Lock_intf.Resume_entry
+    if st = st_idle then k Lock_intf.Resume_entry
     else begin
       read t.owner @@ fun o ->
       if st = st_trying then begin
@@ -128,21 +128,21 @@ let make memory ~n =
           (* We held (or had just claimed) the lock: re-enter the CS. Our
              queue node is gone; mark the exit to skip the handoff. *)
           write t.detached.(pid) 1 @@ fun _ ->
-          Prog.return Lock_intf.In_cs
+          k Lock_intf.In_cs
         end
-        else Prog.return Lock_intf.Resume_entry
+        else k Lock_intf.Resume_entry
       end
       else begin
         (* st_releasing *)
         if o = me then begin
           write t.detached.(pid) 1 @@ fun _ ->
-          Prog.return Lock_intf.Resume_exit
+          k Lock_intf.Resume_exit
         end
         else begin
           (* The release was committed before the crash; the rest of the
              exit was queue handoff, which the reset obsoleted. *)
           write t.status.(pid) st_idle @@ fun _ ->
-          Prog.return Lock_intf.Passage_done
+          k Lock_intf.Passage_done
         end
       end
     end

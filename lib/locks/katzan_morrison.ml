@@ -244,15 +244,14 @@ let make_with_arity ~arity memory ~n =
   let exit ~pid =
     write (pstatus + pid) st_releasing @@ fun _ -> descend ~pid (levels - 1)
   in
-  let recover ~pid =
+  let recover ~pid k =
     read (pstatus + pid) @@ fun st ->
     (* idle = the crash hit before the first entry step (see Rcas). *)
-    if st = st_idle then Prog.return Lock_intf.Resume_entry
-    else if st = st_releasing then Prog.return Lock_intf.Resume_exit
+    if st = st_idle then k Lock_intf.Resume_entry
+    else if st = st_releasing then k Lock_intf.Resume_exit
     else begin
       held_prefix ~pid 0 @@ fun h ->
-      if h = levels then Prog.return Lock_intf.In_cs
-      else Prog.return Lock_intf.Resume_entry
+      k (if h = levels then Lock_intf.In_cs else Resume_entry)
     end
   in
   { Lock_intf.entry; exit; recover; system_epoch = None }

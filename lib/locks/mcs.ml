@@ -52,7 +52,7 @@ let make memory ~n =
   {
     Lock_intf.entry;
     exit;
-    recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
+    recover = (fun ~pid:_ k -> k Lock_intf.Resume_entry);
     system_epoch = None;
   }
 

@@ -38,19 +38,18 @@ let make memory ~n =
     let idle _ = Prog.write t.status.(pid) st_idle in
     if v = me then write t.lock_word 0 idle else idle 0
   in
-  let recover ~pid =
+  let recover ~pid k =
     let me = pid + 1 in
     read t.status.(pid) @@ fun st ->
     (* idle means the crash struck before the first entry step: exit's
        final status write is the last step of the passage, so a crash can
        never observe idle *after* completing a super-passage. The entry
        protocol must still be run. *)
-    if st = st_idle then Prog.return Lock_intf.Resume_entry
-    else if st = st_releasing then Prog.return Lock_intf.Resume_exit
+    if st = st_idle then k Lock_intf.Resume_entry
+    else if st = st_releasing then k Lock_intf.Resume_exit
     else begin
       read t.lock_word @@ fun v ->
-      if v = me then Prog.return Lock_intf.In_cs
-      else Prog.return Lock_intf.Resume_entry
+      k (if v = me then Lock_intf.In_cs else Resume_entry)
     end
   in
   { Lock_intf.entry; exit; recover; system_epoch = None }

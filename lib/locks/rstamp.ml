@@ -47,15 +47,14 @@ let make memory ~n =
     op t.lock_word releases.(pid) @@ fun _ ->
     Prog.write t.status.(pid) st_idle
   in
-  let recover ~pid =
+  let recover ~pid k =
     let me = pid + 1 in
     read t.status.(pid) @@ fun st ->
-    if st = st_idle then Prog.return Lock_intf.Resume_entry
-    else if st = st_releasing then Prog.return Lock_intf.Resume_exit
+    if st = st_idle then k Lock_intf.Resume_entry
+    else if st = st_releasing then k Lock_intf.Resume_exit
     else begin
       read t.lock_word @@ fun v ->
-      if v = me then Prog.return Lock_intf.In_cs
-      else Prog.return Lock_intf.Resume_entry
+      k (if v = me then Lock_intf.In_cs else Resume_entry)
     end
   in
   { Lock_intf.entry; exit; recover; system_epoch = None }

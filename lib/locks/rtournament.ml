@@ -69,16 +69,15 @@ Memory.alloc_array memory ~init:0 ~len:(num + 1);
     in
     descend (h - 1)
   in
-  let recover ~pid =
+  let recover ~pid k =
     let path = Tree.path ~n ~pid in
     read t.status.(pid) @@ fun st ->
     (* idle = the crash hit before the first entry step (see Rcas). *)
-    if st = st_idle then Prog.return Lock_intf.Resume_entry
-    else if st = st_releasing then Prog.return Lock_intf.Resume_exit
+    if st = st_idle then k Lock_intf.Resume_entry
+    else if st = st_releasing then k Lock_intf.Resume_exit
     else begin
       held_top path @@ fun h ->
-      if h = Array.length path then Prog.return Lock_intf.In_cs
-      else Prog.return Lock_intf.Resume_entry
+      k (if h = Array.length path then Lock_intf.In_cs else Resume_entry)
     end
   in
   { Lock_intf.entry; exit; recover; system_epoch = None }

@@ -16,7 +16,7 @@ let make memory ~n:_ =
   {
     Lock_intf.entry = (fun ~pid:_ -> acquire ());
     exit = (fun ~pid:_ -> Prog.write t.bit 0);
-    recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
+    recover = (fun ~pid:_ k -> k Lock_intf.Resume_entry);
     system_epoch = None;
   }
 

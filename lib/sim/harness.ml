@@ -390,19 +390,12 @@ let run config (factory : Lock_intf.factory) =
       parked.(loc) <- -1;
       wake head
     end;
-    (* A step leaves the section as it was, so the new program is read
-       from the same field. *)
-    match (sp.section, sp.prog, sp.recovery) with
-    | (Stepper.Entry | Stepper.Cs | Stepper.Exit), Prog.Step (l, Op.Read, _), _
-    | Stepper.Recovery, _, Prog.Step (l, Op.Read, _)
-      when is_read && l = loc ->
+    match sp.prog with
+    | Prog.Step (l, Op.Read, _) when is_read && l = loc ->
         park pid loc;
         true
-    | (Stepper.Entry | Stepper.Cs | Stepper.Exit), Prog.Step _, _
-    | Stepper.Recovery, _, Prog.Step _ ->
-        was_parked
-    | (Stepper.Remainder | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery), _, _
-      ->
+    | Prog.Step _ -> was_parked
+    | Prog.Return () ->
         settle pid;
         true
   in
@@ -412,17 +405,15 @@ let run config (factory : Lock_intf.factory) =
      or a system crash left it at the start of a [recover] that
      returned at once. *)
   let rec turn pid (sp : Stepper.proc) ~settled =
-    match (sp.section, sp.prog, sp.recovery) with
-    | (Stepper.Entry | Stepper.Cs | Stepper.Exit), Prog.Step (loc, op, _), _
-    | Stepper.Recovery, _, Prog.Step (loc, op, _) ->
+    match sp.prog with
+    | Prog.Step (loc, op, _) ->
         if individual_crashes && crash_fires pid then begin
           do_crash pid;
           settle pid;
           true
         end
         else execute pid sp loc op
-    | (Stepper.Remainder | Stepper.Entry | Stepper.Cs | Stepper.Exit | Stepper.Recovery), _, _
-      ->
+    | Prog.Return () ->
         if not settled then begin
           settle pid;
           ignore (turn pid sp ~settled:true)

@@ -4,8 +4,9 @@
     A lock exposes three protocols as {!Prog} programs. In the crash-free
     case the harness runs [entry], then the critical section, then [exit].
     When a process crashes — its continuation is discarded, modelling the
-    reset of all local variables — the harness starts [recover], whose
-    result tells the harness where the process should resume:
+    reset of all local variables — the harness starts [recover], which
+    ends by passing its continuation the decision of where the process
+    should resume:
 
     - [Resume_entry]: the process does not hold the lock; its entry
       protocol is restartable and should be run (again) from the top.
@@ -34,6 +35,13 @@ let resume_name = function
     each request must return a fresh program whose local state starts
     empty, with all persistence living in shared memory.
 
+    [recover ~pid k] is continuation-passing like every sub-protocol
+    ({!Prog.K}): it takes its steps, then ends by calling [k] with its
+    decision ([k Resume_entry], [k In_cs], [k Resume_exit] or
+    [k Passage_done]) and nothing else. Its answer type is
+    polymorphic, so a [recover] that returns without handing [k] a
+    decision does not type-check.
+
     [system_epoch], when present, is a location the harness increments
     once per {e system-wide} crash (all processes crash simultaneously).
     This models the non-standard system support Golab and Hendler [11]
@@ -43,7 +51,7 @@ let resume_name = function
 type instance = {
   entry : pid:int -> unit Prog.t;
   exit : pid:int -> unit Prog.t;
-  recover : pid:int -> resume Prog.t;
+  recover : 'a. pid:int -> (resume -> 'a Prog.t) -> 'a Prog.t;
   system_epoch : Rme_memory.Memory.loc option;
 }
 

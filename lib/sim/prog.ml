@@ -7,24 +7,7 @@ type 'a t =
 
 let return x = Return x
 
-let rec bind m f =
-  match m with
-  | Return x -> f x
-  | Step (loc, op, k) -> Step (loc, op, fun v -> bind (k v) f)
-
-let map f m = bind m (fun x -> Return (f x))
-
-let read loc = Step (loc, Op.Read, fun v -> Return v)
-
 let write loc v = Step (loc, Op.Write v, fun _ -> Return ())
-
-let peek = function
-  | Return _ -> None
-  | Step (loc, o, _) -> Some (loc, o)
-
-module Infix = struct
-  let ( let* ) = bind
-end
 
 module K = struct
   let op loc o k = Step (loc, o, k)

@@ -14,24 +14,19 @@
       lower-bound proof decides whether a process is "poised to incur an
       RMR" and on which object.
 
-    Programs are written in one of two styles over the same type.
-
-    - {b Continuation passing} ({!K}), used by every lock under
-      [lib/locks]: each primitive takes the rest of the program as its
-      last argument and builds one [Step] whose continuation {e is}
-      that rest, written [K.read loc @@ fun v -> body]. A sub-protocol
-      takes its continuation the same way
-      ([acquire_level ~pid ~k @@ fun () -> climb (k + 1)]), and stays
-      polymorphic in the answer type when [entry] and [recover] share
-      it. Resuming a step allocates the [Step], its operation and the
-      closure of the rest of the body, and nothing else.
-    - {b Monadic} ({!Infix}'s [let*] over {!read}, {!write}, {!map}),
-      for one-off programs: critical-section bodies and examples.
-      [bind] rewraps the continuation of every step once per enclosing
-      [let*], so a step nested in [d] binds allocates about [d] more
-      closures and [Step] blocks when it resumes; Katzan–Morrison
-      written this way allocated about twice the words per harness
-      step. *)
+    Every program is written in continuation-passing style with {!K}:
+    each primitive takes the rest of the program as its last argument
+    and builds one [Step] whose continuation {e is} that rest, written
+    [K.read loc @@ fun v -> body]. A sub-protocol takes its
+    continuation the same way
+    ([acquire_level ~pid ~k @@ fun () -> climb (k + 1)]); one shared by
+    [entry] and [recover] stays polymorphic in the answer type. Resuming
+    a step allocates the [Step], its operation and the closure of the
+    rest of the body, and nothing else. A program never computes a
+    value for a caller to bind: it hands the value to its continuation
+    instead. So [recover] ends with [k Resume_entry] or another
+    {!Lock_intf.resume}, and every program the simulator runs is a
+    [unit t]. *)
 
 type 'a t =
   | Return of 'a
@@ -41,29 +36,13 @@ type 'a t =
 
 val return : 'a -> 'a t
 
-val bind : 'a t -> ('a -> 'b t) -> 'b t
-
-val map : ('a -> 'b) -> 'a t -> 'b t
-
-(** {2 One-step programs} *)
-
-val read : Rme_memory.Memory.loc -> int t
 val write : Rme_memory.Memory.loc -> int -> unit t
-
-val peek : 'a t -> (Rme_memory.Memory.loc * Rme_memory.Op.t) option
-(** The next shared-memory operation of a suspended program, or [None] if
-    it has returned. *)
-
-module Infix : sig
-  val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
-end
+(** The one-step program that writes [v] to [loc] and returns: the
+    usual last step of an [exit] or a critical section. *)
 
 (** Continuation-passing primitives. Each builds exactly one [Step]
     whose continuation is the one given, so [K.read loc k] poises a
-    [Read] of [loc] and resumes into [k] with the value read. A
-    program's last step may be a one-step monadic program ([Prog.write
-    loc v] where the program then returns [()]): that involves no
-    [bind].
+    [Read] of [loc] and resumes into [k] with the value read.
 
     There is no binding operator. With one defined as [f k = f k],
     binding [v] to [K.read loc] in [body] would, without flambda,

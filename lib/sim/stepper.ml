@@ -8,8 +8,8 @@ type boundary = Begin_superpassage | Enter_cs | Leave_cs | End_superpassage
 
 type proc = {
   mutable section : section;
-  mutable prog : unit Prog.t; (* the entry, CS or exit program *)
-  mutable recovery : Lock_intf.resume Prog.t; (* the program in [Recovery] *)
+  mutable prog : unit Prog.t; (* the program of the current section *)
+  mutable resume : Lock_intf.resume; (* what [recover] decided, once it returned *)
   mutable left : int;
   mutable crashes : int;
   mutable cs_entries : int;
@@ -29,7 +29,7 @@ let fresh superpassages =
   {
     section = Remainder;
     prog = Prog.Return ();
-    recovery = Prog.Return Lock_intf.Passage_done;
+    resume = Lock_intf.Passage_done;
     left = superpassages;
     crashes = 0;
     cs_entries = 0;
@@ -56,50 +56,47 @@ let procs t = t.procs
 (* Every critical-section program contains a step, so this terminates. *)
 let rec settle t ~pid ~on_boundary =
   let p = t.procs.(pid) in
-  match (p.section, p.prog, p.recovery) with
-  | (Entry | Cs | Exit), Prog.Step _, _ | Recovery, _, Prog.Step _ -> ()
-  | Remainder, _, _ ->
-      if p.left > 0 then begin
-        on_boundary pid Begin_superpassage;
-        run_in t p ~pid ~on_boundary Entry (t.lock.entry ~pid)
-      end
-  | Entry, Prog.Return (), _ | Recovery, _, Prog.Return Lock_intf.In_cs ->
-      on_boundary pid Enter_cs;
-      p.cs_entries <- p.cs_entries + 1;
-      run_in t p ~pid ~on_boundary Cs (t.cs ~pid ~attempt:(t.superpassages - p.left))
-  | Cs, Prog.Return (), _ ->
-      on_boundary pid Leave_cs;
-      run_in t p ~pid ~on_boundary Exit (t.lock.exit ~pid)
-  | Recovery, _, Prog.Return Lock_intf.Resume_entry ->
-      run_in t p ~pid ~on_boundary Entry (t.lock.entry ~pid)
-  | Recovery, _, Prog.Return Lock_intf.Resume_exit ->
-      run_in t p ~pid ~on_boundary Exit (t.lock.exit ~pid)
-  | Exit, Prog.Return (), _ | Recovery, _, Prog.Return Lock_intf.Passage_done ->
-      on_boundary pid End_superpassage;
-      p.left <- p.left - 1;
-      p.section <- Remainder
+  match p.prog with
+  | Prog.Step _ -> ()
+  | Prog.Return () -> (
+      match (p.section, p.resume) with
+      | Remainder, _ ->
+          if p.left > 0 then begin
+            on_boundary pid Begin_superpassage;
+            run_in t p ~pid ~on_boundary Entry (t.lock.entry ~pid)
+          end
+      | Entry, _ | Recovery, Lock_intf.In_cs ->
+          on_boundary pid Enter_cs;
+          p.cs_entries <- p.cs_entries + 1;
+          run_in t p ~pid ~on_boundary Cs (t.cs ~pid ~attempt:(t.superpassages - p.left))
+      | Cs, _ ->
+          on_boundary pid Leave_cs;
+          run_in t p ~pid ~on_boundary Exit (t.lock.exit ~pid)
+      | Recovery, Lock_intf.Resume_entry ->
+          run_in t p ~pid ~on_boundary Entry (t.lock.entry ~pid)
+      | Recovery, Lock_intf.Resume_exit ->
+          run_in t p ~pid ~on_boundary Exit (t.lock.exit ~pid)
+      | Exit, _ | Recovery, Lock_intf.Passage_done ->
+          on_boundary pid End_superpassage;
+          p.left <- p.left - 1;
+          p.section <- Remainder)
 
 and run_in t p ~pid ~on_boundary section prog =
   p.section <- section;
   p.prog <- prog;
   settle t ~pid ~on_boundary
 
+(* A process is poised exactly when its program is a [Step]: in the
+   remainder it is always [Return ()]. *)
 let poised_loc t ~pid =
-  let p = t.procs.(pid) in
-  match (p.section, p.prog, p.recovery) with
-  | (Entry | Cs | Exit), Prog.Step (loc, _, _), _ | Recovery, _, Prog.Step (loc, _, _)
-    ->
-      loc
-  | (Remainder | Entry | Cs | Exit | Recovery), _, _ -> -1
+  match t.procs.(pid).prog with Prog.Step (loc, _, _) -> loc | Prog.Return () -> -1
 
 let not_poised fn = invalid_arg (fn ^ ": process is not poised on a step")
 
 let poised_op t ~pid =
-  let p = t.procs.(pid) in
-  match (p.section, p.prog, p.recovery) with
-  | (Entry | Cs | Exit), Prog.Step (_, op, _), _ | Recovery, _, Prog.Step (_, op, _) ->
-      op
-  | (Remainder | Entry | Cs | Exit | Recovery), _, _ -> not_poised "Stepper.poised_op"
+  match t.procs.(pid).prog with
+  | Prog.Step (_, op, _) -> op
+  | Prog.Return () -> not_poised "Stepper.poised_op"
 
 let record t ~pid loc op =
   Rmr.record t.rmr ~pid ~loc ~owner:(Memory.owner t.memory loc)
@@ -118,18 +115,13 @@ let emit_step t ~pid section loc op old_value rmr : step =
    read; return whether it incurred an RMR. *)
 let apply_poised t ~pid =
   let p = t.procs.(pid) in
-  match (p.section, p.prog, p.recovery) with
-  | (Entry | Cs | Exit), Prog.Step (loc, op, k), _ ->
+  match p.prog with
+  | Prog.Step (loc, op, k) ->
       let old = Memory.apply t.memory ~pid loc op in
       let rmr = record t ~pid loc op in
       p.prog <- k old;
       rmr
-  | Recovery, _, Prog.Step (loc, op, k) ->
-      let old = Memory.apply t.memory ~pid loc op in
-      let rmr = record t ~pid loc op in
-      p.recovery <- k old;
-      rmr
-  | (Remainder | Entry | Cs | Exit | Recovery), _, _ -> not_poised "Stepper.step"
+  | Prog.Return () -> not_poised "Stepper.step"
 
 let step_record t ~pid =
   let section = t.procs.(pid).section in
@@ -149,8 +141,10 @@ let crash t ~pid =
   p.crashes <- p.crashes + 1;
   Rmr.on_crash t.rmr ~pid;
   p.section <- Recovery;
-  p.prog <- Prog.Return ();
-  p.recovery <- t.lock.recover ~pid
+  p.prog <-
+    t.lock.recover ~pid (fun r ->
+        p.resume <- r;
+        Prog.Return ())
 
 let epoch_step t =
   match t.lock.system_epoch with
@@ -166,7 +160,7 @@ let epoch_step t =
 let assign p q =
   p.section <- q.section;
   p.prog <- q.prog;
-  p.recovery <- q.recovery;
+  p.resume <- q.resume;
   p.left <- q.left;
   p.crashes <- q.crashes;
   p.cs_entries <- q.cs_entries

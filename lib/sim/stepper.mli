@@ -17,18 +17,16 @@
     With no trace, the stepper's own bookkeeping allocates nothing, and
     neither do [Memory], [Rmr] and [Cache] when they apply and account a
     step. What a step does allocate is the lock program's continuation:
-    resuming it builds the process's next program. Every registry lock
-    is written with {!Prog.K}, so that is one [Step], its operation
-    (unless a read) and the closure of the rest of the body, with no
-    enclosing bind to rewrap and no partial application. Measured with
+    resuming it builds the process's next program. Every lock is written
+    with {!Prog.K}, so that is one [Step], its operation (unless a read)
+    and the closure of the rest of the body. Measured with
     [Gc.minor_words] in the default (release) build, a harness step
-    allocates about 17 words on Katzan–Morrison at n = 256, w = 4 (CC;
-    23 when every step went through a binding operator over [K],
-    about 50 when the locks were monadic) and 7–25 on the registry
-    locks at n = 16, w = 8. The [-opaque] dev build calls the [K]
-    primitives instead of inlining them, each a full application, and
-    allocates 0.1–1.3 words per step more. [test/test_alloc.ml] holds a ceiling for every registry
-    lock, under both profiles.
+    allocates about 17 words on Katzan–Morrison at n = 256, w = 4 (CC)
+    and 7–25 on the registry locks at n = 16, w = 8; the [-opaque] dev
+    build calls the [K] primitives instead of inlining them and
+    allocates 0.1–1.3 words per step more. [test/test_alloc.ml] holds a
+    ceiling for every registry lock, under both profiles. A crash
+    allocates one closure more: the continuation it passes [recover].
 
     The only rewind is {!reset}, back to the just-created state: the
     adversary and its schedule-table check reach every other state by
@@ -47,14 +45,21 @@ type boundary =
 (** One process, read-only outside this module. The harness scheduler
     reads its fields directly on every turn, where a call would cost
     more than the read: [section] and [left] to tell whether the
-    process is runnable, and [prog] (or [recovery], in [Recovery]) to
-    match its poised step once, to test whether it is poised (and so
-    needs no {!settle}), and to see whether the step left it poised on
-    another read of the same location. *)
+    process is runnable, and [prog] to match its poised step once, to
+    test whether it is poised (and so needs no {!settle}), and to see
+    whether the step left it poised on another read of the same
+    location.
+
+    There is one program for every section. A crash sets it to the
+    lock's [recover], whose continuation stores the decision in
+    [resume] and returns; {!settle} then acts on [resume]. *)
 type proc = private {
   mutable section : section;
-  mutable prog : unit Prog.t;  (** The entry, CS or exit program. *)
-  mutable recovery : Lock_intf.resume Prog.t;  (** The program in [Recovery]. *)
+  mutable prog : unit Prog.t;
+      (** The program of [section]; [Return ()] in the remainder. It is
+          a [Step] exactly when the process is poised. *)
+  mutable resume : Lock_intf.resume;
+      (** [recover]'s decision, read once its program has returned. *)
   mutable left : int;  (** Super-passages to complete, the current one included. *)
   mutable crashes : int;
   mutable cs_entries : int;

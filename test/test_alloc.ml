@@ -3,10 +3,9 @@
    A harness step allocates nothing but the lock program's next
    continuation (Stepper), so words per step measure how a lock's
    program resumes. Each lock program builds one [Prog.Step] per step
-   whose continuation is the rest of its body (Prog.K); a return to
-   monadic binds, which rewrap the next program once per enclosing
-   [let*], roughly doubles the figure and fails these ceilings, and so
-   does a binding operator over [Prog.K] (11–38% more). Each
+   whose continuation is the rest of its body (Prog.K); a binding
+   operator over [Prog.K], whose partial application costs 11–38% more
+   words per step, fails these ceilings. Each
    run is made twice and only the second is measured, so one-time
    set-up (lazy tables, first-use buffers) is excluded. *)
 

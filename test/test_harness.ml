@@ -20,7 +20,7 @@ let broken_lock =
         {
           Lock_intf.entry = (fun ~pid -> Prog.write scratch (pid land 1));
           exit = (fun ~pid -> Prog.write scratch (pid land 1));
-          recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
+          recover = (fun ~pid:_ k -> k Lock_intf.Resume_entry);
           system_epoch = None;
         });
   }
@@ -38,7 +38,7 @@ let stuck_lock =
           Lock_intf.entry =
             (fun ~pid:_ -> Prog.K.await never (fun v -> v = 1) @@ fun _ -> Prog.return ());
           exit = (fun ~pid:_ -> Prog.return ());
-          recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
+          recover = (fun ~pid:_ k -> k Lock_intf.Resume_entry);
           system_epoch = None;
         });
   }
@@ -59,7 +59,7 @@ let deadlock_factory : Lock_intf.factory =
         {
           Lock_intf.entry = (fun ~pid:_ -> churn ());
           exit = (fun ~pid:_ -> Prog.return ());
-          recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
+          recover = (fun ~pid:_ k -> k Lock_intf.Resume_entry);
           system_epoch = None;
         });
   }
@@ -257,7 +257,7 @@ let cyclic_lock op =
         {
           Lock_intf.entry = (fun ~pid:_ -> loop);
           exit = (fun ~pid:_ -> Prog.return ());
-          recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
+          recover = (fun ~pid:_ k -> k Lock_intf.Resume_entry);
           system_epoch = None;
         });
   }
@@ -293,6 +293,110 @@ let test_step_allocates_nothing () =
         [ Op.Read; Op.Write 1; Op.Faa 1; Op.Cas { expected = 0; desired = 1 }; Op.Fas 3 ])
     Rmr.all_models
 
+(* A recoverable lock for one process whose [recover] reads once, then
+   passes [decision] on, whatever memory holds: entry is two writes,
+   exit one, so its steps are entry 0-1, the CS 2 and exit 3. *)
+let scripted_lock decision =
+  {
+    Lock_intf.name = "scripted-" ^ Lock_intf.resume_name decision;
+    recoverable = true;
+    min_width = (fun ~n:_ -> 2);
+    make =
+      (fun memory ~n:_ ->
+        let cell = Memory.alloc memory ~init:0 in
+        {
+          Lock_intf.entry =
+            (fun ~pid:_ -> Prog.K.write cell 1 @@ fun _ -> Prog.write cell 2);
+          exit = (fun ~pid:_ -> Prog.write cell 0);
+          recover = (fun ~pid:_ k -> Prog.K.read cell @@ fun _ -> k decision);
+          system_epoch = None;
+        });
+  }
+
+(* One super-passage of [scripted_lock decision] with a scripted crash
+   before step [at]: the sections of its steps and crash in order, with
+   the stepper's boundaries between them. *)
+let scripted_events decision ~at =
+  let module S = Rme_sim.Stepper in
+  let st =
+    S.create ~n:1 ~width:8 ~model:Rmr.Cc ~superpassages:1 ~cs:None
+      (scripted_lock decision)
+  in
+  let seen = ref [] in
+  let note x = seen := x :: !seen in
+  let on_boundary _ = function
+    | S.Begin_superpassage -> note "begin"
+    | S.Enter_cs -> note "enter-cs"
+    | S.Leave_cs -> note "leave-cs"
+    | S.End_superpassage -> note "end"
+  in
+  let rec go i =
+    S.settle st ~pid:0 ~on_boundary;
+    if S.poised_loc st ~pid:0 >= 0 then begin
+      if i = at then begin
+        note "crash";
+        S.crash st ~pid:0
+      end
+      else begin
+        note (Rme_sim.Trace.section_name (S.procs st).(0).S.section);
+        ignore (S.step st ~pid:0)
+      end;
+      go (i + 1)
+    end
+  in
+  go 0;
+  List.rev !seen
+
+(* The same run through the harness, crashing by [Crash_script]. *)
+let run_scripted decision ~at =
+  H.run
+    {
+      (cfg ~n:1 ~sp:1 Rmr.Cc) with
+      crashes = H.Crash_script [ (at, 0) ];
+      allow_cs_crash = true;
+    }
+    (scripted_lock decision)
+
+let check_events name expected decision ~at =
+  Alcotest.(check (list string)) name expected (scripted_events decision ~at)
+
+let test_recover_in_cs () =
+  check_events "crash in the CS, then the CS again"
+    [ "begin"; "entry"; "entry"; "enter-cs"; "crash"; "recovery"; "enter-cs"; "cs";
+      "leave-cs"; "exit"; "end" ]
+    Lock_intf.In_cs ~at:2;
+  let r = run_scripted Lock_intf.In_cs ~at:2 in
+  Alcotest.(check bool) "ok" true r.H.ok;
+  Alcotest.(check int) "both CS entries counted" 2 r.H.procs.(0).H.cs_entries
+
+let test_recover_resume_exit () =
+  check_events "crash in exit, then exit without leaving the CS again"
+    [ "begin"; "entry"; "entry"; "enter-cs"; "cs"; "leave-cs"; "crash"; "recovery";
+      "exit"; "end" ]
+    Lock_intf.Resume_exit ~at:3;
+  let r = run_scripted Lock_intf.Resume_exit ~at:3 in
+  Alcotest.(check bool) "ok" true r.H.ok;
+  Alcotest.(check int) "one CS entry" 1 r.H.procs.(0).H.cs_entries
+
+let test_recover_resume_entry () =
+  check_events "crash mid-entry, then entry from the top"
+    [ "begin"; "entry"; "crash"; "recovery"; "entry"; "entry"; "enter-cs"; "cs";
+      "leave-cs"; "exit"; "end" ]
+    Lock_intf.Resume_entry ~at:1;
+  let r = run_scripted Lock_intf.Resume_entry ~at:1 in
+  Alcotest.(check bool) "ok" true r.H.ok;
+  Alcotest.(check int) "one CS entry" 1 r.H.procs.(0).H.cs_entries
+
+let test_recover_passage_done_before_cs () =
+  check_events "crash mid-entry, then the super-passage ends"
+    [ "begin"; "entry"; "crash"; "recovery"; "end" ]
+    Lock_intf.Passage_done ~at:1;
+  let r = run_scripted Lock_intf.Passage_done ~at:1 in
+  Alcotest.(check bool) "not ok" false r.H.ok;
+  Alcotest.(check (list string)) "the lost request is flagged"
+    [ "p0 completed a super-passage without entering the critical section" ]
+    r.H.violations
+
 let suite =
   ( "harness",
     [
@@ -316,4 +420,10 @@ let suite =
       Alcotest.test_case "policies all correct" `Quick test_round_robin_vs_random_both_ok;
       Alcotest.test_case "stepper: a step of a cyclic program allocates nothing" `Quick
         test_step_allocates_nothing;
+      Alcotest.test_case "recover In_cs re-enters the CS" `Quick test_recover_in_cs;
+      Alcotest.test_case "recover Resume_exit runs exit" `Quick test_recover_resume_exit;
+      Alcotest.test_case "recover Resume_entry reruns entry" `Quick
+        test_recover_resume_entry;
+      Alcotest.test_case "recover Passage_done before CS" `Quick
+        test_recover_passage_done_before_cs;
     ] )

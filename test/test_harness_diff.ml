@@ -38,7 +38,7 @@ let toy_ticket ~stuck =
           exit =
             (fun ~pid:_ ->
               if stuck then Prog.return () else Prog.K.faa serving 1 @@ fun _ -> Prog.return ());
-          recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
+          recover = (fun ~pid:_ k -> k Lock_intf.Resume_entry);
           system_epoch = None;
         });
   }
@@ -71,7 +71,7 @@ let chain =
               else Prog.K.await flags.(pid) (fun v -> v = 1) @@ fun _ -> Prog.return ());
           exit =
             (fun ~pid -> if pid + 1 < n then Prog.write flags.(pid + 1) 1 else Prog.return ());
-          recover = (fun ~pid:_ -> Prog.return Lock_intf.Resume_entry);
+          recover = (fun ~pid:_ k -> k Lock_intf.Resume_entry);
           system_epoch = None;
         });
   }

@@ -1,15 +1,18 @@
-(* Tests for the process programs: the monad and the continuation-passing
-   primitives. *)
+(* Tests for the process programs: the continuation-passing primitives. *)
 
 module Prog = Rme_sim.Prog
 module Memory = Rme_memory.Memory
 module Op = Rme_memory.Op
-open Prog.Infix
 
 (* Run a program to completion against a memory, as process [pid]. *)
 let rec interp m ~pid = function
   | Prog.Return x -> x
   | Prog.Step (loc, op, k) -> interp m ~pid (k (Memory.apply m ~pid loc op))
+
+(* The poised operation, without running it. *)
+let poised = function
+  | Prog.Return _ -> None
+  | Prog.Step (loc, op, _) -> Some (loc, op)
 
 let test_return () =
   let m = Memory.create ~width:8 in
@@ -19,9 +22,8 @@ let test_read_write () =
   let m = Memory.create ~width:8 in
   let l = Memory.alloc m ~init:7 in
   let p =
-    let* v = Prog.read l in
-    let* () = Prog.write l (v + 1) in
-    Prog.read l
+    Prog.K.read l @@ fun v ->
+    Prog.K.write l (v + 1) @@ fun _ -> Prog.K.read l Prog.return
   in
   Alcotest.(check int) "sequencing" 8 (interp m ~pid:0 p)
 
@@ -42,22 +44,6 @@ let test_fas_faa () =
   Alcotest.(check int) "fai returns old" 11 (interp m ~pid:0 (Prog.K.fai l Prog.return));
   Alcotest.(check int) "value" 12 (Memory.value m l)
 
-let test_peek () =
-  let l = 3 in
-  let p = Prog.write l 5 in
-  (match Prog.peek p with
-  | Some (loc, Op.Write 5) -> Alcotest.(check int) "loc" l loc
-  | Some _ | None -> Alcotest.fail "expected poised write");
-  Alcotest.(check bool) "returned program peeks None" true
-    (Prog.peek (Prog.return ()) = None)
-
-let test_peek_does_not_execute () =
-  let m = Memory.create ~width:8 in
-  let l = Memory.alloc m ~init:0 in
-  let p = Prog.write l 9 in
-  ignore (Prog.peek p);
-  Alcotest.(check int) "unchanged" 0 (Memory.value m l)
-
 let test_await_spins () =
   (* [K.await] re-reads one location per scheduler step. *)
   let m = Memory.create ~width:8 in
@@ -70,39 +56,19 @@ let test_await_spins () =
   in
   step ();
   step ();
-  Alcotest.(check bool) "still spinning" true (Prog.peek !p <> None);
+  Alcotest.(check bool) "still spinning" true (poised !p <> None);
   ignore (Memory.apply m ~pid:1 l (Op.Write 3));
   step ();
-  Alcotest.(check bool) "done after condition" true (Prog.peek !p = None)
-
-let test_bind_associativity () =
-  (* bind (bind m f) g behaves as bind m (fun x -> bind (f x) g). *)
-  let mem () =
-    let m = Memory.create ~width:8 in
-    (m, Memory.alloc m ~init:1)
-  in
-  let f v = Prog.K.faa 0 v Prog.return in
-  let g v = Prog.K.faa 0 (v * 2) Prog.return in
-  let m1, _ = mem () and m2, _ = mem () in
-  let left = Prog.bind (Prog.bind (Prog.read 0) f) g in
-  let right = Prog.bind (Prog.read 0) (fun x -> Prog.bind (f x) g) in
-  Alcotest.(check int) "same result" (interp m1 ~pid:0 left) (interp m2 ~pid:0 right);
-  Alcotest.(check int) "same memory" (Memory.value m1 0) (Memory.value m2 0)
-
-let test_map () =
-  let m = Memory.create ~width:8 in
-  let l = Memory.alloc m ~init:20 in
-  let p = Prog.map (fun v -> v + 1) (Prog.read l) in
-  Alcotest.(check int) "map applies" 21 (interp m ~pid:0 p)
+  Alcotest.(check bool) "done after condition" true (poised !p = None)
 
 (* Each continuation-passing primitive poises the operation of the
    one-step program it stands for, built here by hand as a [Step], and
    hands its continuation the same value. *)
-let test_k_matches_monadic () =
+let test_k_matches_steps () =
   let module K = Prog.K in
   let same name (oracle : int Prog.t) (cps : int Prog.t) =
     Alcotest.(check bool) (name ^ ": same poised op") true
-      (Prog.peek oracle = Prog.peek cps);
+      (poised oracle = poised cps);
     let run p =
       let m = Memory.create ~width:8 in
       let l = Memory.alloc m ~init:5 in
@@ -153,12 +119,7 @@ let suite =
       Alcotest.test_case "read/write sequencing" `Quick test_read_write;
       Alcotest.test_case "cas returns success" `Quick test_cas_result;
       Alcotest.test_case "fas/faa/fai return old values" `Quick test_fas_faa;
-      Alcotest.test_case "peek reveals poised op" `Quick test_peek;
-      Alcotest.test_case "peek has no effect" `Quick test_peek_does_not_execute;
       Alcotest.test_case "await spins one read per step" `Quick test_await_spins;
-      Alcotest.test_case "bind associativity" `Quick test_bind_associativity;
-      Alcotest.test_case "map" `Quick test_map;
-      Alcotest.test_case "K primitives match monadic steps" `Quick
-        test_k_matches_monadic;
+      Alcotest.test_case "K primitives match Step values" `Quick test_k_matches_steps;
       Alcotest.test_case "K.await spins on one step" `Quick test_k_await_spins;
     ] )
