@@ -108,13 +108,13 @@ let index_subsets : int list list array =
 
 let find_hiding ~width ~y0 ~members ~forbidden =
   (* [members]: (pid, poised op) ascending by pid, all non-read. *)
-  let ops = members in
-  let pids = List.map fst members in
   (* Indexing the members once replaces the per-element [List.assoc] of
      subset evaluation with O(1) array reads. *)
   let arr = Array.of_list members in
   let pool = min max_pool (Array.length arr) in
-  let by_value = Hashtbl.create 64 in
+  (* Unrandomised, so that which plan is found first (iteration order
+     below) does not depend on the runtime's hash seed. *)
+  let by_value = Hashtbl.create ~random:false 64 in
   List.iter
     (fun idxs ->
       let y =
@@ -126,63 +126,39 @@ let find_hiding ~width ~y0 ~members ~forbidden =
       let prev = Option.value ~default:[] (Hashtbl.find_opt by_value y) in
       Hashtbl.replace by_value y (s :: prev))
     index_subsets.(pool);
-  let candidate = ref None in
-  Hashtbl.iter
-    (fun y subsets ->
-      if !candidate = None then begin
-        let rec pairs = function
-          | [] -> ()
-          | s2 :: rest ->
-              List.iter
-                (fun s1 ->
-                  if !candidate = None && s1 <> s2 then begin
-                    let zs =
-                      List.filter
-                        (fun z ->
-                          (not (List.mem z s1)) && not (Intset.mem z forbidden))
-                        s2
-                    in
-                    match zs with
-                    | z :: _ ->
-                        let v =
-                          List.sort_uniq compare
-                            (s1 @ List.filter (fun x -> x <> z) s2)
-                        in
-                        candidate :=
-                          Some { steppers = s2; hp_z = z; v; y_next = y }
-                    | [] -> ()
-                  end)
-                rest;
-              if !candidate = None then pairs rest
-        in
-        pairs subsets
-      end)
-    by_value;
-  match !candidate with
-  | Some _ as c -> c
-  | None -> begin
+  (* Two subsets reaching the same value y: pretend s1, execute s2, with
+     z a member of s2 outside s1 that may survive. *)
+  let plan y s1 s2 =
+    List.find_opt
+      (fun z -> (not (List.mem z s1)) && not (Intset.mem z forbidden))
+      s2
+    |> Option.map (fun z ->
+           let v = List.sort_uniq compare (s1 @ List.filter (( <> ) z) s2) in
+           { steppers = s2; hp_z = z; v; y_next = y })
+  in
+  let rec pairs y = function
+    | [] -> None
+    | s2 :: rest -> (
+        match List.find_map (fun s1 -> plan y s1 s2) rest with
+        | Some _ as p -> p
+        | None -> pairs y rest)
+  in
+  match Seq.find_map (fun (y, subsets) -> pairs y subsets) (Hashtbl.to_seq by_value) with
+  | Some _ as p -> p
+  | None ->
       (* Fallback: an absorbing operation (write/FAS) hides anything that
          steps before it — the Chan–Woelfel technique. *)
-      let absorbing =
-        List.find_opt
-          (fun (_, op) ->
-            match op with Op.Write _ | Op.Fas _ -> true | _ -> false)
-          ops
+      let absorbing (_, op) =
+        match op with Op.Write _ | Op.Fas _ -> true | _ -> false
       in
-      match absorbing with
-      | Some (alpha, alpha_op) -> begin
-          let z =
-            List.find_opt (fun p -> p <> alpha && not (Intset.mem p forbidden)) pids
-          in
-          match z with
-          | Some z ->
-              let y_mid = Op.next_value ~width (List.assoc z ops) y0 in
-              let y_next = Op.next_value ~width alpha_op y_mid in
-              Some { steppers = [ z; alpha ]; hp_z = z; v = [ alpha ]; y_next }
-          | None -> None
-        end
-      | None -> None
-    end
+      Option.bind (List.find_opt absorbing members) (fun (alpha, alpha_op) ->
+          List.find_opt
+            (fun (p, _) -> p <> alpha && not (Intset.mem p forbidden))
+            members
+          |> Option.map (fun (z, z_op) ->
+                 let y_mid = Op.next_value ~width z_op y0 in
+                 let y_next = Op.next_value ~width alpha_op y_mid in
+                 { steppers = [ z; alpha ]; hp_z = z; v = [ alpha ]; y_next }))
 
 (* ------------------------------------------------------------------ *)
 
@@ -230,294 +206,194 @@ let run config factory =
      the round's directives, its kind, the new finished list and the
      surviving active list. *)
   let plan_round (play : Schedule.play) =
+    let m = play.Schedule.m in
+    let memory = Machine.memory m in
     let directives : (Schedule.directive * Schedule.record) Vec.t = Vec.create () in
-    let actives = Intset.to_sorted_list !active in
+    let push d r = ignore (Vec.push directives (d, r)) in
     let active_set = !active in
-    let discovery_check ~observer ~loc ~exempt =
-      let vis =
-        Intset.diff
-          (Intset.remove observer
-             (Intset.inter (Schedule.visible_at play loc) active_set))
-          exempt
-      in
-      if not (Intset.is_empty vis) then Some vis else None
+    (* The other actives whose effect on [loc] [pid] could observe. *)
+    let seen_by pid loc =
+      Intset.remove pid (Intset.inter (Schedule.visible_at play loc) active_set)
     in
-    let push_step pid hidden_as (s : Rme_sim.Trace.step) =
-      ignore
-        (Vec.push directives
-           ( Schedule.D_step { pid; hidden_as },
-             Schedule.R_step { loc = s.loc; old_value = s.old_value } ))
+    (* Every removal set below is a subset of [active_set], so any
+       non-empty one forces a replan. *)
+    let restart_unless_empty s = if not (Intset.is_empty s) then raise (Restart s) in
+    let step pid hidden_as =
+      let s = Schedule.do_step play ~pid ~hidden_as in
+      push (Schedule.D_step { pid; hidden_as })
+        (Schedule.R_step { loc = s.loc; old_value = s.old_value })
     in
-    let complete_with_checks pid ~exempt =
+    (* Run [pid] to completion; the processes in [exempt] (crashed this
+       round alongside it) may be seen. *)
+    let new_finished = ref [] in
+    let finish ?(exempt = Intset.empty) pid =
       let ok, count =
         Schedule.do_complete play ~pid ~on_step:(fun (s : Rme_sim.Trace.step) ->
-            match discovery_check ~observer:pid ~loc:s.loc ~exempt with
-            | Some vis -> raise (Restart vis)
-            | None -> ())
+            restart_unless_empty (Intset.diff (seen_by pid s.loc) exempt))
       in
-      (ok, count)
+      if not ok then raise (Restart (Intset.add pid exempt));
+      push (Schedule.D_complete pid) (Schedule.R_complete count);
+      new_finished := pid :: !new_finished
     in
-    (* Setup phase: run every active to its next RMR-incurring step. *)
-    let cs_ready = ref [] in
+    (* Setup phase: run every active to its next RMR-incurring step. A
+       process that would observe another active, or is locally stuck
+       (waiting on a grant that will never come inside this
+       construction), is removed; removing the observer keeps everyone
+       else intact. *)
+    let rec setup pid taken =
+      match Machine.peek m ~pid with
+      | None ->
+          escaped := Intset.add pid !escaped;
+          raise (Restart (Intset.singleton pid))
+      | Some _ when Machine.poised_rmr m ~pid -> taken
+      | Some (loc, _) ->
+          if taken >= local_cap || not (Intset.is_empty (seen_by pid loc)) then
+            raise (Restart (Intset.singleton pid));
+          ignore (Schedule.do_local play ~pid);
+          setup pid (taken + 1)
+    in
+    let actives = Intset.to_sorted_list active_set in
     List.iter
       (fun pid ->
-        let taken = ref 0 in
-        let continue = ref true in
-        while !continue do
-          match Machine.peek play.Schedule.m ~pid with
-          | None ->
-              escaped := Intset.add pid !escaped;
-              raise (Restart (Intset.singleton pid))
-          | Some (loc, _op) ->
-              if Machine.poised_rmr play.Schedule.m ~pid then continue := false
-              else if !taken >= local_cap then
-                (* Locally stuck: waiting on a grant that will never come
-                   inside this construction; drop the waiter. *)
-                raise (Restart (Intset.singleton pid))
-              else begin
-                (match discovery_check ~observer:pid ~loc ~exempt:Intset.empty with
-                | Some _ ->
-                    (* Removing the observer keeps everyone else intact. *)
-                    raise (Restart (Intset.singleton pid))
-                | None -> ());
-                ignore (Schedule.do_local play ~pid);
-                incr taken
-              end
-        done;
-        if !taken > 0 then
-          ignore (Vec.push directives (Schedule.D_local pid, Schedule.R_local !taken));
-        if Machine.phase play.Schedule.m ~pid = Rme_sim.Trace.Cs then
-          cs_ready := pid :: !cs_ready)
+        let taken = setup pid 0 in
+        if taken > 0 then push (Schedule.D_local pid) (Schedule.R_local taken))
       actives;
     (* Processes poised on their critical-section step are finished
        deliberately (the proof "forces them to run to completion"). *)
-    let new_finished = ref [] in
-    List.iter
-      (fun pid ->
-        let ok, count = complete_with_checks pid ~exempt:Intset.empty in
-        if not ok then raise (Restart (Intset.singleton pid));
-        ignore (Vec.push directives (Schedule.D_complete pid, Schedule.R_complete count));
-        new_finished := pid :: !new_finished)
-      (List.rev !cs_ready);
-    let actives = List.filter (fun p -> not (List.mem p !cs_ready)) actives in
-    if actives = [] then (directives, Low_contention, !new_finished, [])
+    let cs_ready, actives =
+      List.partition (fun pid -> Machine.phase m ~pid = Rme_sim.Trace.Cs) actives
+    in
+    List.iter finish cs_ready;
+    let outcome kind survivors = (directives, kind, !new_finished, survivors) in
+    if actives = [] then outcome Low_contention []
     else begin
-      let poised =
+      (* The poised (pid, op) pairs grouped by location: one stable sort
+         of the pid-ordered triples, then a linear split into runs, each
+         ascending by pid, the runs ascending by location. *)
+      let runs =
         List.map
           (fun pid ->
-            match Machine.peek play.Schedule.m ~pid with
-            | Some (loc, op) -> (pid, loc, op)
+            match Machine.peek m ~pid with
+            | Some (loc, op) -> (loc, pid, op)
             | None -> raise (Schedule.Diverged "active process lost its poised step"))
           actives
+        |> List.stable_sort (fun (l1, _, _) (l2, _, _) -> Int.compare l1 l2)
+        |> List.fold_left
+             (fun runs (loc, pid, op) ->
+               match runs with
+               | (l, ms) :: rest when l = loc -> (l, (pid, op) :: ms) :: rest
+               | _ -> (loc, [ (pid, op) ]) :: runs)
+             []
+        |> List.rev_map (fun (loc, ms) -> (loc, List.rev ms))
       in
-      let by_loc = Hashtbl.create 32 in
-      List.iter
-        (fun (pid, loc, op) ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt by_loc loc) in
-          Hashtbl.replace by_loc loc ((pid, op) :: prev))
-        poised;
-      let high_locs =
-        Hashtbl.fold
-          (fun loc members acc ->
-            if List.length members >= config.k then loc :: acc else acc)
-          by_loc []
-        |> List.sort compare
-      in
-      let high_count =
-        List.fold_left
-          (fun acc loc -> acc + List.length (Hashtbl.find by_loc loc))
-          0 high_locs
-      in
-      if high_locs <> [] && 2 * high_count >= List.length actives then begin
+      let pids ms = Intset.of_list (List.map fst ms) in
+      let high, low = List.partition (fun (_, ms) -> List.length ms >= config.k) runs in
+      let high_count = List.fold_left (fun acc (_, ms) -> acc + List.length ms) 0 high in
+      if high <> [] && 2 * high_count >= List.length actives then begin
         (* ---------------- high contention ---------------- *)
+        (* Everyone off the high-contention objects goes, and so do an
+           active owner of one and every active visible on one. *)
         let to_remove = ref Intset.empty in
+        let remove s = to_remove := Intset.union !to_remove s in
+        List.iter (fun (_, ms) -> remove (pids ms)) low;
         List.iter
-          (fun (pid, loc, _) ->
-            if not (List.mem loc high_locs) then
-              to_remove := Intset.add pid !to_remove)
-          poised;
-        List.iter
-          (fun loc ->
-            (match Memory.owner (Machine.memory play.Schedule.m) loc with
-            | Some o when Intset.mem o active_set ->
-                to_remove := Intset.add o !to_remove
-            | Some _ | None -> ());
-            Intset.iter
-              (fun q -> to_remove := Intset.add q !to_remove)
-              (Intset.inter (Schedule.visible_at play loc) active_set))
-          high_locs;
-        let groups = ref [] in
-        List.iter
-          (fun loc ->
-            let members =
-              Hashtbl.find by_loc loc
-              |> List.filter (fun (p, _) -> not (Intset.mem p !to_remove))
-              |> List.sort compare
-            in
-            let rec chunk = function
-              | rest when List.length rest < config.k ->
-                  List.iter
-                    (fun (p, _) -> to_remove := Intset.add p !to_remove)
-                    rest
-              | rest ->
-                  let g = List.filteri (fun i _ -> i < config.k) rest in
-                  let rest' = List.filteri (fun i _ -> i >= config.k) rest in
-                  groups := (loc, g) :: !groups;
-                  chunk rest'
-            in
-            chunk members)
-          high_locs;
-        let groups = List.rev !groups in
-        let has_reader g = List.exists (fun (_, op) -> Op.is_read op) g in
-        let reader_groups = List.filter (fun (_, g) -> has_reader g) groups in
+          (fun (loc, _) ->
+            remove (Intset.inter (Schedule.visible_at play loc) active_set);
+            match Memory.owner memory loc with
+            | Some o when Intset.mem o active_set -> remove (Intset.singleton o)
+            | Some _ | None -> ())
+          high;
+        (* Each object's remaining members in groups of exactly k, in pid
+           order; the leftover (fewer than k) goes too. *)
+        let rec chunk loc g i = function
+          | ms when i = config.k -> (loc, List.rev g) :: chunk loc [] 0 ms
+          | x :: ms -> chunk loc (x :: g) (i + 1) ms
+          | [] ->
+              remove (pids g);
+              []
+        in
+        let groups =
+          List.concat_map
+            (fun (loc, ms) ->
+              List.filter (fun (p, _) -> not (Intset.mem p !to_remove)) ms
+              |> chunk loc [] 0)
+            high
+        in
+        let has_reader (_, g) = List.exists (fun (_, op) -> Op.is_read op) g in
+        let reader_groups, hide_groups = List.partition has_reader groups in
+        let members gs = List.concat_map snd gs in
         if 2 * List.length reader_groups >= List.length groups then begin
-          (* Read case: only read-poised members of reader groups stay;
-             reads are unobservable, so they all step. *)
-          let keep = ref Intset.empty in
-          List.iter
-            (fun (_, g) ->
-              List.iter
-                (fun (p, op) -> if Op.is_read op then keep := Intset.add p !keep)
-                g)
-            reader_groups;
-          List.iter
-            (fun (p, _, _) ->
-              if not (Intset.mem p !keep) then
-                to_remove := Intset.add p !to_remove)
-            poised;
-          if not (Intset.is_empty (Intset.inter !to_remove active_set)) then
-            raise (Restart !to_remove);
-          List.iter
-            (fun pid ->
-              let info = Schedule.do_step play ~pid ~hidden_as:[] in
-              push_step pid [] info)
-            (Intset.to_sorted_list !keep);
-          (directives, High_read, !new_finished, Intset.to_sorted_list !keep)
+          (* Read case: only read-poised members of reader groups stay
+             (so a round that removes nobody keeps every active); reads
+             are unobservable, so they all step. *)
+          remove (pids (members hide_groups));
+          let non_reads = List.filter (fun (_, op) -> not (Op.is_read op)) in
+          remove (pids (non_reads (members reader_groups)));
+          restart_unless_empty !to_remove;
+          List.iter (fun pid -> step pid []) actives;
+          outcome High_read actives
         end
         else begin
-          (* Hide case. *)
-          List.iter
-            (fun (_, g) ->
-              if has_reader g then
-                List.iter (fun (p, _) -> to_remove := Intset.add p !to_remove) g)
-            groups;
-          if not (Intset.is_empty (Intset.inter !to_remove active_set)) then
-            raise (Restart !to_remove);
-          let groups = List.filter (fun (_, g) -> not (has_reader g)) groups in
-          let width = config.width in
-          let survivors = ref [] in
-          let plans = ref [] in
-          let by_obj = Hashtbl.create 8 in
-          List.iter
-            (fun (loc, g) ->
-              let prev = Option.value ~default:[] (Hashtbl.find_opt by_obj loc) in
-              Hashtbl.replace by_obj loc (g :: prev))
-            groups;
-          Hashtbl.iter
-            (fun loc gs ->
-              let y = ref (Memory.value (Machine.memory play.Schedule.m) loc) in
-              List.iter
-                (fun g ->
-                  match find_hiding ~width ~y0:!y ~members:g ~forbidden:!removed with
-                  | Some plan ->
-                      y := plan.y_next;
-                      plans := (loc, g, plan) :: !plans
-                  | None ->
-                      raise
-                        (Restart
-                           (List.fold_left
-                              (fun acc (p, _) -> Intset.add p acc)
-                              Intset.empty g)))
-                (List.rev gs))
-            by_obj;
-          let plans = List.rev !plans in
-          let all_v =
-            List.concat_map (fun (_, _, plan) -> plan.v) plans
-            |> List.sort_uniq compare
+          (* Hide case: reader groups go; plans are threaded per object
+             in location order, y starting afresh at each object. *)
+          remove (pids (members reader_groups));
+          restart_unless_empty !to_remove;
+          let plans, _ =
+            List.fold_left
+              (fun (plans, last) (loc, g) ->
+                let y0 =
+                  match last with
+                  | Some (l, y) when l = loc -> y
+                  | _ -> Memory.value memory loc
+                in
+                match
+                  find_hiding ~width:config.width ~y0 ~members:g ~forbidden:!removed
+                with
+                | Some plan -> (plan :: plans, Some (loc, plan.y_next))
+                | None -> raise (Restart (pids g)))
+              ([], None) hide_groups
           in
-          let v_set =
-            List.fold_left (fun a p -> Intset.add p a) Intset.empty all_v
-          in
-          List.iter
-            (fun (_loc, _g, plan) ->
-              List.iter
-                (fun pid ->
-                  let info = Schedule.do_step play ~pid ~hidden_as:plan.v in
-                  push_step pid plan.v info)
-                plan.steppers;
-              survivors := plan.hp_z :: !survivors)
-            plans;
+          let plans = List.rev plans in
+          let all_v = List.sort_uniq compare (List.concat_map (fun p -> p.v) plans) in
+          List.iter (fun p -> List.iter (fun pid -> step pid p.v) p.steppers) plans;
           List.iter
             (fun pid ->
-              Machine.crash play.Schedule.m ~pid;
-              ignore (Vec.push directives (Schedule.D_crash pid, Schedule.R_crash)))
+              Machine.crash m ~pid;
+              push (Schedule.D_crash pid) Schedule.R_crash)
             all_v;
-          List.iter
-            (fun pid ->
-              let ok, count = complete_with_checks pid ~exempt:v_set in
-              if not ok then raise (Restart (Intset.add pid v_set));
-              ignore
-                (Vec.push directives
-                   (Schedule.D_complete pid, Schedule.R_complete count));
-              new_finished := pid :: !new_finished)
-            all_v;
-          (directives, High_hide, !new_finished, List.sort compare !survivors)
+          List.iter (finish ~exempt:(Intset.of_list all_v)) all_v;
+          outcome High_hide (List.sort compare (List.map (fun plan -> plan.hp_z) plans))
         end
       end
       else begin
         (* ---------------- low contention ---------------- *)
-        let chosen = ref [] in
-        let to_remove = ref Intset.empty in
-        let loc_readers = Hashtbl.create 32 in
-        let loc_writer = Hashtbl.create 32 in
-        List.iter
-          (fun (pid, loc, op) ->
-            let owner_conflict =
-              match Memory.owner (Machine.memory play.Schedule.m) loc with
-              | Some o -> o <> pid && Intset.mem o active_set
-              | None -> false
-            in
-            let visible_conflict =
-              not
-                (Intset.is_empty
-                   (Intset.remove pid
-                      (Intset.inter (Schedule.visible_at play loc) active_set)))
-            in
-            let write_taken = Hashtbl.mem loc_writer loc in
-            let read_taken = Hashtbl.mem loc_readers loc in
-            if owner_conflict || visible_conflict then
-              to_remove := Intset.add pid !to_remove
-            else if Op.is_read op then begin
-              if write_taken then to_remove := Intset.add pid !to_remove
-              else begin
-                Hashtbl.replace loc_readers loc ();
-                chosen := pid :: !chosen
-              end
-            end
-            else if write_taken || read_taken then
-              to_remove := Intset.add pid !to_remove
-            else begin
-              Hashtbl.replace loc_writer loc ();
-              chosen := pid :: !chosen
-            end)
-          poised;
-        if not (Intset.is_empty !to_remove) then raise (Restart !to_remove);
+        (* An independent set of the conflict graph: a process goes if
+           an active other owns its object or is visible there; of the
+           rest, the first on each object takes it, and a later one stays
+           only if both it and the first read. *)
+        let conflicted pid loc =
+          (match Memory.owner memory loc with
+          | Some o -> o <> pid && Intset.mem o active_set
+          | None -> false)
+          || not (Intset.is_empty (seen_by pid loc))
+        in
+        let clashes (loc, ms) =
+          match List.partition (fun (pid, _) -> conflicted pid loc) ms with
+          | gone, (_, op0) :: rest ->
+              let both_read (_, op) = Op.is_read op0 && Op.is_read op in
+              gone @ List.filter (fun x -> not (both_read x)) rest
+          | gone, [] -> gone
+        in
+        restart_unless_empty (pids (List.concat_map clashes runs));
+        (* Nobody clashed: every active steps. *)
         let survivors = ref [] in
         List.iter
           (fun pid ->
-            let info = Schedule.do_step play ~pid ~hidden_as:[] in
-            push_step pid [] info;
-            if Machine.phase play.Schedule.m ~pid = Rme_sim.Trace.Cs then begin
-              let ok, count = complete_with_checks pid ~exempt:Intset.empty in
-              if not ok then raise (Restart (Intset.singleton pid));
-              ignore
-                (Vec.push directives
-                   (Schedule.D_complete pid, Schedule.R_complete count));
-              new_finished := pid :: !new_finished
-            end
+            step pid [];
+            if Machine.phase m ~pid = Rme_sim.Trace.Cs then finish pid
             else survivors := pid :: !survivors)
-          (List.rev !chosen);
-        (directives, Low_contention, !new_finished, List.sort compare !survivors)
+          actives;
+        outcome Low_contention (List.rev !survivors)
       end
     end
   in

@@ -1,9 +1,10 @@
-(* The Process-Hiding solution must not depend on the runtime's hash
-   seed: solving one group at the paper's constants (ell = 1,
-   delta = 1, 27^4 tuples) under randomised hash tables gives the
-   solution of an unrandomised run every time. An executable of its
-   own, because [Hashtbl.randomize] affects every table the process
-   creates afterwards. *)
+(* The Process-Hiding solution and the lower-bound adversary must not
+   depend on the runtime's hash seed: under randomised hash tables,
+   solving one group at the paper's constants (ell = 1, delta = 1, 27^4
+   tuples) gives the solution of an unrandomised run every time, and
+   the adversary at n = 64 and 256 matches its golden digests. An
+   executable of its own, because [Hashtbl.randomize] affects every
+   table the process creates afterwards. *)
 
 module Hiding = Rme_core.Hiding
 
@@ -20,6 +21,9 @@ let test_solution_ignores_seed () =
       (Array.to_list t.Hiding.groups.(0).Hiding.a)
   done
 
+let test_adversary_ignores_seed () =
+  Adversary_golden.check ~ns:[ 64; 256 ] "adversary digests"
+
 let () =
   Hashtbl.randomize ();
   Alcotest.run "rme-hash-seed"
@@ -28,5 +32,10 @@ let () =
         [
           Alcotest.test_case "parity solution ignores hash seed" `Quick
             test_solution_ignores_seed;
+        ] );
+      ( "adv-seed",
+        [
+          Alcotest.test_case "adversary digests ignore hash seed" `Quick
+            test_adversary_ignores_seed;
         ] );
     ]

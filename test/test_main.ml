@@ -29,6 +29,7 @@ let () =
       Test_tables.suite;
       Test_trace.suite;
       Test_lock_traces.suite;
+      Test_adversary_digests.suite;
       Test_alloc.suite;
       Test_parallel.suite;
       Test_resilience.suite;
