@@ -205,7 +205,12 @@ let adversary lock n width model k check rounds_detail =
   if check then begin
     let rep = T.check r.A.schedule in
     Format.printf "invariant check: %a@." T.pp_report rep;
-    if not (T.ok rep) then Error "invariant check failed" else Ok ()
+    if not (T.ok rep) then Error "invariant check failed"
+    else if rep.T.rounds_checked = 0 then
+      Error
+        "invariant check checked nothing: no round has at most 10 active \
+         processes"
+    else Ok ()
   end
   else Ok ()
 
@@ -219,7 +224,10 @@ let adversary_cmd =
     Arg.(
       value & flag
       & info [ "check-invariants" ]
-          ~doc:"Materialise the schedule table and verify invariants I1-I10.")
+          ~doc:
+            "Materialise the schedule table and verify invariants I1-I10 on \
+             every round with at most 10 active processes; fails when there \
+             is no such round.")
   in
   let detail = Arg.(value & flag & info [ "rounds" ] ~doc:"Print per-round detail.") in
   Cmd.v

@@ -40,11 +40,6 @@ let project edges =
     edges;
   { by_vertex; by_tail; total = List.length edges }
 
-let proj_size p z =
-  match Hashtbl.find_opt p.by_vertex z with
-  | Some t -> Hashtbl.length t
-  | None -> 0
-
 let union_edges p zs =
   let seen = Hashtbl.create 1024 in
   let acc = ref [] in
@@ -75,86 +70,70 @@ let check_preconditions ~s ~eps ~parts ~edges =
          (Array.length parts.(0))
          (s *. (1.0 +. eps)))
 
+(* |∪_{z ∈ zs} pi_z(E)| without building the union: each tail is
+   counted at the first projection that holds it. *)
+let union_size p zs =
+  let rec held tail = function
+    | [] -> false
+    | t :: earlier -> Hashtbl.mem t tail || held tail earlier
+  in
+  let rec count earlier = function
+    | [] -> 0
+    | z :: rest -> (
+        match Hashtbl.find_opt p.by_vertex z with
+        | None -> count earlier rest
+        | Some t ->
+            Hashtbl.fold
+              (fun tail () n -> if held tail earlier then n else n + 1)
+              t 0
+            + count (t :: earlier) rest)
+  in
+  count [] zs
+
 let solve ~s ~eps ~parts ~edges =
   check_preconditions ~s ~eps ~parts ~edges;
   let p = project edges in
   let threshold_a = float_of_int p.total /. s in
   let x1 = Array.to_list parts.(0) in
-  (* Case (a) with a single vertex. *)
-  let single =
-    List.find_opt (fun z -> float_of_int (proj_size p z) >= threshold_a) x1
+  (* Case (a): the first Z, each vertex of X_1 and then each pair in scan
+     order, whose projections cover |E|/s tails. Every such union lies
+     within [by_tail]'s keys, so too few distinct tails rule (a) out. *)
+  let covers zs = float_of_int (union_size p zs) >= threshold_a in
+  let found =
+    if float_of_int (Hashtbl.length p.by_tail) < threshold_a then None
+    else
+      let rec pairs = function
+        | [] -> []
+        | z1 :: rest -> List.map (fun z2 -> [ z1; z2 ]) rest @ pairs rest
+      in
+      List.find_opt covers (List.map (fun z -> [ z ]) x1 @ pairs x1)
   in
-  match single with
-  | Some z -> Union_small { zs = [ z ]; union = union_edges p [ z ] }
-  | None -> begin
-      (* Case (a) with a pair: |p_i ∪ p_j| = |p_i| + |p_j| - |p_i ∩ p_j|.
-         Intersections are counted exactly by walking the tails. *)
-      let inter = Hashtbl.create 256 in
+  match found with
+  | Some zs -> Union_small { zs; union = union_edges p zs }
+  | None -> (
+      (* Case (b): find the tail shared by the most projections. The
+         expectation argument of the paper guarantees one shared by at
+         least s(1+eps)(1-2eps) of them once (a) fails everywhere. *)
+      let threshold_b = s *. (1.0 +. eps) *. (1.0 -. (2.0 *. eps)) in
+      let best = ref None in
       Hashtbl.iter
-        (fun _tail zs ->
+        (fun tail zs ->
           let l = List.sort_uniq compare !zs in
-          let rec pairs = function
-            | [] -> ()
-            | z1 :: rest ->
-                List.iter
-                  (fun z2 ->
-                    let key = (z1, z2) in
-                    let c = Option.value ~default:0 (Hashtbl.find_opt inter key) in
-                    Hashtbl.replace inter key (c + 1))
-                  rest;
-                pairs rest
-          in
-          pairs l)
-        p.by_tail;
-      let inter_size z1 z2 =
-        let a, b = if z1 < z2 then (z1, z2) else (z2, z1) in
-        Option.value ~default:0 (Hashtbl.find_opt inter (a, b))
-      in
-      let found_pair = ref None in
-      let rec scan_pairs = function
-        | [] -> ()
-        | z1 :: rest ->
-            List.iter
-              (fun z2 ->
-                if !found_pair = None then begin
-                  let u =
-                    proj_size p z1 + proj_size p z2 - inter_size z1 z2
-                  in
-                  if float_of_int u >= threshold_a then found_pair := Some (z1, z2)
-                end)
-              rest;
-            if !found_pair = None then scan_pairs rest
-      in
-      scan_pairs x1;
-      match !found_pair with
-      | Some (z1, z2) ->
-          Union_small { zs = [ z1; z2 ]; union = union_edges p [ z1; z2 ] }
-      | None -> begin
-          (* Case (b): find the tail shared by the most projections. The
-             expectation argument of the paper guarantees one shared by at
-             least s(1+eps)(1-2eps) of them once (a) fails everywhere. *)
-          let threshold_b = s *. (1.0 +. eps) *. (1.0 -. (2.0 *. eps)) in
-          let best = ref None in
-          Hashtbl.iter
-            (fun tail zs ->
-              let l = List.sort_uniq compare !zs in
-              let c = List.length l in
-              match !best with
-              | Some (_, _, c') when c' >= c -> ()
-              | _ -> best := Some (tail, l, c))
-            p.by_tail;
+          let c = List.length l in
           match !best with
-          | Some (tail, zs, c) when float_of_int c >= threshold_b ->
-              Intersect_large { zs; witness = tail }
-          | Some (_, _, c) ->
-              invalid_arg
-                (Printf.sprintf
-                   "Lemma4: no witness found (best intersection %d < %.2f) — \
-                    preconditions must have been violated"
-                   c threshold_b)
-          | None -> invalid_arg "Lemma4: empty projection structure"
-        end
-    end
+          | Some (_, _, c') when c' >= c -> ()
+          | _ -> best := Some (tail, l, c))
+        p.by_tail;
+      match !best with
+      | Some (tail, zs, c) when float_of_int c >= threshold_b ->
+          Intersect_large { zs; witness = tail }
+      | Some (_, _, c) ->
+          invalid_arg
+            (Printf.sprintf
+               "Lemma4: no witness found (best intersection %d < %.2f) — \
+                preconditions must have been violated"
+               c threshold_b)
+      | None -> invalid_arg "Lemma4: empty projection structure")
 
 let verify ~s ~eps ~parts ~edges outcome =
   let ( let* ) r f = Result.bind r f in

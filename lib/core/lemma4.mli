@@ -7,11 +7,18 @@
     (b) [|Z| >= s(1+eps)(1-2eps)] and [∩_{z in Z} pi_z(E) ≠ ∅].
 
     [solve] returns a witness for one of the two cases; it follows the
-    paper's proof (check all pairs for (a); when none works, the
-    expectation argument guarantees a common tail [e*] shared by enough
-    projections, which [solve] finds by exact counting). Projections are
-    always taken along the {e first} part, which is how Lemma 5 consumes
-    this lemma. *)
+    paper's proof. Case (a) is one search: the candidates are each
+    vertex of [X_1], then each pair in [X_1] order, and the first whose
+    projections cover [|E|/s] tails is returned. A union's size is
+    counted from the per-vertex tail sets, each tail at the first
+    projection that holds it; no union is built until one qualifies.
+    Every union lies within the distinct tails of [E], so when there are
+    fewer than [|E|/s] of those the search is skipped. Its cost is
+    [O(|X_1|^2)] candidates, each linear in its projections' sizes. When
+    no candidate qualifies, the expectation argument guarantees a common
+    tail [e*] shared by enough projections, which [solve] finds by exact
+    counting. Projections are always taken along the {e first} part,
+    which is how Lemma 5 consumes this lemma. *)
 
 type outcome =
   | Union_small of { zs : int list; union : Partite.edge list }

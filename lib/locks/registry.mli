@@ -5,7 +5,8 @@ val all : Rme_sim.Lock_intf.factory list
 
 val recoverable : Rme_sim.Lock_intf.factory list
 (** Locks tolerating {e individual} process crashes — the model of
-    Theorem 1. *)
+    Theorem 1: the locks of {!all} with [recoverable = true] that are
+    not in {!system_wide}, in {!all}'s order. *)
 
 val system_wide : Rme_sim.Lock_intf.factory list
 (** Locks for the {e system-wide} crash model (all processes crash

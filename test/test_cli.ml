@@ -55,6 +55,26 @@ let test_adversary () =
   Alcotest.(check int) "exit 0" 0 code;
   Alcotest.(check bool) "reports rounds" true (contains ~needle:"rounds=" out)
 
+(* --check-invariants materialises only rounds with at most 10 active
+   processes. At n = 256, w = 16 rcas has none, so the check must fail
+   rather than report a pass over nothing; at n = 32, w = 8 it has two. *)
+let test_adversary_check_invariants () =
+  let check_invariants args =
+    capture Unix.stderr (fun () ->
+        eval ([ "adversary"; "--lock"; "rcas"; "--check-invariants" ] @ args))
+  in
+  let (code, out), err = check_invariants [ "-n"; "256"; "-w"; "16" ] in
+  Alcotest.(check int) "n=256 w=16: exit 1" 1 code;
+  Alcotest.(check bool) "n=256 w=16: reports no round checked" true
+    (contains ~needle:"rounds=0" out);
+  Alcotest.(check bool) "n=256 w=16: says nothing was checked" true
+    (contains ~needle:"checked nothing" err);
+  let (code, out), _ = check_invariants [ "-n"; "32"; "-w"; "8" ] in
+  Alcotest.(check int) "n=32 w=8: exit 0" 0 code;
+  Alcotest.(check bool) "n=32 w=8: no violation" true
+    (contains ~needle:"violations=0" out);
+  Alcotest.(check bool) "n=32 w=8: checks rounds" false (contains ~needle:"rounds=0" out)
+
 let test_experiment_e1_parallel () =
   let code, out = eval [ "experiment"; "e1"; "-j"; "2" ] in
   Alcotest.(check int) "exit 0" 0 code;
@@ -174,6 +194,8 @@ let suite =
       Alcotest.test_case "locks" `Quick test_locks;
       Alcotest.test_case "simulate" `Quick test_simulate;
       Alcotest.test_case "adversary" `Quick test_adversary;
+      Alcotest.test_case "adversary --check-invariants must check a round" `Quick
+        test_adversary_check_invariants;
       Alcotest.test_case "experiment e1 -j 2" `Quick test_experiment_e1_parallel;
       Alcotest.test_case "experiment e1 e6 shares one engine" `Quick
         test_experiments_share_one_engine;

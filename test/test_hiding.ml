@@ -81,6 +81,40 @@ let solve_and_verify ?(m = 3) p f =
   | Error e -> Alcotest.failf "verify failed: %s" e);
   (t, groups)
 
+(* MD5 of a solution: every group's A, d, y, V, U and F, F in list
+   order (which the solver's table order decides). *)
+let solution_digest (t : Hiding.t) =
+  let b = Buffer.create 4096 in
+  let ints l = List.iter (Printf.bprintf b " %d") l in
+  Array.iter
+    (fun (g : Hiding.group_solution) ->
+      Printf.bprintf b "group %d d=%d y=%d a=" g.index g.d g.y;
+      ints (Array.to_list g.a);
+      Buffer.add_string b "\nv=";
+      ints (Intset.to_sorted_list g.v);
+      Buffer.add_string b "\nu=";
+      ints (Intset.to_sorted_list g.u);
+      Buffer.add_string b "\nf=";
+      List.iter
+        (fun e ->
+          Buffer.add_string b " [";
+          ints (Array.to_list e);
+          Buffer.add_string b " ]")
+        g.f_edges;
+      Buffer.add_char b '\n')
+    t.Hiding.groups;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* One digest per family of the three-group solution below. A change
+   that moves one changes the Process-Hiding output, not just its cost. *)
+let paper_digests =
+  [
+    ("fas", "524c6189a36e1b343c8ac0c08e65fc13");
+    ("or", "d7114a0afc72c03c908395f7e6e76610");
+    ("faa-w1", "449df66c5a0d36bf35575537798eae5f");
+    ("parity", "c4eaa13820cc451ab39364de6a686957");
+  ]
+
 (* Paper constants with four operation families. The FAS family is the
    one the Chan–Woelfel lower bound handles; OR is the Katzan–Morrison
    bit-setting pattern at width 1; parity is a genuinely arbitrary op. *)
@@ -90,6 +124,8 @@ let test_solve_paper_constants () =
     (fun (name, f) ->
       let t, groups = solve_and_verify p f in
       Alcotest.(check int) (name ^ ": all groups solved") 3 (Array.length t.Hiding.groups);
+      Alcotest.(check string) (name ^ ": solution digest")
+        (List.assoc name paper_digests) (solution_digest t);
       (* Adversarial D within budget: hit as many V-complements as possible. *)
       let v = Hiding.all_v t in
       let budget = int_of_float (p.Hiding.delta *. float_of_int (Intset.cardinal v)) in

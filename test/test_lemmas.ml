@@ -70,6 +70,45 @@ let test_l4_intersection_case () =
       Alcotest.failf "expected case (b), got (a) with |Z|=%d |U|=%d"
         (List.length zs) (List.length union)
 
+let test_l4_pair_counts_shared_tails_once () =
+  (* X_1 = {x0, x1, x2}: x0 and x1 project onto the same three tails, x2
+     onto three others. |E| = 9 and s = 2.5, so case (a) needs 3.6 tails:
+     no single vertex has them, {x0, x1} covers only 3 (6 if the shared
+     tails were counted twice), and {x0, x2} is the first Z with 6. *)
+  let parts = mk_parts [ 3; 6 ] in
+  let x = parts.(0) and t = parts.(1) in
+  let edges =
+    List.concat_map
+      (fun (z, tails) -> List.map (fun i -> [| x.(z); t.(i) |]) tails)
+      [ (0, [ 0; 1; 2 ]); (1, [ 0; 1; 2 ]); (2, [ 3; 4; 5 ]) ]
+  in
+  match check_l4 ~s:2.5 ~eps:0.2 ~parts ~edges with
+  | L4.Union_small { zs; union } ->
+      Alcotest.(check (list int)) "Z = {x0, x2}" [ x.(0); x.(2) ] zs;
+      Alcotest.(check int) "|union|" 6 (List.length union)
+  | L4.Intersect_large _ -> Alcotest.fail "expected case (a)"
+
+let test_l4_full_scan_then_intersection () =
+  (* X_1 = {x0..x4}: ten tails shared by all five, plus one private tail
+     each. |E| = 55 and s = 5/1.2, so case (a) needs 13.2 tails. The 15
+     distinct tails are enough to run the search, but a pair covers
+     only 12: every candidate is tried, then case (b) returns all five
+     with a shared tail. *)
+  let parts = mk_parts [ 5; 15 ] in
+  let x = parts.(0) and t = parts.(1) in
+  let edges =
+    List.concat_map
+      (fun z -> List.map (fun i -> [| x.(z); t.(i) |]) (List.init 10 Fun.id @ [ 10 + z ]))
+      [ 0; 1; 2; 3; 4 ]
+  in
+  match check_l4 ~s:(5.0 /. 1.2) ~eps:0.2 ~parts ~edges with
+  | L4.Intersect_large { zs; witness } ->
+      Alcotest.(check (list int)) "Z = X_1" (Array.to_list x) zs;
+      Alcotest.(check bool) "witness is a shared tail" true (witness.(0) < t.(10))
+  | L4.Union_small { zs; union } ->
+      Alcotest.failf "expected case (b), got (a) with |Z|=%d |U|=%d"
+        (List.length zs) (List.length union)
+
 let test_l4_preconditions () =
   let parts = mk_parts [ 4; 2 ] in
   let edges = (P.complete ~parts).P.edges in
@@ -89,19 +128,49 @@ let test_l4_preconditions () =
        false
      with Invalid_argument _ -> true)
 
+(* Brute force over Lemma 4's case (a): the first Z with |Z| <= 2 whose
+   projections cover |E|/s tails, singletons before pairs, each in X_1
+   order; [None] when no Z does. *)
+let first_covering_z ~s ~parts ~edges =
+  let x1 = Array.to_list parts.(0) in
+  let covers zs =
+    let union = List.concat_map (fun z -> P.pi_z ~part:0 ~z edges) zs in
+    float_of_int (List.length (List.sort_uniq compare union))
+    >= float_of_int (List.length edges) /. s
+  in
+  let pairs =
+    List.concat
+      (List.mapi
+         (fun i z1 -> List.filteri (fun j _ -> j > i) x1 |> List.map (fun z2 -> [ z1; z2 ]))
+         x1)
+  in
+  List.find_opt covers (List.map (fun z -> [ z ]) x1 @ pairs)
+
 let prop_l4_random =
   QCheck.Test.make ~name:"lemma 4 outcome always verifies on random hypergraphs"
-    ~count:100
-    QCheck.(triple (int_range 2 5) (int_range 2 5) (int_range 0 10_000))
-    (fun (a, b, seed) ->
+    ~count:1000
+    QCheck.(
+      quad (int_range 2 5) (int_range 2 5) (int_range 0 10_000)
+        (pair (int_range 0 3) (int_range 0 2)))
+    (fun (a, b, seed, (density, slack)) ->
       let rng = Splitmix.create seed in
       let parts = mk_parts [ a; b; 3 ] in
-      let edges = random_edges rng parts ~keep_prob:0.6 ~min_edges:1 in
-      let s = float_of_int a /. 1.1 and eps = 0.2 in
+      (* Densities from sparse to dense, and s from |X_1| down to the
+         |X_1|/1.2 the precondition allows, put |E|/s on both sides of
+         what singletons and pairs cover: about two thirds of the cases
+         end at a singleton, an eighth at a pair, and a fifth have fewer
+         distinct tails than |E|/s. *)
+      let keep_prob = [| 0.3; 0.6; 0.8; 0.95 |].(density) in
+      let edges = random_edges rng parts ~keep_prob ~min_edges:1 in
+      let s = float_of_int a /. [| 1.0; 1.1; 1.2 |].(slack) and eps = 0.2 in
       QCheck.assume (float_of_int a <= s *. (1.0 +. eps));
-      match L4.verify ~s ~eps ~parts ~edges (L4.solve ~s ~eps ~parts ~edges) with
-      | Ok () -> true
-      | Error _ -> false)
+      let outcome = L4.solve ~s ~eps ~parts ~edges in
+      L4.verify ~s ~eps ~parts ~edges outcome = Ok ()
+      &&
+      match (first_covering_z ~s ~parts ~edges, outcome) with
+      | Some zs, L4.Union_small { zs = zs'; _ } -> zs = zs'
+      | None, L4.Intersect_large _ -> true
+      | _ -> false)
 
 (* ---------------- Lemma 5 ---------------- *)
 
@@ -206,4 +275,8 @@ let suite =
       Alcotest.test_case "L5: verifier rejects corrupt outcomes" `Quick
         test_l5_verify_rejects;
       Qc.to_alcotest prop_l5_random;
+      Alcotest.test_case "L4: pair union counts shared tails once" `Quick
+        test_l4_pair_counts_shared_tails_once;
+      Alcotest.test_case "L4: full scan, then intersection" `Quick
+        test_l4_full_scan_then_intersection;
     ] )

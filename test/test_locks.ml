@@ -145,6 +145,9 @@ let prop_tree_path_valid =
 let test_registry () =
   Alcotest.(check int) "11 locks" 11 (List.length Registry.all);
   Alcotest.(check int) "5 individually recoverable" 5 (List.length Registry.recoverable);
+  Alcotest.(check (list string)) "Theorem 1's locks, in registry order"
+    [ "rcas"; "rstamp"; "rtournament"; "katzan-morrison"; "sublog-tournament" ]
+    (List.map (fun f -> f.Rme_sim.Lock_intf.name) Registry.recoverable);
   Alcotest.(check int) "1 system-wide" 1 (List.length Registry.system_wide);
   Alcotest.(check bool) "find mcs" true (Registry.find "mcs" <> None);
   Alcotest.(check bool) "find nothing" true (Registry.find "nope" = None);
