@@ -1,48 +1,19 @@
-(* The benchmark harness: regenerates every experiment table (E1..E8,
-   A1..A3, F1 — see DESIGN.md section 4) and runs Bechamel timing
-   suites over the simulator, the lemma solvers and the adversary.
+(* Bechamel timing probes over the simulator, the lemma solvers and the
+   adversary, and the regression gate CI runs over them. The experiment
+   tables (E1..E8, A1..A3, F1; see DESIGN.md section 4) are printed by
+   [rme experiment].
 
    Usage:
-     dune exec bench/main.exe                 # all experiments + timing
-     dune exec bench/main.exe e3              # one experiment
-     dune exec bench/main.exe all             # every experiment, no timing
-     dune exec bench/main.exe time            # timing suites only
-     dune exec bench/main.exe -- -j 4 e1 e2   # shard trial cells over 4 domains
+     dune exec bench/main.exe                 # timing probes
      dune exec bench/main.exe -- time --json BENCH.json      # machine-readable probes
      dune exec bench/main.exe -- compare OLD.json NEW.json [NEW.json ...]
                                               # CI regression gate (exit 1 on
                                               # any probe whose median over the
-                                              # NEW runs is slower than 3x old)
-
-   Tables are bit-identical at any -j: experiments decompose into
-   independent trial cells, the engine runs them across domains, and the
-   tables are assembled by memo lookup in canonical order. *)
+                                              # NEW runs is slower than 3x old) *)
 
 module E = Rme_experiments.Experiments
-module Engine = Rme_experiments.Engine
 module Table = Rme_util.Table
 module Json = Rme_util.Json
-
-(* Accumulated measurements for --json: probe name -> ns/run, and
-   per-experiment wall clock / cell counters / minor words, in execution
-   order. *)
-let probe_results : (string * float) list ref = ref []
-let experiment_results : (string * E.report * float option) list ref = ref []
-
-(* One engine for the whole invocation, so cells shared between the
-   selected experiments are computed once. [Gc.minor_words] counts the
-   calling domain only, so an experiment's allocation is recorded only
-   when the engine computes every cell on it ([-j 1]). *)
-let run_experiments ~jobs (entries : E.entry list) =
-  let engine = Engine.create ~jobs () in
-  List.iter
-    (fun (e : E.entry) ->
-      Printf.printf "---- %s: %s ----\n%!" (String.uppercase_ascii e.E.id) e.E.descr;
-      let w0 = Gc.minor_words () in
-      let report = e.E.run engine in
-      let words = if Engine.jobs engine = 1 then Some (Gc.minor_words () -. w0) else None in
-      experiment_results := (e.E.id, report, words) :: !experiment_results)
-    entries
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing: one probe per moving part, so the harness doubles
@@ -168,6 +139,8 @@ let pp_ns x =
   else if x > 1e3 then Printf.sprintf "%.2f us" (x /. 1e3)
   else Printf.sprintf "%.0f ns" x
 
+(* Runs every probe and prints the table; returns each probe's ns/run,
+   in table order. *)
 let run_timing () =
   let open Bechamel in
   print_endline "---- TIMING (Bechamel, monotonic clock) ----";
@@ -177,6 +150,7 @@ let run_timing () =
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
   let t = Table.create ~title:"timing" ~columns:[ "probe"; "time/run" ] in
+  let probes = ref [] in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg instances test in
@@ -186,47 +160,26 @@ let run_timing () =
           let cell =
             match Analyze.OLS.estimates ols_result with
             | Some (x :: _) ->
-                probe_results := (name, x) :: !probe_results;
+                probes := (name, x) :: !probes;
                 pp_ns x
             | Some [] | None -> "n/a"
           in
           Table.add_row t [ name; cell ])
         analyzed)
     (bechamel_tests ());
-  Table.print t
+  Table.print t;
+  List.rev !probes
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable results (--json FILE) and regression comparison
-   (the [compare] subcommand): the perf numbers above, as BENCH_<n>.json
-   files CI can diff with a tolerance. *)
+   (the [compare] subcommand): the probes above, as BENCH_<n>.json files
+   CI can diff with a tolerance. *)
 
-let write_json file =
+let write_json file probes =
   let probes =
-    List.rev_map
-      (fun (name, ns) -> (name, Json.Obj [ ("ns_per_run", Json.Num ns) ]))
-      !probe_results
+    List.map (fun (name, ns) -> (name, Json.Obj [ ("ns_per_run", Json.Num ns) ])) probes
   in
-  let experiments =
-    List.rev_map
-      (fun (id, (r : E.report), words) ->
-        ( id,
-          Json.Obj
-            ([
-               ("wall_s", Json.Num r.E.wall_s);
-               ("cells_computed", Json.num_int r.E.computed);
-               ("cells_cached", Json.num_int r.E.cached);
-             ]
-            @ match words with Some w -> [ ("minor_words", Json.Num w) ] | None -> []) ))
-      !experiment_results
-  in
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.num_int 1);
-        ("probes", Json.Obj probes);
-        ("experiments", Json.Obj experiments);
-      ]
-  in
+  let doc = Json.Obj [ ("schema", Json.num_int 1); ("probes", Json.Obj probes) ] in
   let oc = open_out file in
   output_string oc (Json.to_string doc);
   close_out oc;
@@ -322,57 +275,15 @@ let run_compare old_file new_files =
         (String.concat ", " (List.rev l));
       exit 1
 
-(* Accepts [-j N], [--jobs N], [-jN] and [--json FILE]; returns the
-   options and the remaining args. *)
-type opts = {
-  jobs : int;
-  json : string option;  (* write probe/experiment measurements here *)
-}
-
-let parse_opts args =
-  let jobs_value v =
-    match int_of_string_opt v with
-    | Some j when j >= 0 -> j
-    | Some j ->
-        Printf.eprintf "-j must be at least 0 (got %d)\n" j;
-        exit 1
-    | None ->
-        Printf.eprintf "invalid -j value %S\n" v;
-        exit 1
-  in
-  let rec go o acc = function
-    | [] -> (o, List.rev acc)
-    | ("-j" | "--jobs") :: v :: rest -> go { o with jobs = jobs_value v } acc rest
-    | ("-j" | "--jobs") :: [] ->
-        prerr_endline "missing value after -j";
-        exit 1
-    | "--json" :: f :: rest -> go { o with json = Some f } acc rest
-    | "--json" :: [] ->
-        prerr_endline "missing value after --json";
-        exit 1
-    | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" ->
-        go { o with jobs = jobs_value (String.sub a 2 (String.length a - 2)) } acc rest
-    | a :: rest -> go o (a :: acc) rest
-  in
-  go { jobs = 1; json = None } [] args
+let usage =
+  "usage: bench [time [--json FILE]] | bench compare OLD.json NEW.json [NEW.json ...] \
+   (experiment tables: rme experiment ID...)"
 
 let () =
-  let o, args = parse_opts (Array.to_list Sys.argv |> List.tl) in
-  (match args with
-  | "compare" :: rest -> (
-      match rest with
-      | old_file :: (_ :: _ as new_files) -> run_compare old_file new_files
-      | _ ->
-          prerr_endline "usage: bench compare OLD.json NEW.json [NEW.json ...]";
-          exit 1)
-  | [] ->
-      run_experiments ~jobs:o.jobs E.all;
-      run_timing ()
-  | [ "time" ] -> run_timing ()
-  | ids -> (
-      match E.select ids with
-      | Ok entries -> run_experiments ~jobs:o.jobs entries
-      | Error e ->
-          prerr_endline e;
-          exit 1));
-  match o.json with Some file -> write_json file | None -> ()
+  match List.tl (Array.to_list Sys.argv) with
+  | [] | [ "time" ] -> ignore (run_timing ())
+  | [ "time"; "--json"; file ] -> write_json file (run_timing ())
+  | "compare" :: old_file :: (_ :: _ as new_files) -> run_compare old_file new_files
+  | _ ->
+      prerr_endline usage;
+      exit 1

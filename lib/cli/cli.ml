@@ -311,7 +311,7 @@ let experiment jobs ids =
   in
   let* entries = E.select ids in
   let engine = Engine.create ~jobs () in
-  List.iter (fun (e : E.entry) -> ignore (e.E.run engine)) entries;
+  List.iter (fun (e : E.entry) -> e.E.run engine) entries;
   Ok ()
 
 let experiment_cmd =

@@ -6,7 +6,7 @@ type outcome =
    front). For each vertex z of X_1 we collect the set of tails
    pi_z(E); for each tail we remember which vertices project onto it.
    The tables whose order reaches the outcome (the per-vertex tail sets,
-   which [union_edges] walks, and [by_tail], whose first max-count tail
+   which [fold_union] walks, and [by_tail], whose first max-count tail
    is case (b)'s witness) are never randomised, so the outcome does not
    depend on the runtime's hash seed. *)
 
@@ -40,24 +40,6 @@ let project edges =
     edges;
   { by_vertex; by_tail; total = List.length edges }
 
-let union_edges p zs =
-  let seen = Hashtbl.create 1024 in
-  let acc = ref [] in
-  List.iter
-    (fun z ->
-      match Hashtbl.find_opt p.by_vertex z with
-      | Some tails ->
-          Hashtbl.iter
-            (fun tail () ->
-              if not (Hashtbl.mem seen tail) then begin
-                Hashtbl.add seen tail ();
-                acc := tail :: !acc
-              end)
-            tails
-      | None -> ())
-    zs;
-  !acc
-
 let check_preconditions ~s ~eps ~parts ~edges =
   if s <= 0.0 then invalid_arg "Lemma4: s must be positive";
   if eps < 0.0 || eps >= 0.5 then invalid_arg "Lemma4: eps must be in [0, 1/2)";
@@ -70,25 +52,32 @@ let check_preconditions ~s ~eps ~parts ~edges =
          (Array.length parts.(0))
          (s *. (1.0 +. eps)))
 
-(* |∪_{z ∈ zs} pi_z(E)| without building the union: each tail is
-   counted at the first projection that holds it. *)
-let union_size p zs =
+(* Folds [f] over ∪_{z ∈ zs} pi_z(E), each tail at the first projection
+   that holds it, in [zs] order and then each projection's table order:
+   [union_size] counts the union without building it, and [union_edges]
+   builds the one that qualifies. *)
+let fold_union p zs f init =
   let rec held tail = function
     | [] -> false
     | t :: earlier -> Hashtbl.mem t tail || held tail earlier
   in
-  let rec count earlier = function
-    | [] -> 0
+  let rec go earlier acc = function
+    | [] -> acc
     | z :: rest -> (
         match Hashtbl.find_opt p.by_vertex z with
-        | None -> count earlier rest
+        | None -> go earlier acc rest
         | Some t ->
-            Hashtbl.fold
-              (fun tail () n -> if held tail earlier then n else n + 1)
-              t 0
-            + count (t :: earlier) rest)
+            let acc =
+              Hashtbl.fold
+                (fun tail () acc -> if held tail earlier then acc else f tail acc)
+                t acc
+            in
+            go (t :: earlier) acc rest)
   in
-  count [] zs
+  go [] init zs
+
+let union_size p zs = fold_union p zs (fun _ n -> n + 1) 0
+let union_edges p zs = fold_union p zs List.cons []
 
 let solve ~s ~eps ~parts ~edges =
   check_preconditions ~s ~eps ~parts ~edges;
@@ -113,20 +102,20 @@ let solve ~s ~eps ~parts ~edges =
   | None -> (
       (* Case (b): find the tail shared by the most projections. The
          expectation argument of the paper guarantees one shared by at
-         least s(1+eps)(1-2eps) of them once (a) fails everywhere. *)
+         least s(1+eps)(1-2eps) of them once (a) fails everywhere. A
+         vertex joins a tail's list once, so its length is the count. *)
       let threshold_b = s *. (1.0 +. eps) *. (1.0 -. (2.0 *. eps)) in
       let best = ref None in
       Hashtbl.iter
         (fun tail zs ->
-          let l = List.sort_uniq compare !zs in
-          let c = List.length l in
+          let c = List.length !zs in
           match !best with
           | Some (_, _, c') when c' >= c -> ()
-          | _ -> best := Some (tail, l, c))
+          | _ -> best := Some (tail, zs, c))
         p.by_tail;
       match !best with
       | Some (tail, zs, c) when float_of_int c >= threshold_b ->
-          Intersect_large { zs; witness = tail }
+          Intersect_large { zs = List.sort compare !zs; witness = tail }
       | Some (_, _, c) ->
           invalid_arg
             (Printf.sprintf

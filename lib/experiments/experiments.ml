@@ -12,6 +12,12 @@ module Km = Rme_locks.Katzan_morrison
 
 type outcome = Table.t list
 
+(* The seeds that let experiments share memo cells: E6 and E1's n=32
+   column are the same cells, and so are E7b, A3 and E2's matching
+   (n, w) cells. *)
+let landscape_seed = 42
+let km_seed = 7
+
 (* Every table is described once, as rows of slots: literal text, or a
    memo cell with a formatter that fills one or more columns from the
    cell's result. [render] prefetches every slot's cell (one parallel
@@ -73,8 +79,8 @@ let theory_of (factory : Lock_intf.factory) ~n ~w =
   | "epoch-mcs" -> "O(1) (system-wide)"
   | _ -> "?"
 
-let e1_lock_landscape ~engine ?(seed = 42) ?(width = 16) ?(ns = [ 2; 4; 8; 16; 32; 64 ])
-    () =
+let e1_lock_landscape ~engine ?(ns = [ 2; 4; 8; 16; 32; 64 ]) () =
+  let seed = landscape_seed and width = 16 in
   let n_max = List.fold_left max 2 ns in
   render engine
     (List.map
@@ -105,7 +111,7 @@ let e1_lock_landscape ~engine ?(seed = 42) ?(width = 16) ?(ns = [ 2; 4; 8; 16; 3
 (* ------------------------------------------------------------------ *)
 (* E2: the word-size tradeoff of the Katzan–Morrison lock. *)
 
-let e2_word_size_tradeoff ~engine ?(seed = 7) ?(ns = [ 16; 64; 256; 1024 ])
+let e2_word_size_tradeoff ~engine ?(ns = [ 16; 64; 256; 1024 ])
     ?(ws = [ 2; 4; 8; 16; 32; 62 ]) () =
   render engine
     (List.map
@@ -125,7 +131,8 @@ let e2_word_size_tradeoff ~engine ?(seed = 7) ?(ns = [ 16; 64; 256; 1024 ])
                  :: List.concat_map
                       (fun w ->
                         [
-                          max_rmr (Engine.cell ~seed ~n ~width:w ~model Km.factory);
+                          max_rmr
+                            (Engine.cell ~seed:km_seed ~n ~width:w ~model Km.factory);
                           int_text (Bounds.tree_levels ~n ~b:(min w n));
                         ])
                       ws)
@@ -226,7 +233,8 @@ let hiding_trial p ~m ~f ~seed ~trials =
     query_error = !query_error;
   }
 
-let e4_hiding_lemma ~engine ?(seed = 99) ?(m = 3) ?(trials = 50) () =
+let e4_hiding_lemma ~engine =
+  let seed = 99 and m = 3 and trials = 50 in
   let p = Hiding.paper_params ~ell:1 ~delta:1.0 in
   let gsize = Hiding.min_group_size p in
   (* Each family is an independent solve + adversarial-query trial run
@@ -263,9 +271,8 @@ let e4_hiding_lemma ~engine ?(seed = 99) ?(m = 3) ?(trials = 50) () =
 (* ------------------------------------------------------------------ *)
 (* E5: recovery cost under increasing crash rates. *)
 
-let e5_crash_cost ~engine ?(seed = 5) ?(n = 8)
-    ?(probs = [ 0.0; 0.01; 0.02; 0.05; 0.1; 0.2 ]) () =
-  let superpassages = 4 in
+let e5_crash_cost ~engine ?(n = 8) ?(probs = [ 0.0; 0.01; 0.02; 0.05; 0.1; 0.2 ]) () =
+  let seed = 5 and superpassages = 4 in
   (* RMRs per super-passage: the true cost of recovery — crashes split
      super-passages into more (cheaper) passages, so the per-passage
      mean alone understates the recovery overhead. *)
@@ -313,7 +320,7 @@ let e5_crash_cost ~engine ?(seed = 5) ?(n = 8)
    E1's n=32 column, so when both experiments run on one engine every
    E6 cell is a memo-cache hit. *)
 
-let e6_model_comparison ~engine ?(seed = 42) ?(n = 32) () =
+let e6_model_comparison ~engine ?(n = 32) () =
   let max_mean (r : Engine.cell_result) =
     if r.Engine.ok then
       [
@@ -338,7 +345,8 @@ let e6_model_comparison ~engine ?(seed = 42) ?(n = 32) () =
                      if Lock_intf.supports factory ~n ~width:16 then
                        [
                          Trial
-                           ( Engine.cell ~superpassages:2 ~seed ~n ~width:16 ~model factory,
+                           ( Engine.cell ~superpassages:2 ~seed:landscape_seed ~n ~width:16
+                               ~model factory,
                              max_mean );
                        ]
                      else texts [ "n/a"; "-" ])
@@ -354,9 +362,8 @@ let e7_crossover ~engine ?(n = 65536) ?(ws = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48
     () =
   let lll = Bounds.log_over_loglog ~n in
   (* Measured companion: KM at a smaller n across the crossover; at
-     n_meas = 4096, log2 n = 12 lies inside the w sweep. The seed
-     matches E2, so at n_meas = 1024 the shared (n, w) cells
-     cache-hit. *)
+     n_meas = 4096, log2 n = 12 lies inside the w sweep. At n_meas =
+     1024 the (n, w) cells E2 shares cache-hit. *)
   let n_meas = min n 4096 in
   render engine
     [
@@ -391,7 +398,8 @@ let e7_crossover ~engine ?(n = 65536) ?(ws = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48
             (fun w ->
               [
                 int_text w;
-                max_rmr (Engine.cell ~seed:7 ~n:n_meas ~width:w ~model:Rmr.Cc Km.factory);
+                max_rmr
+                  (Engine.cell ~seed:km_seed ~n:n_meas ~width:w ~model:Rmr.Cc Km.factory);
                 Text (Printf.sprintf "%.0f" (Bounds.km_upper ~n:n_meas ~w));
                 Text (Printf.sprintf "%.2f" (Bounds.theorem1_lower ~n:n_meas ~w));
               ])
@@ -404,7 +412,8 @@ let e7_crossover ~engine ?(n = 65536) ?(ws = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48
    under simultaneous crashes with epoch support, O(1) RMRs per passage
    are possible — the lower bound inherently needs individual crashes. *)
 
-let e8_system_wide ~engine ?(seed = 3) ?(ns = [ 4; 8; 16; 32; 64 ]) () =
+let e8_system_wide ~engine ?(ns = [ 4; 8; 16; 32; 64 ]) () =
+  let seed = 3 in
   let rows =
     [
       ("epoch-mcs, crash-free", H.No_crashes);
@@ -446,7 +455,8 @@ let e8_system_wide ~engine ?(seed = 3) ?(ns = [ 4; 8; 16; 32; 64 ]) () =
    design choice b = Θ(w) is what converts word width into fewer levels;
    forcing smaller arity at the same w gives strictly more levels. *)
 
-let a1_arity_ablation ~engine ?(seed = 9) ?(n = 256) ?(arities = [ 2; 4; 8; 16; 32 ]) () =
+let a1_arity_ablation ~engine ?(n = 256) ?(arities = [ 2; 4; 8; 16; 32 ]) () =
+  let seed = 9 in
   render engine
     [
       {
@@ -475,7 +485,8 @@ let a1_arity_ablation ~engine ?(seed = 9) ?(n = 256) ?(arities = [ 2; 4; 8; 16; 
    bound. At w=16 the first column, k=17, is the default threshold —
    the same cell E3 computes. *)
 
-let a2_k_ablation ~engine ?(n = 1024) ?(w = 16) ?(ks = [ 17; 24; 32; 64; 128 ]) () =
+let a2_k_ablation ~engine ?(n = 1024) ?(ks = [ 17; 24; 32; 64; 128 ]) () =
+  let w = 16 in
   render engine
     [
       {
@@ -535,7 +546,7 @@ let a3_adaptivity ~engine ?(n = 256) ?(ws = [ 4; 8; 16; 32 ]) () =
               [
                 int_text w;
                 int_text solo;
-                max_rmr (Engine.cell ~seed:7 ~n ~width:w ~model:Rmr.Cc Km.factory);
+                max_rmr (Engine.cell ~seed:km_seed ~n ~width:w ~model:Rmr.Cc Km.factory);
                 int_text (Bounds.tree_levels ~n ~b:(min w n));
               ])
             ws solos;
@@ -547,7 +558,8 @@ let a3_adaptivity ~engine ?(n = 256) ?(ws = [ 4; 8; 16; 32 ]) () =
    properties"); the harness measures them as bypass counts: how many
    critical sections others completed between a request and its grant. *)
 
-let f1_fairness ~engine ?(seed = 31) ?(n = 8) ?(sp = 6) () =
+let f1_fairness ~engine =
+  let seed = 31 and n = 8 and sp = 6 in
   let bypass (r : Engine.cell_result) =
     let worst = r.Engine.max_bypass in
     [ string_of_int worst; (if worst <= (2 * n) - 2 then "yes" else "no") ]
@@ -579,56 +591,39 @@ let f1_fairness ~engine ?(seed = 31) ?(n = 8) ?(sp = 6) () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* The catalogue, shared by [rme experiment] and the bench harness: each
-   entry times its experiment on the caller's engine and prints its
-   tables and the counters line. *)
+(* The catalogue [rme experiment] runs: each entry times its experiment
+   on the caller's engine and prints its tables and the counters line. *)
 
-type report = { wall_s : float; computed : int; cached : int }
-type entry = { id : string; descr : string; run : Engine.t -> report }
+type entry = { id : string; run : Engine.t -> unit }
 
-let entry id descr tables =
+let entry id tables =
   let run eng =
     let c0 = Engine.counters eng in
     let t0 = Unix.gettimeofday () in
     List.iter Table.print (tables eng);
     let wall_s = Unix.gettimeofday () -. t0 in
     let c1 = Engine.counters eng in
-    let r =
-      {
-        wall_s;
-        computed = c1.Engine.computed - c0.Engine.computed;
-        cached = c1.Engine.cached - c0.Engine.cached;
-      }
-    in
     Printf.printf "(%s completed in %.1fs; j=%d; cells: %d computed, %d cached)\n\n%!" id
-      wall_s (Engine.jobs eng) r.computed r.cached;
-    r
+      wall_s (Engine.jobs eng)
+      (c1.Engine.computed - c0.Engine.computed)
+      (c1.Engine.cached - c0.Engine.cached)
   in
-  { id; descr; run }
+  { id; run }
 
 let all =
   [
-    entry "e1" "RMR landscape across lock algorithms" (fun engine ->
-        e1_lock_landscape ~engine ());
-    entry "e2" "Katzan-Morrison word-size tradeoff" (fun engine ->
-        e2_word_size_tradeoff ~engine ());
-    entry "e3" "lower-bound adversary vs Theorem 1" (fun engine ->
-        e3_adversary_bound ~engine ());
-    entry "e4" "Process-Hiding Lemma (paper constants)" (fun engine ->
-        e4_hiding_lemma ~engine ());
-    entry "e5" "crash-recovery cost" (fun engine -> e5_crash_cost ~engine ());
-    entry "e6" "CC vs DSM" (fun engine -> e6_model_comparison ~engine ());
-    entry "e7" "min(log_w n, log/loglog) crossover" (fun engine ->
-        e7_crossover ~engine ());
-    entry "e8" "system-wide crash separation (epoch-MCS)" (fun engine ->
-        e8_system_wide ~engine ());
-    entry "a1" "ablation: KM tree arity vs word size" (fun engine ->
-        a1_arity_ablation ~engine ());
-    entry "a2" "ablation: adversary contention threshold k" (fun engine ->
-        a2_k_ablation ~engine ());
-    entry "a3" "ablation: contention adaptivity of the KM core" (fun engine ->
-        a3_adaptivity ~engine ());
-    entry "f1" "fairness: bypass counts per lock" (fun engine -> f1_fairness ~engine ());
+    entry "e1" (fun engine -> e1_lock_landscape ~engine ());
+    entry "e2" (fun engine -> e2_word_size_tradeoff ~engine ());
+    entry "e3" (fun engine -> e3_adversary_bound ~engine ());
+    entry "e4" (fun engine -> e4_hiding_lemma ~engine);
+    entry "e5" (fun engine -> e5_crash_cost ~engine ());
+    entry "e6" (fun engine -> e6_model_comparison ~engine ());
+    entry "e7" (fun engine -> e7_crossover ~engine ());
+    entry "e8" (fun engine -> e8_system_wide ~engine ());
+    entry "a1" (fun engine -> a1_arity_ablation ~engine ());
+    entry "a2" (fun engine -> a2_k_ablation ~engine ());
+    entry "a3" (fun engine -> a3_adaptivity ~engine ());
+    entry "f1" (fun engine -> f1_fairness ~engine);
   ]
 
 let select = function

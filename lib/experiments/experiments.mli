@@ -22,8 +22,8 @@
     - A3: ablation — solo vs contended passage cost of the KM core.
     - F1: fairness — worst bypass count per lock.
 
-    Every function is deterministic given [seed] and returns printable
-    tables.
+    Every function is deterministic (each experiment's seed is a
+    constant) and returns printable tables.
 
     Each experiment describes its tables once, as rows whose slots are
     text or trial/adversary cells, and renders them over the [engine]
@@ -57,22 +57,20 @@ val hiding_trial :
     [delta] budget, drawn from a generator seeded with [seed]: the
     routine behind E4 and [rme lemma]. *)
 
-val e1_lock_landscape :
-  engine:Engine.t -> ?seed:int -> ?width:int -> ?ns:int list -> unit -> outcome
+val e1_lock_landscape : engine:Engine.t -> ?ns:int list -> unit -> outcome
 
 val e2_word_size_tradeoff :
-  engine:Engine.t -> ?seed:int -> ?ns:int list -> ?ws:int list -> unit -> outcome
+  engine:Engine.t -> ?ns:int list -> ?ws:int list -> unit -> outcome
 
 val e3_adversary_bound :
   engine:Engine.t -> ?ns:int list -> ?ws:int list -> unit -> outcome
 
-val e4_hiding_lemma :
-  engine:Engine.t -> ?seed:int -> ?m:int -> ?trials:int -> unit -> outcome
+val e4_hiding_lemma : engine:Engine.t -> outcome
+(** Three groups, 50 random discovery sets per family. *)
 
-val e5_crash_cost :
-  engine:Engine.t -> ?seed:int -> ?n:int -> ?probs:float list -> unit -> outcome
+val e5_crash_cost : engine:Engine.t -> ?n:int -> ?probs:float list -> unit -> outcome
 
-val e6_model_comparison : engine:Engine.t -> ?seed:int -> ?n:int -> unit -> outcome
+val e6_model_comparison : engine:Engine.t -> ?n:int -> unit -> outcome
 (** Deliberately shaped (seed 42, n=32, w=16, 2 super-passages) to reuse
     E1's n=32 cells from the shared memo cache. *)
 
@@ -81,17 +79,16 @@ val e7_crossover : engine:Engine.t -> ?n:int -> ?ws:int list -> unit -> outcome
     at the default [n] its w sweep straddles w = log2 4096 = 12, and at
     [n = 1024] it reuses E2's cells for the word sizes both sweep. *)
 
-val e8_system_wide : engine:Engine.t -> ?seed:int -> ?ns:int list -> unit -> outcome
+val e8_system_wide : engine:Engine.t -> ?ns:int list -> unit -> outcome
 (** The system-wide crash separation: epoch-MCS stays O(1) per passage
     under simultaneous crashes (paper conclusion; Golab–Hendler [11]). *)
 
-val a1_arity_ablation :
-  engine:Engine.t -> ?seed:int -> ?n:int -> ?arities:int list -> unit -> outcome
+val a1_arity_ablation : engine:Engine.t -> ?n:int -> ?arities:int list -> unit -> outcome
 (** Ablation: forcing the KM tree arity below the word size. *)
 
-val a2_k_ablation :
-  engine:Engine.t -> ?n:int -> ?w:int -> ?ks:int list -> unit -> outcome
-(** Ablation: the adversary's contention threshold (the paper's w^d).
+val a2_k_ablation : engine:Engine.t -> ?n:int -> ?ks:int list -> unit -> outcome
+(** Ablation: the adversary's contention threshold (the paper's w^d), at
+    w = 16.
     The default-threshold column shares E3's adversary cells. *)
 
 val a3_adaptivity : engine:Engine.t -> ?n:int -> ?ws:int list -> unit -> outcome
@@ -100,20 +97,16 @@ val a3_adaptivity : engine:Engine.t -> ?n:int -> ?ws:int list -> unit -> outcome
     not — a documented simplification). The contended cells share E2's
     n=256 sweep. *)
 
-val f1_fairness :
-  engine:Engine.t -> ?seed:int -> ?n:int -> ?sp:int -> unit -> outcome
-(** Fairness: worst bypass count per lock (queue locks are FIFO; TAS and
-    tree locks are not). *)
+val f1_fairness : engine:Engine.t -> outcome
+(** Fairness: worst bypass count per lock at n = 8 over 6 super-passages
+    (queue locks are FIFO; TAS and tree locks are not). *)
 
-type report = { wall_s : float; computed : int; cached : int }
-(** One printed run: its wall clock, and the trial and adversary cells
-    its engine computed and served from its memo meanwhile. *)
-
-type entry = { id : string; descr : string; run : Engine.t -> report }
-(** [run engine] runs the experiment on [engine], prints its tables and
-    the line
+type entry = { id : string; run : Engine.t -> unit }
+(** [run engine] runs the experiment on [engine] and prints its tables
+    and the line
     [(<id> completed in <s>s; j=<jobs>; cells: <c> computed, <m> cached)]
-    to stdout, and returns the report. *)
+    to stdout: its wall clock, and the trial and adversary cells [engine]
+    computed and served from its memo meanwhile. *)
 
 val all : entry list
 (** Every experiment, in order. *)

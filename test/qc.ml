@@ -13,3 +13,9 @@ let seed () =
 
 let to_alcotest t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed () |]) t
+
+(* [QCheck.int_range a b] whose shrinker stays within [a, b]. The stock
+   one shrinks towards 0, so a failure found at some [x >= a > 0] would
+   be reported on an input the generator never draws. *)
+let int_range a b =
+  QCheck.(set_shrink Shrink.(filter (fun x -> a <= x && x <= b) int) (int_range a b))

@@ -4,10 +4,16 @@
 
 module Cli = Rme_cli.Cli
 
-let contains ~needle haystack =
+let index_of ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
-  let rec loop i = i + nl <= hl && (String.sub haystack i nl = needle || loop (i + 1)) in
+  let rec loop i =
+    if i + nl > hl then None
+    else if String.sub haystack i nl = needle then Some i
+    else loop (i + 1)
+  in
   loop 0
+
+let contains ~needle haystack = Option.is_some (index_of ~needle haystack)
 
 (* Run [f] with [fd] redirected to a temp file; return (result, output). *)
 let capture fd f =
@@ -188,6 +194,35 @@ let test_progress_flag_gone () =
   Alcotest.(check string) "runs nothing" "" out;
   Alcotest.(check bool) "unknown option" true (contains ~needle:"unknown option" err)
 
+(* The engine's guarantee through the CLI: tables and counters lines
+   are byte-identical at any -j once each counters line's wall clock and
+   j are cut ("(e1 completed in 0.0s; j=3; cells: ..." becomes
+   "(e1 completed; cells: ..."). E6 is served from E1's memo entries,
+   E5 and E8 run crash cells, and A3 maps over Machine with Engine.map. *)
+let test_experiment_jobs_deterministic () =
+  let strip_timing out =
+    String.split_on_char '\n' out
+    |> List.map (fun line ->
+           match
+             (index_of ~needle:" completed in " line, index_of ~needle:"; cells:" line)
+           with
+           | Some i, Some j ->
+               String.sub line 0 i ^ " completed"
+               ^ String.sub line j (String.length line - j)
+           | _ -> line)
+    |> String.concat "\n"
+  in
+  let run j =
+    let code, out = eval [ "experiment"; "-j"; j; "e1"; "e5"; "e6"; "e8"; "a3" ] in
+    Alcotest.(check int) ("-j " ^ j ^ ": exit 0") 0 code;
+    strip_timing out
+  in
+  let j1 = run "1" in
+  Alcotest.(check int) "five counters lines" 5
+    (List.length
+       (List.filter (contains ~needle:" completed; cells:") (String.split_on_char '\n' j1)));
+  Alcotest.(check string) "-j 3 prints what -j 1 prints" j1 (run "3")
+
 let suite =
   ( "cli",
     [
@@ -220,4 +255,6 @@ let suite =
         test_adversary_locks_rejected;
       Alcotest.test_case "experiment has no --progress flag" `Quick
         test_progress_flag_gone;
+      Alcotest.test_case "experiment tables and counters equal at -j 1 and -j 3" `Quick
+        test_experiment_jobs_deterministic;
     ] )

@@ -150,8 +150,8 @@ let prop_l4_random =
   QCheck.Test.make ~name:"lemma 4 outcome always verifies on random hypergraphs"
     ~count:1000
     QCheck.(
-      quad (int_range 2 5) (int_range 2 5) (int_range 0 10_000)
-        (pair (int_range 0 3) (int_range 0 2)))
+      quad (Qc.int_range 2 5) (Qc.int_range 2 5) (Qc.int_range 0 10_000)
+        (pair (Qc.int_range 0 3) (Qc.int_range 0 2)))
     (fun (a, b, seed, (density, slack)) ->
       let rng = Splitmix.create seed in
       let parts = mk_parts [ a; b; 3 ] in
@@ -246,7 +246,7 @@ let test_l5_verify_rejects () =
 let prop_l5_random =
   QCheck.Test.make ~name:"lemma 5 outcome always verifies on random hypergraphs"
     ~count:60
-    QCheck.(pair (int_range 2 3) (int_range 0 10_000))
+    QCheck.(pair (Qc.int_range 2 3) (Qc.int_range 0 10_000))
     (fun (k, seed) ->
       let rng = Splitmix.create seed in
       let sizes = List.init k (fun _ -> 3) in

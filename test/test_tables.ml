@@ -16,7 +16,7 @@ let render () =
     E.e6_model_comparison ~engine ();
     E.e8_system_wide ~engine ();
     E.a1_arity_ablation ~engine ();
-    E.f1_fairness ~engine ();
+    E.f1_fairness ~engine;
   ]
   |> List.concat_map (List.map (fun t -> Table.render t ^ "\n"))
   |> String.concat ""
